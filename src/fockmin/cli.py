@@ -11,12 +11,14 @@ import json
 import sys
 
 from . import fock, minimize as mz, spectra, sturm
-from .errors import CertificateFailed, FockminError, NoConvergence
+from .errors import CertificateFailed, FockminError, InvalidParameter, NoConvergence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERTIFICATE = 2
 EXIT_NUMERICAL = 3
+
+_FIRST_CERTIFIED_J = 6  # the Sturm certificate starts here
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,22 +138,25 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.max_j < _FIRST_CERTIFIED_J:
+        raise InvalidParameter(
+            f"--max-j must be at least {_FIRST_CERTIFIED_J}, the first "
+            f"certified block, got {args.max_j}"
+        )
     lines = []
     failures = 0
-    for j in range(6, args.max_j + 1):
+    for j in range(_FIRST_CERTIFIED_J, args.max_j + 1):
         try:
             cert = sturm.positivity_certificate(j)
             checks = [f"sturm transition={cert.transition_index}"]
             if j <= args.exact_max_j:
-                exact_ok = spectra.kernel_annihilated(j)
+                reduction = spectra.integer_reduction(j)
+                exact_ok = reduction.kernel_annihilated()
                 checks.append("kernel=exact" if exact_ok else "kernel=FAIL")
                 if not exact_ok:
                     raise CertificateFailed(f"kernel vectors not annihilated at j={j}")
                 if not args.no_eigs:
-                    decomp = spectra.centro_decompose(spectra.build_B_block(j))
-                    eigs = spectra.symmetric_eigenvalues(
-                        spectra.scaled_block(decomp.S)
-                    )
+                    eigs = spectra.symmetric_eigenvalues(reduction.scaled())
                     norm = max(abs(eigs[0]), abs(eigs[-1]))
                     if eigs[0] < -1e-10 * norm:
                         raise CertificateFailed(
@@ -255,6 +260,8 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if not args.step > 0:
+        raise InvalidParameter(f"--step must be positive, got {args.step}")
     grid = []
     mu = args.start
     while mu <= args.stop + 1e-12:
@@ -352,3 +359,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .errors import InvalidParameter, TruncationTooSmall
 
@@ -225,6 +224,10 @@ def displacement_matrix(alpha: complex, size: int) -> np.ndarray:
     elements of the infinite operator, so truncation loss shows up only as a
     mass defect of the output.
     """
+    # Imported here, not at module level: scipy.special adds about 24 MiB
+    # and 0.1 s to start-up, and only translations need it.
+    from scipy.special import eval_genlaguerre
+
     beta = -np.conj(alpha)
     x = abs(beta) ** 2
     pref = math.exp(-0.5 * x)
@@ -454,14 +457,24 @@ def save_coefficients(u: FockCoefficients, path) -> None:
 
 
 def load_coefficients(path) -> FockCoefficients:
-    with open(path) as fh:
-        payload = json.load(fh)
-    truncation = int(payload["truncation"])
-    pairs = payload["coeffs"]
-    if len(pairs) != truncation + 1:
-        raise InvalidParameter(
-            f"coefficient file declares truncation {truncation} but holds "
-            f"{len(pairs)} entries"
-        )
-    coeffs = np.array([complex(re, im) for re, im in pairs])
+    """Read a coefficient file; any unreadable or malformed file raises
+    `InvalidParameter`."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read coefficient file: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidParameter(f"coefficient file is not JSON: {exc}") from exc
+    try:
+        truncation = int(payload["truncation"])
+        pairs = payload["coeffs"]
+        if len(pairs) != truncation + 1:
+            raise InvalidParameter(
+                f"coefficient file declares truncation {truncation} but holds "
+                f"{len(pairs)} entries"
+            )
+        coeffs = np.array([complex(re, im) for re, im in pairs])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"malformed coefficient file: {exc}") from exc
     return FockCoefficients(truncation, coeffs)

@@ -135,26 +135,3 @@ def mat_vec(rows, vec):
         out.append(acc)
     return tuple(out)
 
-
-def mat_equal(rows_a, rows_b) -> bool:
-    if len(rows_a) != len(rows_b):
-        return False
-    for ra, rb in zip(rows_a, rows_b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
-
-
-def mat_add(rows_a, rows_b):
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(rows_a, rows_b)
-    )
-
-
-def mat_sub(rows_a, rows_b):
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(rows_a, rows_b)
-    )

@@ -228,8 +228,7 @@ def positivity_certificate(j: int, *, with_gap: bool = False) -> SturmCertificat
     if with_gap:
         from . import spectra
 
-        decomp = spectra.centro_decompose(spectra.build_B_block(j))
-        eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(decomp.S))
+        eigs = spectra.symmetric_eigenvalues(spectra.integer_reduction(j).scaled())
         norm = float(max(abs(eigs[0]), abs(eigs[-1])))
         positive = [float(e) for e in eigs if e > 1e-10 * norm]
         gap = min(positive) if positive else None

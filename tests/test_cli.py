@@ -1,11 +1,18 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fockmin import cli, fock
+from fockmin import cli, fock, minimize, spectra, sturm
+from fockmin.rt2 import mat_vec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_capture(capsys, argv):
@@ -44,6 +51,39 @@ class TestCertifyCommand:
         lines = [l for l in out.strip().split("\n")]
         assert len(lines) == 35  # j = 6..40
         assert all(" pass " in l for l in lines)
+
+
+def oracle_certify(max_j, exact_max_j=200, eigs=True):
+    """`certify` stdout assembled from the Rt2 build, reduction and matvec."""
+    lines = []
+    for j in range(6, max_j + 1):
+        checks = [f"sturm transition={sturm.positivity_certificate(j).transition_index}"]
+        if j <= exact_max_j:
+            reduced = spectra.centro_decompose(spectra.build_B_block(j)).S
+            v, w = spectra.null_vectors(j)
+            assert not any(mat_vec(reduced.entries, v))
+            assert not any(mat_vec(reduced.entries, w))
+            checks.append("kernel=exact")
+            if eigs:
+                values = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
+                checks.append(f"min_eig={values[0]:.3e}")
+        lines.append(f"j={j} pass " + " ".join(checks))
+    return "\n".join(lines) + "\n"
+
+
+class TestCertifyMatchesOracle:
+    @pytest.mark.parametrize(
+        "flags, kwargs",
+        [
+            ([], {}),
+            (["--no-eigs"], {"eigs": False}),
+            (["--exact-max-j", "20"], {"exact_max_j": 20}),
+        ],
+    )
+    def test_stdout_byte_identical(self, capsys, flags, kwargs):
+        code, out, _ = run_capture(capsys, ["certify", "--max-j", "40", *flags])
+        assert code == 0
+        assert out == oracle_certify(40, **kwargs)
 
 
 class TestCatalogRoundTrip:
@@ -145,3 +185,57 @@ class TestErrorPaths:
         path = tmp_path / "bad.json"
         path.write_text('{"truncation": 2, "coeffs": [[1, 0]]}')
         assert cli.run(["functionals", "--in", str(path), "--mu", "0.5"]) == 1
+
+    @pytest.mark.parametrize("max_j", ["5", "-3"])
+    def test_certify_without_blocks_is_usage_error(self, capsys, max_j):
+        code, out, err = run_capture(capsys, ["certify", "--max-j", max_j])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_scan_nonpositive_step_is_usage_error(self, capsys, monkeypatch, step):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("scan_mu reached with an invalid step")
+
+        monkeypatch.setattr(minimize, "scan_mu", no_solve)
+        # --from above --to keeps the grid loop from running even if the
+        # step went unchecked, so a regression fails instead of hanging
+        argv = ["scan", "--from", "0.7", "--to", "0.1", "--step", step]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param('{"truncation": 1, "coeffs": [[1, 0], [0]]}', id="short-pair"),
+            pytest.param('{"truncation": 1, "coeffs": [[1, 0], [0, 0]', id="bad-json"),
+            pytest.param(None, id="missing-file"),
+        ],
+    )
+    def test_malformed_coefficient_file(self, capsys, tmp_path, content):
+        path = tmp_path / "state.json"
+        if content is not None:
+            path.write_text(content)
+        for argv in (["functionals", "--mu", "0.5"], ["zeros"]):
+            code, out, err = run_capture(capsys, argv + ["--in", str(path)])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:")
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_main(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockmin.cli", "block", "--j", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("B^(1), order 2\n")
+        assert "-1/8" in proc.stdout

@@ -1,5 +1,6 @@
 """Exact block construction, centrosymmetric reduction and eigen checks."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,59 @@ class TestNullVectors:
         for j in (0, 1, 2, 3):
             with pytest.raises(OutOfRange):
                 spectra.null_vectors(j)
+
+
+class TestIntegerReduction:
+    """The integer pass against the Rt2 path it replaces in `certify`."""
+
+    @pytest.mark.parametrize("j", range(81))
+    def test_matches_rt2_oracle(self, j):
+        reduction = spectra.integer_reduction(j)
+        decomp = spectra.centro_decompose(spectra.build_B_block(j))
+        if j >= 4:
+            v, w = spectra.null_vectors(j)
+            oracle = not any(mat_vec(decomp.S.entries, v)) and not any(
+                mat_vec(decomp.S.entries, w)
+            )
+            assert reduction.kernel_annihilated() == oracle
+        else:
+            with pytest.raises(OutOfRange):
+                reduction.kernel_annihilated()
+        expect = spectra.scaled_block(decomp.S)
+        got = reduction.scaled()
+        assert np.array_equal(got, expect)
+        assert np.array_equal(
+            spectra.symmetric_eigenvalues(got), spectra.symmetric_eigenvalues(expect)
+        )
+
+    @pytest.mark.parametrize("j", [4, 9, 30, 31])
+    @pytest.mark.parametrize("keeps_v", [False, True])
+    def test_perturbed_row_breaks_kernel(self, j, keeps_v):
+        reduction = spectra.integer_reduction(j)
+        rows = [list(row) for row in reduction.rows]
+        if keeps_v:
+            # (C(j,1), -C(j,0)) on the first two entries of row 0 is
+            # orthogonal to v = C(j,i) but not to w = i(j-i)C(j,i)
+            rows[0][0] += j
+            rows[0][1] -= 1
+        else:
+            rows[0][0] += 1
+        broken = dataclasses.replace(reduction, rows=tuple(map(tuple, rows)))
+        assert reduction.kernel_annihilated()
+        assert not broken.kernel_annihilated()
+
+    def test_even_border_is_rational_after_congruence(self):
+        # j = 4: S = (3/4)[[2, -2, r], [-2, 2, -r], [r, -r, 1]], r = sqrt2,
+        # so M = 2 D S D = (3/4)[[4, -4, 2], [-4, 4, -2], [2, -2, 1]]
+        reduction = spectra.integer_reduction(4)
+        scale = Fraction(1, 2**reduction.shift)
+        got = [[Fraction(e) * scale for e in row] for row in reduction.rows]
+        c = Fraction(3, 4)
+        assert got == [
+            [4 * c, -4 * c, 2 * c],
+            [-4 * c, 4 * c, -2 * c],
+            [2 * c, -2 * c, c],
+        ]
 
 
 class TestScaledBlocks:
