@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import fock, minimize as mz, spectra, sturm
@@ -262,11 +263,19 @@ def _cmd_minimize(args) -> int:
 def _cmd_scan(args) -> int:
     if not args.step > 0:
         raise InvalidParameter(f"--step must be positive, got {args.step}")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise InvalidParameter(
+            f"--from and --to must be finite, got {args.start} and {args.stop}"
+        )
     grid = []
     mu = args.start
     while mu <= args.stop + 1e-12:
         grid.append(round(mu, 12))
         mu += args.step
+    if not grid:
+        raise InvalidParameter(
+            f"empty scan grid: --from {args.start} lies above --to {args.stop}"
+        )
     config = mz.OptimizerConfig(
         truncation=args.trunc, restarts=args.restarts, seed=args.seed
     )

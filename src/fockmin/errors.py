@@ -29,6 +29,10 @@ class CertificateFailed(FockminError):
     """A positivity certificate did not close (should never happen)."""
 
 
+class NonFiniteParameter(InvalidParameter):
+    """A real parameter is NaN or infinite."""
+
+
 class MuNonPositive(InvalidParameter):
     """The coupling must be strictly positive for a minimizer to exist."""
 

@@ -81,40 +81,57 @@ class FockCoefficients:
 
 
 class EnergyKernel:
-    """Precomputed index/weight tables for the quartic sum at truncation N.
+    """Weight table and scratch rows for the quartic sum at truncation N.
 
     The interaction energy is (1/8pi) * sum_j |ct_j|^2 with
     ct_j = sum_k w_{jk} a_k a_{j-k} and w_{jk} = sqrt(C(j,k)/2^j) <= 1,
     so no factorial is ever formed: only binomial ratios appear, which keeps
     every intermediate in floating range for any practical truncation.
+
+    The weights are stored densely as W[k, l] = w_{k+l, k}, which is
+    symmetric.  The convolution writes the products W[k, l] a_k a_l into
+    the first n = N + 1 columns of a zeroed (n, 2n) buffer; the first
+    n(2n-1) entries of that buffer, read as an (n, 2n-1) array, hold row k
+    shifted right by k places, so column j of this sheared view carries
+    exactly the terms of ct_j and zeros elsewhere.  Summing the sheared
+    rows over axis 0 adds the terms of each ct_j in the order k = 0..N,
+    and the padding zeros add exactly.  The gradient term
+    4 w_{jk} ct_j conj(a_{j-k}) is formed on the Hankel view
+    H[l, k] = ct_{k+l} and summed over l ascending.  Both orders, and the
+    operand order of every product, are those of the index-table
+    `np.bincount` formulation this class replaced, so every result is the
+    same to the last bit.  Each sum starts from 0.0, as a bincount bin
+    does, so no component is ever -0.0 and the old recombination
+    `re + 1j * im` would be the identity.  Never replace these sums with
+    `dot`/`vdot`: they add in a different order.
+
+    The buffer is per-kernel scratch that every call overwrites, so one
+    kernel (and thus the `energy_kernel` cache) must not be shared across
+    threads.
     """
 
     def __init__(self, truncation: int):
         self.truncation = truncation
         n = truncation + 1
-        j_ids, k_ids, weights = [], [], []
-        for j in range(2 * truncation + 1):
-            lo = max(0, j - truncation)
-            hi = min(j, truncation)
-            for k in range(lo, hi + 1):
-                j_ids.append(j)
-                k_ids.append(k)
+        weights = np.empty((n, n))
+        for k in range(n):
+            for l in range(k, n):
                 # int/int true division is correctly rounded at any size
-                weights.append(math.sqrt(math.comb(j, k) / (1 << j)))
-        self.j_ids = np.array(j_ids, dtype=np.intp)
-        self.k_ids = np.array(k_ids, dtype=np.intp)
-        self.l_ids = self.j_ids - self.k_ids  # j - k
-        self.weights = np.array(weights)
-        self.n_j = 2 * truncation + 1
+                weights[k, l] = weights[l, k] = math.sqrt(
+                    math.comb(k + l, k) / (1 << (k + l))
+                )
+        self.weights = weights
+        self.weights4 = 4.0 * weights
+        self._rows = np.zeros((n, 2 * n), dtype=complex)
+        self._products = self._rows[:, :n]
+        self._sheared = self._rows.reshape(-1)[: n * (2 * n - 1)].reshape(n, 2 * n - 1)
         self.n_modes = n
         self.mode_index = np.arange(n, dtype=float)
 
     def convolution(self, a: np.ndarray) -> np.ndarray:
         """The weighted self-convolution ct_j for all j."""
-        vals = self.weights * (a[self.k_ids] * a[self.l_ids])
-        re = np.bincount(self.j_ids, weights=vals.real, minlength=self.n_j)
-        im = np.bincount(self.j_ids, weights=vals.imag, minlength=self.n_j)
-        return re + 1j * im
+        np.multiply(self.weights, np.multiply.outer(a, a), out=self._products)
+        return self._sheared.sum(axis=0, initial=0.0)
 
     def interaction(self, a: np.ndarray) -> float:
         """8*pi*H: the quartic part of the energy."""
@@ -131,10 +148,13 @@ class EnergyKernel:
         energy = float(np.sum(ct.real**2 + ct.imag**2))
         p = float(np.sum(self.mode_index * (a.real**2 + a.imag**2)))
         energy += mu * p
-        vals = 4.0 * self.weights * ct[self.j_ids] * np.conj(a[self.l_ids])
-        g_re = np.bincount(self.k_ids, weights=vals.real, minlength=self.n_modes)
-        g_im = np.bincount(self.k_ids, weights=vals.imag, minlength=self.n_modes)
-        grad = g_re + 1j * g_im
+        step = ct.strides[0]
+        hankel = np.lib.stride_tricks.as_strided(
+            ct, shape=(self.n_modes, self.n_modes), strides=(step, step)
+        )
+        terms = self.weights4 * hankel
+        terms *= np.conj(a)[:, None]
+        grad = terms.sum(axis=0, initial=0.0)
         grad += 2.0 * mu * self.mode_index * a
         return energy, grad
 

@@ -21,6 +21,7 @@ from .errors import (
     InconsistentBracket,
     InvalidParameter,
     MuNonPositive,
+    NonFiniteParameter,
     TruncationTooSmall,
 )
 from .fock import FockCoefficients, PhiN, PsiB, catalog_coefficients, energy_kernel
@@ -70,8 +71,8 @@ class OptimizerConfig:
             raise InvalidParameter("truncation must be at least 8")
         if self.restarts < 1:
             raise InvalidParameter("need at least one restart")
-        if self.grad_tol <= 0:
-            raise InvalidParameter("gradient tolerance must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise InvalidParameter("gradient tolerance must be positive and finite")
 
 
 class MinimizerClass(Enum):
@@ -173,30 +174,39 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     return a, value, residual, iters, residual <= config.grad_tol
 
 
+# Catalog starts, in restart order; random states fill the remaining restarts.
+_NAMED_STARTS = (PhiN(0), PhiN(1), PsiB(1.0), PsiB(0.5), PsiB(2.0))
+
+
 def _starting_points(config: OptimizerConfig, rng: np.random.Generator):
     n = config.truncation
-    named = [
-        catalog_coefficients(PhiN(0), n).coeffs,
-        catalog_coefficients(PhiN(1), n).coeffs,
-        catalog_coefficients(PsiB(1.0), n).coeffs,
-        catalog_coefficients(PsiB(0.5), n).coeffs,
-        catalog_coefficients(PsiB(2.0), n).coeffs,
+    # only the starts that run are expanded: a wide psi_b start that does
+    # not fit a small truncation must not fail a run that never uses it
+    points = [
+        catalog_coefficients(spec, n).coeffs
+        for spec in _NAMED_STARTS[: config.restarts]
     ]
-    points = named[: config.restarts]
     while len(points) < config.restarts:
         vec = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         points.append(vec)
     return points
 
 
+def _check_coupling(mu: float) -> None:
+    if not math.isfinite(mu):
+        raise NonFiniteParameter(f"the coupling mu must be finite, got {mu}")
+    if mu <= 0:
+        raise MuNonPositive("the coupling mu must be strictly positive")
+
+
 def minimize_G(mu: float, config: OptimizerConfig | None = None) -> MinimizationResult:
     """Best sphere-constrained minimizer of G_mu across restarts.
 
-    Raises MuNonPositive for mu <= 0, where no global minimizer exists.
-    A result that exhausted its budget is returned with converged=False.
+    Raises MuNonPositive for mu <= 0, where no global minimizer exists,
+    and NonFiniteParameter for a NaN or infinite mu.  A result that
+    exhausted its budget is returned with converged=False.
     """
-    if mu <= 0:
-        raise MuNonPositive("the coupling mu must be strictly positive")
+    _check_coupling(mu)
     config = config or OptimizerConfig()
     rng = np.random.default_rng(config.seed)
     best = None
@@ -385,12 +395,16 @@ def closed_form_lines(mu: float):
 
 
 def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
-    """Minimize across a grid of couplings; rows sorted by mu."""
+    """Minimize across a grid of couplings; rows sorted by mu.
+
+    The whole grid is validated before the first minimization.
+    """
     config = config or OptimizerConfig()
+    mus = [float(m) for m in grid]
+    for mu in mus:
+        _check_coupling(mu)
     rows = []
-    for mu in sorted(float(m) for m in grid):
-        if mu <= 0:
-            raise MuNonPositive("scan grid must lie in (0, mu_max]")
+    for mu in sorted(mus):
         res = minimize_G(mu, config)
         g0, g1, gb = closed_form_lines(mu)
         rows.append(
@@ -466,6 +480,10 @@ def estimate_mu0(
     the global minimizer.  Bisection between 5/32 and 1/2; the endpoints are
     sanity-checked first and a non-monotone bracket is reported, not hidden.
     """
+    if not (math.isfinite(width) and width > 0):
+        raise InvalidParameter(
+            f"the bracket width must be positive and finite, got {width}"
+        )
     config = config or OptimizerConfig()
     low, high = KAPPA_INF, 0.49
     if _phi1_is_global(low + 1e-4, config):
@@ -476,6 +494,8 @@ def estimate_mu0(
         raise InconsistentBracket("phi_1 does not minimize at mu = 0.49")
     while high - low > width:
         mid = 0.5 * (low + high)
+        if not low < mid < high:
+            break  # adjacent floats: the bracket cannot shrink further
         if _phi1_is_global(mid, config):
             high = mid
         else:
@@ -515,6 +535,9 @@ def semiclassical(N_param: float, a_param: float, h: float) -> SemiclassicalRepo
     5/32, and the two closed-form energies are
     E(phi_0,h) = Na*Omega^2/(4 pi h) + h,  E(phi_1,h) = Na*Omega^2/(8 pi h) + 2h.
     """
+    for name, value in (("N", N_param), ("a", a_param), ("h", h)):
+        if not math.isfinite(value):
+            raise NonFiniteParameter(f"{name} must be finite, got {value}")
     if not 0.0 < h < 1.0:
         raise InvalidParameter("h must lie in (0, 1)")
     if N_param <= 0 or a_param <= 0:

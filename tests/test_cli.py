@@ -181,6 +181,39 @@ class TestErrorPaths:
     def test_bad_mu_is_usage_error(self, capsys):
         assert cli.run(["minimize", "--mu", "-1.0", "--trunc", "16"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["minimize", "--mu", "nan", "--trunc", "16"], id="mu-nan"),
+            pytest.param(["semiclassical", "--Na", "nan", "--h", "0.5"], id="Na-nan"),
+            pytest.param(["semiclassical", "--Na", "inf", "--h", "0.5"], id="Na-inf"),
+        ],
+    )
+    def test_non_finite_parameter_is_usage_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("width", ["0", "-0.001", "nan"])
+    def test_mu0_bad_width_is_usage_error(self, capsys, monkeypatch, width):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimization reached with an invalid width")
+
+        # a regression fails here instead of bisecting forever
+        monkeypatch.setattr(minimize, "_phi1_is_global", no_solve)
+        code, out, err = run_capture(capsys, ["mu0", "--width", width])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_minimize_builds_only_the_starts_it_runs(self, capsys):
+        argv = ["minimize", "--mu", "0.7", "--trunc", "8", "--restarts", "1"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 0
+        assert "class = phi0\n" in out
+        assert err == ""
+
     def test_bad_coefficient_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"truncation": 2, "coeffs": [[1, 0]]}')
@@ -202,6 +235,25 @@ class TestErrorPaths:
         # --from above --to keeps the grid loop from running even if the
         # step went unchecked, so a regression fails instead of hanging
         argv = ["scan", "--from", "0.7", "--to", "0.1", "--step", step]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            pytest.param(("0.5", "0.1"), id="from-above-to"),
+            pytest.param(("nan", "1"), id="from-nan"),
+            pytest.param(("0.1", "nan"), id="to-nan"),
+        ],
+    )
+    def test_scan_without_grid_is_usage_error(self, capsys, monkeypatch, bounds):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("scan_mu reached without a grid")
+
+        monkeypatch.setattr(minimize, "scan_mu", no_solve)
+        argv = ["scan", "--from", bounds[0], "--to", bounds[1], "--step", "0.1"]
         code, out, err = run_capture(capsys, argv)
         assert code == 1
         assert out == ""

@@ -10,6 +10,8 @@ from fockmin.errors import (
     DegenerateInput,
     InvalidParameter,
     MuNonPositive,
+    NonFiniteParameter,
+    TruncationTooSmall,
 )
 
 FAST = mz.OptimizerConfig(truncation=24, restarts=4, seed=0)
@@ -57,6 +59,22 @@ class TestMinimize:
         with pytest.raises(MuNonPositive):
             mz.minimize_G(-0.3, FAST)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(NonFiniteParameter):
+            mz.minimize_G(mu, FAST)
+
+    def test_unused_named_starts_are_not_built(self):
+        # psi_1 does not fit truncation 8, but one restart only uses phi_0
+        with pytest.raises(TruncationTooSmall):
+            fock.catalog_coefficients(fock.PsiB(1.0), 8)
+        config = mz.OptimizerConfig(truncation=8, restarts=1, seed=0)
+        res = mz.minimize_G(0.7, config)
+        assert res.label is mz.MinimizerClass.PHI0
+        assert res.restart_index == 0
+        with pytest.raises(TruncationTooSmall):
+            mz.minimize_G(0.7, mz.OptimizerConfig(truncation=8, restarts=3))
+
     def test_gaussian_regime(self):
         res = mz.minimize_G(0.8, FAST)
         assert res.label is mz.MinimizerClass.PHI0
@@ -98,6 +116,8 @@ class TestMinimize:
             mz.OptimizerConfig(restarts=0)
         with pytest.raises(InvalidParameter):
             mz.OptimizerConfig(grad_tol=0.0)
+        with pytest.raises(InvalidParameter):
+            mz.OptimizerConfig(grad_tol=math.nan)
 
     def test_determinism(self):
         r1 = mz.minimize_G(0.2, FAST)
@@ -202,8 +222,40 @@ class TestScan:
         with pytest.raises(MuNonPositive):
             mz.scan_mu([0.0, 0.1], FAST)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_grid_before_solving(self, monkeypatch, bad):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimize_G reached with an invalid grid")
+
+        monkeypatch.setattr(mz, "minimize_G", no_solve)
+        with pytest.raises(NonFiniteParameter):
+            mz.scan_mu([0.3, bad], FAST)
+
 
 class TestTransitionBracket:
+    @pytest.mark.parametrize("width", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_width_before_solving(self, monkeypatch, width):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimization reached with an invalid width")
+
+        # a regression fails here instead of bisecting forever
+        monkeypatch.setattr(mz, "_phi1_is_global", no_solve)
+        with pytest.raises(InvalidParameter):
+            mz.estimate_mu0(FAST, width=width)
+
+    def test_width_below_float_resolution_terminates(self, monkeypatch):
+        calls = []
+
+        def step_at(mu, config):
+            calls.append(mu)
+            assert len(calls) < 200, "bisection no longer shrinks"
+            return mu > 0.3
+
+        monkeypatch.setattr(mz, "_phi1_is_global", step_at)
+        interval = mz.estimate_mu0(FAST, width=1e-300)
+        assert interval.low <= 0.3 < interval.high
+        assert math.nextafter(interval.low, 1.0) == interval.high
+
     def test_bracket_inside_admissible_interval(self):
         config = mz.OptimizerConfig(truncation=48, restarts=6, seed=0)
         interval = mz.estimate_mu0(config)
@@ -280,3 +332,12 @@ class TestSemiclassical:
             mz.semiclassical(1.0, 1.0, 0.0)
         with pytest.raises(InvalidParameter):
             mz.semiclassical(-1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(math.nan, 1.0, 0.5), (math.inf, 1.0, 0.5), (1.0, math.nan, 0.5),
+         (1.0, 1.0, math.nan)],
+    )
+    def test_rejects_non_finite_parameters(self, args):
+        with pytest.raises(NonFiniteParameter):
+            mz.semiclassical(*args)
