@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import fock, minimize as mz, spectra, sturm
@@ -21,8 +22,22 @@ EXIT_NUMERICAL = 3
 
 _FIRST_CERTIFIED_J = 6  # the Sturm certificate starts here
 
+# Every token that float() reads with a leading minus sign: argparse's own
+# matcher misses exponents and the special values, so "--mu -1e-3" would
+# reach the parser as a missing argument instead of a bad coupling.
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?"
+    r"|inf(?:inity)?|nan)$",
+    re.IGNORECASE,
+)
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

@@ -10,6 +10,7 @@ catalog after quotienting out phase, rotation and translation.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +54,13 @@ KAPPA_ZERO = 0.5
 DEFAULT_ZERO_RADIUS = 6.0
 CLASSIFY_OVERLAP_THRESHOLD = 1.0 - 1e-4
 
+# The line search compares each trial against the largest of the last
+# NONMONOTONE_MEMORY accepted values (Grippo, Lampariello and Lucidi, SIAM J.
+# Numer. Anal. 23 (1986)), as Raydan (SIAM J. Optim. 7 (1997)) does for
+# Barzilai-Borwein steps.  Near a minimizer the monotone test asks for a
+# decrease below one ulp of G, so it rejects good steps by rounding alone.
+NONMONOTONE_MEMORY = 10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -63,7 +71,6 @@ class OptimizerConfig:
     step_init: float = 0.2
     backtrack: float = 0.5
     armijo: float = 1e-4
-    step_grow: float = 1.6
     seed: int = 0
 
     def __post_init__(self):
@@ -71,6 +78,10 @@ class OptimizerConfig:
             raise InvalidParameter("truncation must be at least 8")
         if self.restarts < 1:
             raise InvalidParameter("need at least one restart")
+        if self.max_iters < 0:
+            raise InvalidParameter(
+                f"the iteration budget must be non-negative, got {self.max_iters}"
+            )
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise InvalidParameter("gradient tolerance must be positive and finite")
 
@@ -128,6 +139,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     a = a0 / np.linalg.norm(a0)
     value, grad = kern.value_and_gradient(a, mu)
     step = config.step_init
+    recent = deque([value], maxlen=NONMONOTONE_MEMORY)
     prev_a = prev_tangent = None
     landmark = value
     since_progress = 0
@@ -138,7 +150,8 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         residual = float(np.linalg.norm(tangent))
         if residual <= config.grad_tol:
             return a, value, residual, iters - 1, True
-        # Barzilai-Borwein trial step, safeguarded by Armijo backtracking
+        # Barzilai-Borwein trial step, safeguarded by nonmonotone Armijo
+        # backtracking
         if prev_a is not None:
             da = a - prev_a
             dt = tangent - prev_tangent
@@ -148,11 +161,12 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             step = min(max(step, 1e-12), 1e3)
         accepted = False
         trial = step
+        reference = max(recent)
         while trial > 1e-18:
             cand = a - trial * tangent
             cand = cand / np.linalg.norm(cand)
             cand_value = kern.value(cand, mu)
-            if cand_value <= value - config.armijo * trial * residual * residual:
+            if cand_value <= reference - config.armijo * trial * residual * residual:
                 accepted = True
                 break
             trial *= config.backtrack
@@ -160,6 +174,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             break  # stalled at floating-point resolution
         prev_a, prev_tangent = a, tangent
         a, value = cand, cand_value
+        recent.append(value)
         _, grad = kern.value_and_gradient(a, mu)
         # give up once the value sits at floating-point resolution for a while
         if landmark - value > 1e-14 * max(abs(value), 1.0):

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -206,6 +207,58 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["minimize", "--mu", "-1e-3", "--trunc", "16"],
+                "error: the coupling mu must be strictly positive",
+                id="mu-exponent",
+            ),
+            pytest.param(
+                ["minimize", "--mu", "-inf", "--trunc", "16"],
+                "error: the coupling mu must be finite, got -inf",
+                id="mu-minus-inf",
+            ),
+            pytest.param(
+                ["mu0", "--width", "-1e-3"],
+                "error: the bracket width must be positive and finite, got -0.001",
+                id="width-exponent",
+            ),
+            pytest.param(
+                ["mu0", "--width", "-Infinity"],
+                "error: the bracket width must be positive and finite, got -inf",
+                id="width-minus-infinity",
+            ),
+        ],
+    )
+    def test_negative_number_reaches_parameter_check(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimization reached with an invalid parameter")
+
+        monkeypatch.setattr(minimize, "_descend", no_solve)
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == message
+
+    @pytest.mark.parametrize(
+        "token", ["-1e-3", "-2.5E+2", "-.5e1", "-5.", "-1_000", "-inf", "-nan"]
+    )
+    def test_negative_number_tokens_are_values(self, token):
+        args = cli.build_parser().parse_args(["minimize", "--mu", token])
+        assert math.isnan(args.mu) if "nan" in token else args.mu == float(token)
+
+    def test_negative_iteration_budget_is_usage_error(self, capsys):
+        argv = ["minimize", "--mu", "0.5", "--trunc", "16", "--max-iters", "-5"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "iteration budget" in err
 
     def test_minimize_builds_only_the_starts_it_runs(self, capsys):
         argv = ["minimize", "--mu", "0.7", "--trunc", "8", "--restarts", "1"]

@@ -119,6 +119,11 @@ class TestMinimize:
         with pytest.raises(InvalidParameter):
             mz.OptimizerConfig(grad_tol=math.nan)
 
+    def test_rejects_negative_iteration_budget(self):
+        with pytest.raises(InvalidParameter, match="iteration budget"):
+            mz.OptimizerConfig(max_iters=-5)
+        assert mz.OptimizerConfig(max_iters=0).max_iters == 0
+
     def test_determinism(self):
         r1 = mz.minimize_G(0.2, FAST)
         r2 = mz.minimize_G(0.2, FAST)
@@ -133,6 +138,43 @@ class TestMinimize:
             a, value, _, _, _ = mz._descend(start, 0.3, FAST)
             assert value <= kern.value(start, 0.3) + 1e-15
             assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestNonmonotoneLineSearch:
+    """The Barzilai-Borwein descent accepts steps against the largest of the
+    last few accepted values, so it stops backtracking at float resolution."""
+
+    SCAN = mz.OptimizerConfig(truncation=48, seed=0)
+
+    def test_few_value_calls_per_gradient(self, monkeypatch):
+        counts = {"value": 0, "value_and_gradient": 0}
+        for name in counts:
+            original = getattr(fock.EnergyKernel, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(fock.EnergyKernel, name, counted)
+        mz.scan_mu([0.1, 0.4, 0.7], self.SCAN)
+        # the monotone test spent 4.4 trial values per gradient here
+        assert counts["value"] < 2 * counts["value_and_gradient"]
+
+    def test_same_minima_as_the_monotone_search(self):
+        # seed-0 minima of the monotone Armijo search
+        expected = {
+            0.1: 0.5447244392267991,
+            0.4: 0.9000000000000001,
+            0.7: 0.9999999999999999,
+        }
+        rows = mz.scan_mu(sorted(expected), self.SCAN)
+        for row in rows:
+            assert row.G_min == pytest.approx(expected[row.mu], abs=1e-12)
+
+    def test_large_truncation_converges(self):
+        res = mz.minimize_G(0.1, mz.OptimizerConfig(truncation=128, seed=0))
+        assert res.converged
+        assert res.lagrange_residual <= 1e-8
 
 
 class TestClassify:
