@@ -21,6 +21,7 @@ EXIT_CERTIFICATE = 2
 EXIT_NUMERICAL = 3
 
 _FIRST_CERTIFIED_J = 6  # the Sturm certificate starts here
+_MAX_SCAN_POINTS = 10**6  # far beyond any scan that can finish
 
 # Every token that float() reads with a leading minus sign: argparse's own
 # matcher misses exponents and the special values, so "--mu -1e-3" would
@@ -282,15 +283,28 @@ def _cmd_scan(args) -> int:
         raise InvalidParameter(
             f"--from and --to must be finite, got {args.start} and {args.stop}"
         )
-    grid = []
-    mu = args.start
-    while mu <= args.stop + 1e-12:
-        grid.append(round(mu, 12))
-        mu += args.step
-    if not grid:
+    limit = args.stop + 1e-12
+    if not args.start <= limit:
         raise InvalidParameter(
             f"empty scan grid: --from {args.start} lies above --to {args.stop}"
         )
+    if not args.start > 0:
+        raise InvalidParameter(f"--from must be positive, got {args.start}")
+    # Every point must move mu: a step below the float spacing near --to
+    # would append the same coupling forever.  The size cap stops a step
+    # that does move mu from building a list that could never be scanned.
+    points = (limit - args.start) / args.step
+    if args.step < math.ulp(limit) or points >= _MAX_SCAN_POINTS:
+        raise InvalidParameter(
+            f"--step {args.step} is too small for the range "
+            f"[{args.start}, {args.stop}]: the grid would not end within "
+            f"{_MAX_SCAN_POINTS} points"
+        )
+    grid = []
+    mu = args.start
+    while mu <= limit:
+        grid.append(round(mu, 12))
+        mu += args.step
     config = mz.OptimizerConfig(
         truncation=args.trunc, restarts=args.restarts, seed=args.seed
     )

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter, TruncationTooSmall
+from .errors import InvalidParameter, NonFiniteParameter, TruncationTooSmall
 
 __all__ = [
     "FockCoefficients",
@@ -81,7 +81,7 @@ class FockCoefficients:
 
 
 class EnergyKernel:
-    """Weight table and scratch rows for the quartic sum at truncation N.
+    """Weight table and scratch arrays for the quartic sum at truncation N.
 
     The interaction energy is (1/8pi) * sum_j |ct_j|^2 with
     ct_j = sum_k w_{jk} a_k a_{j-k} and w_{jk} = sqrt(C(j,k)/2^j) <= 1,
@@ -105,9 +105,20 @@ class EnergyKernel:
     `re + 1j * im` would be the identity.  Never replace these sums with
     `dot`/`vdot`: they add in a different order.
 
-    The buffer is per-kernel scratch that every call overwrites, so one
+    One convolution per trial point: `value(a, mu, ct)` leaves ct of `a`
+    in the caller's array `ct` (length 2N + 1), and
+    `value_and_gradient(a, mu, ct)` at the same `a` copies it from there
+    instead of convolving again.  Without `ct` both methods convolve.  The
+    energy and gradient are the same bits either way.
+
+    Every intermediate lives in scratch arrays built once here: the outer
+    product, the sheared rows, ct and its Hankel view, the (n, n) gradient
+    terms, conj(a) and the squared moduli.  The weight tables are also
+    kept as complex copies, so no product casts them per call (the cast
+    is exact).  Reductions call `np.add.reduce`, which is what `sum` runs
+    without its Python wrapper.  Every call overwrites the scratch, so one
     kernel (and thus the `energy_kernel` cache) must not be shared across
-    threads.
+    threads.  Only the returned gradient is a fresh array.
     """
 
     def __init__(self, truncation: int):
@@ -121,41 +132,75 @@ class EnergyKernel:
                     math.comb(k + l, k) / (1 << (k + l))
                 )
         self.weights = weights
-        self.weights4 = 4.0 * weights
+        self.n_modes = n
+        self.mode_index = np.arange(n, dtype=float)
+        self._weights_c = weights.astype(complex)
+        self._weights4_c = (4.0 * weights).astype(complex)
         self._rows = np.zeros((n, 2 * n), dtype=complex)
         self._products = self._rows[:, :n]
         self._sheared = self._rows.reshape(-1)[: n * (2 * n - 1)].reshape(n, 2 * n - 1)
-        self.n_modes = n
-        self.mode_index = np.arange(n, dtype=float)
+        self._outer = np.empty((n, n), dtype=complex)
+        self._ct = np.empty(2 * n - 1, dtype=complex)
+        step = self._ct.strides[0]
+        self._hankel = np.lib.stride_tricks.as_strided(
+            self._ct, shape=(n, n), strides=(step, step), writeable=False
+        )
+        self._terms = np.empty((n, n), dtype=complex)
+        self._conj_a = np.empty((n, 1), dtype=complex)
+        self._mode_scale = np.empty(n)
+        self._mode_term = np.empty(n, dtype=complex)
+        self._ct_sq = np.empty(2 * n - 1)
+        self._ct_sq_im = np.empty(2 * n - 1)
+        self._a_sq = np.empty(n)
+        self._a_sq_im = np.empty(n)
 
-    def convolution(self, a: np.ndarray) -> np.ndarray:
-        """The weighted self-convolution ct_j for all j."""
-        np.multiply(self.weights, np.multiply.outer(a, a), out=self._products)
-        return self._sheared.sum(axis=0, initial=0.0)
+    def convolution(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The weighted self-convolution ct_j for all j, written to `out`
+        when given."""
+        outer = np.multiply.outer(a, a, out=self._outer)
+        np.multiply(self._weights_c, outer, out=self._products)
+        return np.add.reduce(self._sheared, axis=0, initial=0.0, out=out)
+
+    def _squared_sum(self, ct: np.ndarray) -> float:
+        """sum_j |ct_j|^2, that is 8*pi*H for this ct."""
+        sq = np.multiply(ct.real, ct.real, out=self._ct_sq)
+        sq += np.multiply(ct.imag, ct.imag, out=self._ct_sq_im)
+        return float(np.add.reduce(sq))
+
+    def _angular_momentum(self, a: np.ndarray) -> float:
+        """sum_k k |a_k|^2."""
+        sq = np.multiply(a.real, a.real, out=self._a_sq)
+        sq += np.multiply(a.imag, a.imag, out=self._a_sq_im)
+        sq *= self.mode_index
+        return float(np.add.reduce(sq))
 
     def interaction(self, a: np.ndarray) -> float:
         """8*pi*H: the quartic part of the energy."""
-        ct = self.convolution(a)
-        return float(np.sum(ct.real**2 + ct.imag**2))
+        return self._squared_sum(self.convolution(a, self._ct))
 
-    def value(self, a: np.ndarray, mu: float) -> float:
-        p = float(np.sum(self.mode_index * (a.real**2 + a.imag**2)))
-        return self.interaction(a) + mu * p
+    def value(self, a: np.ndarray, mu: float, ct: np.ndarray | None = None) -> float:
+        """G_mu at a; ct of a is left in `ct` when it is given."""
+        ct = self.convolution(a, self._ct if ct is None else ct)
+        return self._squared_sum(ct) + mu * self._angular_momentum(a)
 
-    def value_and_gradient(self, a: np.ndarray, mu: float):
-        """Energy and Wirtinger gradient d/dRe + i d/dIm at a."""
-        ct = self.convolution(a)
-        energy = float(np.sum(ct.real**2 + ct.imag**2))
-        p = float(np.sum(self.mode_index * (a.real**2 + a.imag**2)))
-        energy += mu * p
-        step = ct.strides[0]
-        hankel = np.lib.stride_tricks.as_strided(
-            ct, shape=(self.n_modes, self.n_modes), strides=(step, step)
-        )
-        terms = self.weights4 * hankel
-        terms *= np.conj(a)[:, None]
-        grad = terms.sum(axis=0, initial=0.0)
-        grad += 2.0 * mu * self.mode_index * a
+    def value_and_gradient(
+        self, a: np.ndarray, mu: float, ct: np.ndarray | None = None
+    ):
+        """Energy and Wirtinger gradient d/dRe + i d/dIm at a.
+
+        `ct`, when given, must be the convolution of this `a` (as `value`
+        leaves it); it is read, not recomputed.
+        """
+        if ct is None:
+            self.convolution(a, self._ct)
+        else:
+            np.copyto(self._ct, ct)
+        energy = self._squared_sum(self._ct) + mu * self._angular_momentum(a)
+        terms = np.multiply(self._weights4_c, self._hankel, out=self._terms)
+        terms *= np.conjugate(a[:, None], out=self._conj_a)
+        grad = np.add.reduce(terms, axis=0, initial=0.0)
+        scale = np.multiply(2.0 * mu, self.mode_index, out=self._mode_scale)
+        grad += np.multiply(scale, a, out=self._mode_term)
         return energy, grad
 
 
@@ -209,6 +254,8 @@ class FunctionalReport:
 
 
 def functionals(u: FockCoefficients, mu: float) -> FunctionalReport:
+    if not math.isfinite(mu):
+        raise NonFiniteParameter(f"the coupling mu must be finite, got {mu}")
     m = mass(u)
     p = angular_momentum(u)
     q = magnetic_momentum(u)

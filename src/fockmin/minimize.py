@@ -138,6 +138,8 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     kern = energy_kernel(config.truncation)
     a = a0 / np.linalg.norm(a0)
     value, grad = kern.value_and_gradient(a, mu)
+    # each trial's convolution, reused for the gradient once it is accepted
+    cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
     step = config.step_init
     recent = deque([value], maxlen=NONMONOTONE_MEMORY)
     prev_a = prev_tangent = None
@@ -165,7 +167,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         while trial > 1e-18:
             cand = a - trial * tangent
             cand = cand / np.linalg.norm(cand)
-            cand_value = kern.value(cand, mu)
+            cand_value = kern.value(cand, mu, cand_ct)
             if cand_value <= reference - config.armijo * trial * residual * residual:
                 accepted = True
                 break
@@ -175,7 +177,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         prev_a, prev_tangent = a, tangent
         a, value = cand, cand_value
         recent.append(value)
-        _, grad = kern.value_and_gradient(a, mu)
+        _, grad = kern.value_and_gradient(a, mu, cand_ct)
         # give up once the value sits at floating-point resolution for a while
         if landmark - value > 1e-14 * max(abs(value), 1.0):
             landmark = value
@@ -350,8 +352,13 @@ def count_zeros(u: FockCoefficients, radius: float = DEFAULT_ZERO_RADIUS) -> Zer
     """Zeros of the polynomial part inside |z| <= radius.
 
     Roots come from the companion matrix of sum_n a_n z^n / sqrt(n!) after
-    trimming trailing coefficients below 1e-13.
+    trimming trailing coefficients below 1e-13.  The radius must be finite
+    and non-negative.
     """
+    if not math.isfinite(radius):
+        raise NonFiniteParameter(f"the radius must be finite, got {radius}")
+    if radius < 0:
+        raise InvalidParameter(f"the radius must be non-negative, got {radius}")
     a = np.asarray(u.coeffs)
     top = a.shape[0] - 1
     while top >= 0 and abs(a[top]) <= 1e-13:

@@ -313,6 +313,91 @@ class TestErrorPaths:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--step", "1e-20"], id="step-below-float-spacing"),
+            pytest.param(["--from", "0.7", "--step", "1e-20"], id="single-point-stuck"),
+            pytest.param(["--step", "2e-16"], id="step-too-many-points"),
+            pytest.param(["--from", "-1e300", "--step", "0.3"], id="negative-from"),
+            pytest.param(["--from", "0", "--step", "0.3"], id="zero-from"),
+        ],
+    )
+    def test_scan_unusable_grid_is_usage_error(self, argv):
+        # The parent's grid loop never ended on these inputs, so the child
+        # caps its own address space and the run is timed out: a regression
+        # fails with a MemoryError traceback or a timeout instead of hanging.
+        argv = ["scan", "--from", "0.1", "--to", "0.7"] + argv
+        code = (
+            "import resource, sys\n"
+            "from fockmin import cli, minimize\n"
+            "def no_solve(*args, **kwargs):\n"
+            "    raise AssertionError('scan_mu reached with an unusable grid')\n"
+            "minimize.scan_mu = no_solve\n"
+            "limit = 512 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            f"sys.exit(cli.run({argv!r}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "bounds, step",
+        [
+            (("0.1", "0.7"), "0.3"),
+            (("0.1", "0.2"), "0.01"),
+            (("0.05", "0.95"), "0.1"),
+            (("0.7", "0.7"), "1"),
+            (("1e-6", "1e-5"), "1e-6"),
+        ],
+    )
+    def test_scan_grid_unchanged(self, capsys, monkeypatch, bounds, step):
+        start, stop, inc = float(bounds[0]), float(bounds[1]), float(step)
+        expected, mu = [], start
+        while mu <= stop + 1e-12:
+            expected.append(round(mu, 12))
+            mu += inc
+        seen = []
+
+        def record(grid, config):
+            seen.append(grid)
+            return []
+
+        monkeypatch.setattr(minimize, "scan_mu", record)
+        argv = ["scan", "--from", bounds[0], "--to", bounds[1], "--step", step]
+        code, _, _ = run_capture(capsys, argv)
+        assert code == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-1", "-1e-3"])
+    def test_zeros_bad_radius_is_usage_error(self, capsys, tmp_path, radius):
+        path = str(tmp_path / "phi1.json")
+        fock.save_coefficients(fock.catalog_coefficients(fock.PhiN(1), 8), path)
+        code, out, err = run_capture(capsys, ["zeros", "--in", path, "--R", radius])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "radius" in err
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+    def test_functionals_non_finite_mu_is_usage_error(self, capsys, tmp_path, mu):
+        path = str(tmp_path / "phi1.json")
+        fock.save_coefficients(fock.catalog_coefficients(fock.PhiN(1), 8), path)
+        argv = ["functionals", "--in", path, "--mu", mu]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the coupling mu must be finite")
+
+    @pytest.mark.parametrize(
         "content",
         [
             pytest.param('{"truncation": 1, "coeffs": [[1, 0], [0]]}', id="short-pair"),

@@ -1,8 +1,9 @@
 """The sheared-row energy kernel against the index-table kernel it replaced.
 
 `BincountKernel` is the earlier `fock.EnergyKernel`, kept verbatim as the
-oracle: every result of the current kernel must equal it bit for bit, and
-the CLI must print the same bytes with either kernel in place.
+oracle: every result of the current kernel must equal it bit for bit, on
+both the convolving path and the path that reuses a trial's ct, and the
+CLI must print the same bytes with either kernel in place.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from fockmin import cli, fock
+from fockmin import cli, fock, minimize
 
 
 class BincountKernel:
@@ -70,6 +71,22 @@ class BincountKernel:
         grad = g_re + 1j * g_im
         grad += 2.0 * mu * self.mode_index * a
         return energy, grad
+
+
+class CtReuseOracle(BincountKernel):
+    """`BincountKernel` behind the ct-reuse signature: `value` fills the
+    caller's ct from the oracle's convolution, and `value_and_gradient`
+    checks a passed ct against it before computing everything afresh."""
+
+    def value(self, a, mu, ct=None):
+        if ct is not None:
+            ct[...] = self.convolution(a)
+        return super().value(a, mu)
+
+    def value_and_gradient(self, a, mu, ct=None):
+        if ct is not None:
+            assert _bits(ct) == _bits(self.convolution(a))
+        return super().value_and_gradient(a, mu)
 
 
 TRUNCATIONS = (8, 9, 48, 96, 192)
@@ -139,6 +156,47 @@ class TestBitIdentity:
         new.value_and_gradient(big, 0.5)
         assert _bits(new.convolution(small)) == _bits(old.convolution(small))
 
+    def test_reused_ct_path(self, kernels):
+        # value leaves ct in the caller's array; value_and_gradient reads it
+        # instead of convolving, with the same bits as the oracle
+        n, new, old = kernels
+        rng = np.random.default_rng(3000 + n)
+        ct = np.empty(2 * n + 1, dtype=complex)
+        for a in _states(n, seed=4000 + n):
+            mu = float(rng.uniform(0.01, 1.0))
+            assert _bits(new.value(a, mu, ct)) == _bits(old.value(a, mu))
+            assert _bits(ct) == _bits(old.convolution(a))
+            e_new, g_new = new.value_and_gradient(a, mu, ct)
+            e_old, g_old = old.value_and_gradient(a, mu)
+            assert _bits(e_new) == _bits(e_old)
+            assert _bits(g_new) == _bits(g_old)
+            assert _bits(ct) == _bits(old.convolution(a))  # read, not written
+
+    def test_interleaved_states_share_nothing(self, kernels):
+        n, new, old = kernels
+        rng = np.random.default_rng(5000 + n)
+        a, b = (
+            s * (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+            for s in (1e3, 1e-3)
+        )
+        ct_a = np.empty(2 * n + 1, dtype=complex)
+        ct_b = np.empty(2 * n + 1, dtype=complex)
+        new.value(a, 0.3, ct_a)
+        new.value(b, 0.7, ct_b)
+        e_a, g_a = new.value_and_gradient(a, 0.3, ct_a)
+        kept = g_a.copy()
+        new.value(b, 0.7, ct_b)
+        e_b, g_b = new.value_and_gradient(b, 0.7, ct_b)
+        new.value_and_gradient(a, 0.1)
+        assert _bits(g_a) == _bits(kept)
+        for state, mu, energy, grad in ((a, 0.3, e_a, g_a), (b, 0.7, e_b, g_b)):
+            e_old, g_old = old.value_and_gradient(state, mu)
+            assert _bits(energy) == _bits(e_old)
+            assert _bits(grad) == _bits(g_old)
+        scratch = [v for v in vars(new).values() if isinstance(v, np.ndarray)]
+        for grad in (g_a, g_b):
+            assert not any(np.shares_memory(grad, s) for s in scratch)
+
     def test_weights_match_index_tables(self, kernels):
         n, new, old = kernels
         assert np.array_equal(new.weights, new.weights.T)
@@ -146,10 +204,10 @@ class TestBitIdentity:
 
 
 def _patched_run(monkeypatch, capsys, argv):
-    monkeypatch.setattr(fock, "EnergyKernel", BincountKernel)
+    monkeypatch.setattr(fock, "EnergyKernel", CtReuseOracle)
     fock.energy_kernel.cache_clear()
     try:
-        assert isinstance(fock.energy_kernel(16), BincountKernel)
+        assert isinstance(fock.energy_kernel(16), CtReuseOracle)
         return _cli_stdout(capsys, argv)
     finally:
         monkeypatch.undo()
@@ -175,3 +233,44 @@ def test_cli_stdout_matches_oracle(monkeypatch, capsys, argv):
     expected = _patched_run(monkeypatch, capsys, argv)
     assert not isinstance(fock.energy_kernel(16), BincountKernel)
     assert _cli_stdout(capsys, argv) == expected
+
+
+def test_descent_convolves_once_per_trial(monkeypatch):
+    counts = {"convolution": 0, "value": 0, "value_and_gradient": 0}
+
+    def counting(name):
+        original = getattr(fock.EnergyKernel, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(fock.EnergyKernel, name, counting(name))
+    config = minimize.OptimizerConfig(truncation=24, restarts=1)
+    rng = np.random.default_rng(7)
+    start = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    *_, iters, converged = minimize._descend(start, 0.3, config)
+    assert converged and iters > 10
+    # one convolution for the start, then one per trial point; every
+    # accepted trial adds one value_and_gradient call that convolves nothing
+    assert counts["convolution"] == counts["value"] + 1
+    assert counts["value_and_gradient"] == iters + 1
+    assert counts["value"] >= iters
+
+
+# stdout of `fockmin scan --from 0.1 --to 0.7 --step 0.3` at the default seed
+SCAN_GOLDEN = (
+    "mu,G_min,P,H,Qabs,class,b_fit,n_zeros,G_phi0,G_phi1,G_psi1\n"
+    "0.1,0.544724439227,2.31340157512,0.0124691643806,1.82663315555e-08,"
+    "unclassified,,6,1,0.6,0.9\n"
+    "0.4,0.9,1,0.0198943678865,0,phi1,,1,1,0.9,0.975\n"
+    "0.7,1,0,0.039788735773,0,phi0,,0,1,1.2,1.05\n"
+)
+
+
+def test_scan_stdout_golden(capsys):
+    argv = ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3"]
+    assert _cli_stdout(capsys, argv) == (0, SCAN_GOLDEN)

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from fockmin import fock
-from fockmin.errors import InvalidParameter, TruncationTooSmall
+from fockmin.errors import InvalidParameter, NonFiniteParameter, TruncationTooSmall
 
 
 def random_state(rng, truncation, support=None):
@@ -75,6 +75,12 @@ class TestFunctionalReport:
         rep = fock.functionals(u, 0.3)
         assert rep.G == pytest.approx(0.8, abs=1e-14)
         assert rep.B == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mu(self, mu):
+        u = fock.catalog_coefficients(fock.PhiN(1), 8)
+        with pytest.raises(NonFiniteParameter):
+            fock.functionals(u, mu)
 
     def test_phi2_quartic_value(self):
         # brute force: H = 3/(64 pi), M = 1, P = 2, Q = 0 gives

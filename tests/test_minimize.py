@@ -233,6 +233,20 @@ class TestZeroCounting:
         with pytest.raises(DegenerateInput):
             mz.count_zeros(u, 1.0)
 
+    @pytest.mark.parametrize(
+        "radius, error",
+        [
+            (math.nan, NonFiniteParameter),
+            (math.inf, NonFiniteParameter),
+            (-1.0, InvalidParameter),
+        ],
+    )
+    def test_rejects_bad_radius(self, radius, error):
+        u = fock.catalog_coefficients(fock.PhiN(1), 8)
+        with pytest.raises(error):
+            mz.count_zeros(u, radius)
+        assert mz.count_zeros(u, 0.0).count == 1  # the root at the origin
+
 
 class TestScan:
     def test_rows_and_closed_form_columns(self):
