@@ -55,6 +55,10 @@ class FockCoefficients:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if self.truncation < 0:
+            raise InvalidParameter(
+                f"truncation must be non-negative, got {self.truncation}"
+            )
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.ndim != 1 or arr.shape[0] != self.truncation + 1:
             raise InvalidParameter(
@@ -534,7 +538,12 @@ def load_coefficients(path) -> FockCoefficients:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InvalidParameter(f"coefficient file is not JSON: {exc}") from exc
     try:
-        truncation = int(payload["truncation"])
+        truncation = payload["truncation"]
+        # bool is an int subclass, and int() would floor a float silently
+        if isinstance(truncation, bool) or not isinstance(truncation, int):
+            raise InvalidParameter(
+                f"truncation must be an integer, got {truncation!r}"
+            )
         pairs = payload["coeffs"]
         if len(pairs) != truncation + 1:
             raise InvalidParameter(

@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +61,11 @@ CLASSIFY_OVERLAP_THRESHOLD = 1.0 - 1e-4
 # Barzilai-Borwein steps.  Near a minimizer the monotone test asks for a
 # decrease below one ulp of G, so it rejects good steps by rounding alone.
 NONMONOTONE_MEMORY = 10
+
+# The descent's diagonal metric is floored at this fraction of the Lagrange
+# multiplier, which keeps it positive along the flat phase, rotation and
+# translation modes, where the Riemannian Hessian vanishes.
+METRIC_FLOOR = 0.25
 
 
 @dataclass(frozen=True)
@@ -134,9 +140,65 @@ def wirtinger_gradient(u: FockCoefficients, mu: float) -> np.ndarray:
     return grad
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D complex vector: the sum `np.linalg.norm`
+    forms, to the same bits, without its Python wrapper."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+@lru_cache(maxsize=16)
+def _squared_weights(truncation: int) -> np.ndarray:
+    """c[k, l] = C(k+l, k) / 2^(k+l), the square of the kernel weight
+    w_{k+l,k}."""
+    n = truncation + 1
+    table = np.empty((n, n))
+    for k in range(n):
+        for l in range(k, n):
+            table[k, l] = table[l, k] = math.comb(k + l, k) / (1 << (k + l))
+    table.setflags(write=False)
+    return table
+
+
+def _search_direction(
+    a: np.ndarray, grad: np.ndarray, weights_sq: np.ndarray, mode_curvature: np.ndarray
+):
+    """(tangent, metric, direction) at the unit vector a.
+
+    tangent = grad - lam a is the Riemannian gradient, with the Lagrange
+    multiplier lam = Re<a, grad>.  The metric is the diagonal of the
+    Riemannian Hessian on the unit sphere (Absil, Mahony and Sepulchre,
+    2008), m_k = 2 mu k + 8 sum_l c_kl |a_l|^2 - lam: the real Hessian of
+    G_mu averaged over the Re and Im directions of mode k, less lam,
+    floored at METRIC_FLOOR * lam (lam > 0 for every nonzero a, since G_mu
+    is a positive quartic plus a non-negative quadratic).
+    `mode_curvature` holds 2 mu k.  The direction is tangent / m projected
+    back onto the tangent space at a.
+    """
+    lam = float(np.real(np.vdot(a, grad)))
+    tangent = grad - lam * a
+    metric = weights_sq @ (a.real * a.real + a.imag * a.imag)
+    metric *= 8.0
+    metric += mode_curvature
+    metric -= lam
+    np.maximum(metric, METRIC_FLOOR * lam, out=metric)
+    direction = tangent / metric
+    direction -= np.real(np.vdot(a, direction)) * a
+    return tangent, metric, direction
+
+
 def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
+    """Preconditioned Riemannian Barzilai-Borwein descent from a0.
+
+    Each iteration searches along `_search_direction`, with the
+    Barzilai-Borwein step measured in its diagonal metric and a
+    nonmonotone Armijo test on the slope Re<tangent, direction>.
+    Convergence is the Euclidean test |tangent| <= grad_tol.
+    """
     kern = energy_kernel(config.truncation)
-    a = a0 / np.linalg.norm(a0)
+    weights_sq = _squared_weights(config.truncation)
+    mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
+    a = a0 / _norm(a0)
     value, grad = kern.value_and_gradient(a, mu)
     # each trial's convolution, reused for the gradient once it is accepted
     cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
@@ -147,28 +209,30 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     since_progress = 0
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        lam = float(np.real(np.vdot(a, grad)))
-        tangent = grad - lam * a
-        residual = float(np.linalg.norm(tangent))
+        tangent, metric, direction = _search_direction(
+            a, grad, weights_sq, mode_curvature
+        )
+        residual = _norm(tangent)
         if residual <= config.grad_tol:
             return a, value, residual, iters - 1, True
-        # Barzilai-Borwein trial step, safeguarded by nonmonotone Armijo
-        # backtracking
+        slope = float(np.real(np.vdot(tangent, direction)))
+        # Barzilai-Borwein trial step in the metric, safeguarded by
+        # nonmonotone Armijo backtracking
         if prev_a is not None:
             da = a - prev_a
             dt = tangent - prev_tangent
             denom = float(np.real(np.vdot(da, dt)))
             if denom > 0:
-                step = float(np.real(np.vdot(da, da))) / denom
+                step = float(np.real(np.vdot(da, metric * da))) / denom
             step = min(max(step, 1e-12), 1e3)
         accepted = False
         trial = step
         reference = max(recent)
         while trial > 1e-18:
-            cand = a - trial * tangent
-            cand = cand / np.linalg.norm(cand)
+            cand = a - trial * direction
+            cand = cand / _norm(cand)
             cand_value = kern.value(cand, mu, cand_ct)
-            if cand_value <= reference - config.armijo * trial * residual * residual:
+            if cand_value <= reference - config.armijo * trial * slope:
                 accepted = True
                 break
             trial *= config.backtrack
@@ -187,7 +251,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             if since_progress >= 200:
                 break
     lam = float(np.real(np.vdot(a, grad)))
-    residual = float(np.linalg.norm(grad - lam * a))
+    residual = _norm(grad - lam * a)
     return a, value, residual, iters, residual <= config.grad_tol
 
 

@@ -415,6 +415,39 @@ class TestErrorPaths:
             assert out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param('{"truncation": -1, "coeffs": []}', id="negative-empty"),
+            pytest.param(
+                '{"truncation": 2.7, "coeffs": [[1, 0], [0, 0], [0, 0]]}',
+                id="float",
+            ),
+            pytest.param('{"truncation": true, "coeffs": [[1, 0], [0, 0]]}', id="bool"),
+            pytest.param(
+                '{"truncation": "1", "coeffs": [[1, 0], [0, 0]]}', id="string"
+            ),
+        ],
+    )
+    def test_truncation_must_be_a_non_negative_integer(self, tmp_path, content):
+        # in a child process, so an uncaught exception shows as a traceback
+        path = tmp_path / "state.json"
+        path.write_text(content)
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        argv = ["functionals", "--in", str(path), "--mu", "0.3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockmin.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "truncation" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestModuleEntryPoint:
     def test_python_m_runs_main(self):

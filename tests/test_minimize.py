@@ -141,8 +141,10 @@ class TestMinimize:
 
 
 class TestNonmonotoneLineSearch:
-    """The Barzilai-Borwein descent accepts steps against the largest of the
-    last few accepted values, so it stops backtracking at float resolution."""
+    """The preconditioned Barzilai-Borwein descent accepts steps against the
+    largest of the last few accepted values, on the slope of its
+    diagonal-metric direction, so it stops backtracking at float
+    resolution."""
 
     SCAN = mz.OptimizerConfig(truncation=48, seed=0)
 
@@ -175,6 +177,94 @@ class TestNonmonotoneLineSearch:
         res = mz.minimize_G(0.1, mz.OptimizerConfig(truncation=128, seed=0))
         assert res.converged
         assert res.lagrange_residual <= 1e-8
+
+
+class TestPreconditionedDescent:
+    """The diagonal Riemannian-Hessian metric of the descent and the call
+    counts it buys."""
+
+    N = 48
+
+    def _states(self):
+        rng = np.random.default_rng(11)
+        states = [fock.catalog_coefficients(s, self.N).coeffs for s in mz._NAMED_STARTS]
+        states += [random_unit(rng, self.N) for _ in range(8)]
+        return states
+
+    @pytest.mark.parametrize("mu", [0.02, 0.1, 0.4, 0.7])
+    def test_direction_is_a_tangent_descent_direction(self, mu):
+        weights_sq = mz._squared_weights(self.N)
+        mode_curvature = 2.0 * mu * np.arange(self.N + 1, dtype=float)
+        kern = fock.energy_kernel(self.N)
+        for a in self._states():
+            _, grad = kern.value_and_gradient(a, mu)
+            tangent, metric, direction = mz._search_direction(
+                a, grad, weights_sq, mode_curvature
+            )
+            assert np.all(metric > 0)
+            assert abs(np.real(np.vdot(a, direction))) <= 1e-14
+            slope = np.real(np.vdot(tangent, direction))
+            if np.any(tangent != 0):
+                assert slope > 0
+            else:  # phi_0 and phi_1 are exactly stationary
+                assert slope == 0
+
+    def test_metric_is_the_hessian_diagonal(self):
+        # the finite-difference real Hessian of G_mu, averaged over the Re
+        # and Im directions of each mode, less lam, floored
+        n, mu, eps = 12, 0.3, 1e-5
+        rng = np.random.default_rng(4)
+        a = random_unit(rng, n)
+        kern = fock.energy_kernel(n)
+        _, grad = kern.value_and_gradient(a, mu)
+        lam = np.real(np.vdot(a, grad))
+        mode_curvature = 2.0 * mu * np.arange(n + 1, dtype=float)
+        _, metric, _ = mz._search_direction(
+            a, grad, mz._squared_weights(n), mode_curvature
+        )
+        averaged = np.zeros(n + 1)
+        for k in range(n + 1):
+            for unit, part in ((1.0, np.real), (1j, np.imag)):
+                e = np.zeros(n + 1, dtype=complex)
+                e[k] = unit * eps
+                _, gp = kern.value_and_gradient(a + e, mu)
+                _, gm = kern.value_and_gradient(a - e, mu)
+                averaged[k] += part(gp[k] - gm[k]) / (4 * eps)
+        floor = mz.METRIC_FLOOR * lam
+        assert metric == pytest.approx(np.maximum(averaged - lam, floor), rel=1e-6)
+        assert np.any(metric > floor) and np.any(metric == floor)
+
+    def test_squared_weights_are_the_kernel_weights_squared(self):
+        n = 40
+        c = mz._squared_weights(n)
+        assert np.allclose(c, fock.EnergyKernel(n).weights ** 2, rtol=1e-15, atol=0)
+
+    def test_norm_has_the_bits_of_linalg_norm(self):
+        rng = np.random.default_rng(9)
+        for size in (1, 25, 49, 193):
+            x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            x *= 10.0 ** rng.uniform(-8, 8)
+            assert mz._norm(x) == np.linalg.norm(x)
+
+    def test_scan_kernel_calls(self, monkeypatch):
+        calls = {"n": 0}
+        for name in ("value", "value_and_gradient"):
+            original = getattr(fock.EnergyKernel, name)
+
+            def counted(self, *args, _original=original):
+                calls["n"] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(fock.EnergyKernel, name, counted)
+        mz.scan_mu([0.1, 0.4, 0.7], mz.OptimizerConfig(truncation=48, seed=0))
+        # the unpreconditioned descent made 15,565 calls here
+        assert calls["n"] < 7800
+
+    def test_large_truncation_iterations(self):
+        res = mz.minimize_G(0.1, mz.OptimizerConfig(truncation=192, seed=0))
+        assert res.converged
+        # the unpreconditioned descent took 1,705 iterations here
+        assert res.iterations < 600
 
 
 class TestClassify:
