@@ -130,16 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _cmd_block(args) -> int:
-    block = spectra.build_E_block(args.j) if args.E else spectra.build_B_block(args.j)
+    block = spectra.build_B_block(args.j, decoupled=args.E)
     if args.reduced:
-        block = spectra.centro_decompose(block).S
+        block = spectra.centro_decompose(block)
     entries = spectra.dump_entries(block)
     if args.format == "json":
         text = json.dumps({"j": args.j, "kind": block.kind.value, "entries": entries})
@@ -167,13 +170,13 @@ def _cmd_certify(args) -> int:
             cert = sturm.positivity_certificate(j)
             checks = [f"sturm transition={cert.transition_index}"]
             if j <= args.exact_max_j:
-                reduction = spectra.integer_reduction(j)
-                exact_ok = reduction.kernel_annihilated()
+                reduced = spectra.centro_decompose(spectra.build_B_block(j))
+                exact_ok = spectra.kernel_annihilated(reduced)
                 checks.append("kernel=exact" if exact_ok else "kernel=FAIL")
                 if not exact_ok:
                     raise CertificateFailed(f"kernel vectors not annihilated at j={j}")
                 if not args.no_eigs:
-                    eigs = spectra.symmetric_eigenvalues(reduction.scaled())
+                    eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
                     norm = max(abs(eigs[0]), abs(eigs[-1]))
                     if eigs[0] < -1e-10 * norm:
                         raise CertificateFailed(

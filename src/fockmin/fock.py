@@ -522,9 +522,12 @@ def save_coefficients(u: FockCoefficients, path) -> None:
         "truncation": u.truncation,
         "coeffs": [[float(c.real), float(c.imag)] for c in u.coeffs],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write coefficient file: {exc}") from exc
 
 
 def load_coefficients(path) -> FockCoefficients:

@@ -1,14 +1,16 @@
 """Exact construction and reduction of the quartic-form coefficient blocks.
 
 For each degree j the quartic energy couples the products a_k a_{j-k}
-through a symmetric centrosymmetric matrix of order j+1.  This module
-builds those blocks in exact rational arithmetic, reduces them to their
+through a symmetric centrosymmetric matrix of order j+1.  Every entry of
+2^s B^(j), s = max(j+1, 3), is an integer, so a block is held as integer
+numerators over 2^s (`BlockMatrix`) and every exact step is integer
+arithmetic: this module builds the blocks, reduces them to their
 symmetric-sector half (the anti-diagonal flip splits the spectrum), peels
-off the rank-one all-ones part, carries the exact null vectors, and
-provides congruence-scaled floating-point views for eigenvalue checks.
-`integer_reduction` does the kernel check and the float view of one block
-in a single pass over integer numerators; the rational path above renders
-blocks and serves as the reference it is tested against.
+off the rank-one all-ones part, checks the two exact kernel vectors, and
+provides congruence-scaled floating-point views for eigenvalue checks and
+exact strings for printing.  The sqrt2 on the border of an even-index
+reduction is carried by a congruence (see `centro_decompose`), never
+stored.
 
 Public indexing is 0-based throughout; the usual 1-based entry formulas
 are shifted here, in one place.
@@ -31,21 +33,14 @@ from .errors import (
     OutOfRange,
     WrongParityInput,
 )
-# mat_vec is no longer called here; perfbench's tracer looks it up in this
-# module to show that the certify path leaves it alone.
-from .rt2 import Rt2, mat_vec  # noqa: F401
 
 __all__ = [
     "BlockKind",
     "BlockMatrix",
-    "CentroDecomposition",
     "build_B_block",
-    "build_E_block",
     "centro_decompose",
-    "integer_reduction",
-    "IntegerReduction",
+    "mat_vec",
     "kernel_annihilated",
-    "reassemble",
     "rank_one_split",
     "null_vectors",
     "scaled_block",
@@ -61,93 +56,64 @@ class BlockKind(Enum):
     FULL_B = "B"
     FULL_E = "E"
     REDUCED_S = "S"
-    REDUCED_R = "R"
     TRIDIAGONAL_T = "T"
     RANK_ONE_K = "K"
 
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """Dense exact matrix attached to one block index."""
+    """Dense exact matrix attached to one block index: the entry (k, l) is
+    ``rows[k][l] / 2**shift``, except on an even-index reduced block, which
+    holds M = 2·D S D in place of S (see `centro_decompose`)."""
 
     j: int
     kind: BlockKind
-    entries: tuple
+    shift: int
+    rows: tuple
 
     @property
     def order(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
-    def entry(self, k: int, l: int) -> Rt2:
-        return self.entries[k][l]
+    @property
+    def has_border(self) -> bool:
+        """True when the last row and column stand for sqrt2 times a rational."""
+        return self.kind is BlockKind.REDUCED_S and self.j % 2 == 0
 
 
 def _freeze(rows) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def build_B_block(j: int) -> BlockMatrix:
-    """Full quartic-form block of order j+1 (exact rationals).
+def build_B_block(j: int, *, decoupled: bool = False) -> BlockMatrix:
+    """Full quartic-form block of order j+1, over 2^s with s = max(j+1, 3).
 
     Diagonal j!/2^{j+1} + (j-4) k!(j-k)!/8, first off-diagonal
-    j!/2^{j+1} - (k+1)!(j-k)!/8, every other entry j!/2^{j+1}.
+    j!/2^{j+1} - (k+1)!(j-k)!/8, every other entry j!/2^{j+1}.  The
+    decoupled block E leaves out the momentum coupling, the off-diagonal
+    correction.
     """
     if j < 0:
         raise OutOfRange("block index must be non-negative")
-    base = Rt2(Fraction(math.factorial(j), 2 ** (j + 1)))
+    shift = max(j + 1, 3)
     n = j + 1
+    fact = [math.factorial(k) for k in range(n)]
+    base = fact[j] << (shift - j - 1)
     rows = [[base] * n for _ in range(n)]
     for k in range(n):
-        rows[k][k] = base + Rt2(
-            Fraction((j - 4) * math.factorial(k) * math.factorial(j - k), 8)
-        )
-    for k in range(n - 1):
-        off = base - Rt2(
-            Fraction(math.factorial(k + 1) * math.factorial(j - k), 8)
-        )
-        rows[k][k + 1] = off
-        rows[k + 1][k] = off
-    return BlockMatrix(j, BlockKind.FULL_B, _freeze(rows))
-
-
-def build_E_block(j: int) -> BlockMatrix:
-    """Same block with the momentum-coupling (off-diagonal) term removed."""
-    if j < 0:
-        raise OutOfRange("block index must be non-negative")
-    base = Rt2(Fraction(math.factorial(j), 2 ** (j + 1)))
-    n = j + 1
-    rows = [[base] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = base + Rt2(
-            Fraction((j - 4) * math.factorial(k) * math.factorial(j - k), 8)
-        )
-    return BlockMatrix(j, BlockKind.FULL_E, _freeze(rows))
+        rows[k][k] = base + ((j - 4) * fact[k] * fact[j - k] << (shift - 3))
+    if not decoupled:
+        for k in range(n - 1):
+            off = base - (fact[k + 1] * fact[j - k] << (shift - 3))
+            rows[k][k + 1] = off
+            rows[k + 1][k] = off
+    kind = BlockKind.FULL_E if decoupled else BlockKind.FULL_B
+    return BlockMatrix(j, kind, shift, _freeze(rows))
 
 
 # ---------------------------------------------------------------------------
 # Centrosymmetric reduction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CentroDecomposition:
-    """Half-size reduction of a symmetric centrosymmetric block.
-
-    Even order (j odd): the symmetric sector is S = A + JC of order (j+1)/2.
-    Odd order (j even): the symmetric sector is S = [[A+JC, sqrt2*x],
-    [sqrt2*x^T, q]] of order j/2+1, and R = A + JC is its leading j/2 block.
-    The skew sector is A - JC in both cases.
-    """
-
-    j: int
-    parity: str
-    A: tuple
-    C: tuple
-    x: tuple | None
-    q: Rt2 | None
-    S: BlockMatrix
-    R: BlockMatrix | None
-    skew: tuple
 
 
 def _check_symmetric_centrosymmetric(rows) -> None:
@@ -162,82 +128,39 @@ def _check_symmetric_centrosymmetric(rows) -> None:
                 raise NotCentrosymmetric(f"not centrosymmetric at ({k},{l})")
 
 
-def centro_decompose(block: BlockMatrix) -> CentroDecomposition:
-    """Split a symmetric centrosymmetric block into its two spectral sectors."""
-    rows = block.entries
+def centro_decompose(block: BlockMatrix) -> BlockMatrix:
+    """Reduce a symmetric centrosymmetric block to its symmetric sector.
+
+    With A and C the upper-left and lower-left half blocks and J the flip,
+    even order (j odd) gives S = A + JC, of order (j+1)/2.  Odd order
+    (j even) gives S = [[R, sqrt2 x], [sqrt2 x^T, q]], of order j/2 + 1,
+    with R = A + JC, x the middle column above the centre and q the centre.
+    The skew sector A - JC holds the rest of the spectrum.
+
+    S carries sqrt2 on its border, so the even reduction holds
+    M = 2·D S D = [[2R, 2x], [2x^T, q]] with D = diag(1, ..., 1, 1/sqrt2),
+    whose numerators are integers.  D is invertible, so S v = 0 exactly
+    when M (D^-1 v) = 0 and the kernels correspond one to one; by
+    Sylvester's law of inertia M and S also have the same inertia.
+    `scaled_block` and `dump_entries` map M back to S.
+    """
+    if block.kind not in (BlockKind.FULL_B, BlockKind.FULL_E):
+        raise InvalidParameter(f"cannot reduce a {block.kind.value} block")
+    rows = block.rows
     _check_symmetric_centrosymmetric(rows)
     n = len(rows)
-    j = block.j
+    m = n // 2
+    # row i of A + JC: the leading halves of rows i and n-1-i, added
+    folded = [map(operator.add, rows[i][:m], rows[n - 1 - i][:m]) for i in range(m)]
     if n % 2 == 0:
-        m = n // 2
-        a = [[rows[i][l] for l in range(m)] for i in range(m)]
-        c = [[rows[m + i][l] for l in range(m)] for i in range(m)]
-        s = [[a[i][l] + rows[n - 1 - i][l] for l in range(m)] for i in range(m)]
-        skew = [[a[i][l] - rows[n - 1 - i][l] for l in range(m)] for i in range(m)]
-        return CentroDecomposition(
-            j=j,
-            parity="odd",
-            A=_freeze(a),
-            C=_freeze(c),
-            x=None,
-            q=None,
-            S=BlockMatrix(j, BlockKind.REDUCED_S, _freeze(s)),
-            R=None,
-            skew=_freeze(skew),
+        reduced = tuple(map(tuple, folded))
+    else:
+        border = tuple(2 * rows[i][m] for i in range(m))
+        reduced = tuple(
+            (*(2 * entry for entry in row), border[i]) for i, row in enumerate(folded)
         )
-    m = (n - 1) // 2
-    a = [[rows[i][l] for l in range(m)] for i in range(m)]
-    c = [[rows[m + 1 + i][l] for l in range(m)] for i in range(m)]
-    x = tuple(rows[i][m] for i in range(m))
-    q_scalar = rows[m][m]
-    if any(not xi.is_rational for xi in x):
-        raise NotCentrosymmetric("border entries must be rational")
-    r = [[a[i][l] + rows[n - 1 - i][l] for l in range(m)] for i in range(m)]
-    skew = [[a[i][l] - rows[n - 1 - i][l] for l in range(m)] for i in range(m)]
-    s = [list(r[i]) + [Rt2(0, x[i].a)] for i in range(m)]
-    s.append([Rt2(0, xi.a) for xi in x] + [q_scalar])
-    return CentroDecomposition(
-        j=j,
-        parity="even",
-        A=_freeze(a),
-        C=_freeze(c),
-        x=x,
-        q=q_scalar,
-        S=BlockMatrix(j, BlockKind.REDUCED_S, _freeze(s)),
-        R=BlockMatrix(j, BlockKind.REDUCED_R, _freeze(r)),
-        skew=_freeze(skew),
-    )
-
-
-def reassemble(decomp: CentroDecomposition) -> tuple:
-    """Rebuild the full block entries from the decomposition pieces exactly."""
-    a, c = decomp.A, decomp.C
-    m = len(a)
-    if decomp.parity == "odd":
-        n = 2 * m
-        rows = [[None] * n for _ in range(n)]
-        for i in range(m):
-            for l in range(m):
-                rows[i][l] = a[i][l]
-                rows[i][m + l] = c[l][i]  # transpose of C
-                rows[m + i][l] = c[i][l]
-                rows[m + i][m + l] = a[m - 1 - i][m - 1 - l]  # JAJ
-        return _freeze(rows)
-    n = 2 * m + 1
-    rows = [[None] * n for _ in range(n)]
-    for i in range(m):
-        for l in range(m):
-            rows[i][l] = a[i][l]
-            rows[i][m + 1 + l] = c[l][i]
-            rows[m + 1 + i][l] = c[i][l]
-            rows[m + 1 + i][m + 1 + l] = a[m - 1 - i][m - 1 - l]
-    for i in range(m):
-        rows[i][m] = decomp.x[i]
-        rows[m][i] = decomp.x[i]
-        rows[m][m + 1 + i] = decomp.x[m - 1 - i]  # x^T J
-        rows[m + 1 + i][m] = decomp.x[m - 1 - i]  # J x
-    rows[m][m] = decomp.q
-    return _freeze(rows)
+        reduced += ((*border, rows[m][m]),)
+    return BlockMatrix(block.j, BlockKind.REDUCED_S, block.shift, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -245,71 +168,37 @@ def reassemble(decomp: CentroDecomposition) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def rank_one_split(decomp: CentroDecomposition):
+def rank_one_split(reduced: BlockMatrix):
     """Split the reduced block into tridiagonal + all-ones rank-one parts.
 
-    Odd j (half order p): S = T + K with K = (j!/2^j) * ones(p) and delta =
-    trace(K) = (2p)!/2^{2p}.  Even j (order q): R = T + K with the analogous
-    entries.  The reassembly T + K is verified exactly before returning.
+    The leading block L (all of S for odd j, R for even j) is T + K with
+    K = kappa·ones, kappa = j!/2^j.  T = L - K is formed exactly and must
+    vanish off its three diagonals.  Returns (T, K, delta) with
+    delta = trace(K): (j+1)!/2^{j+1} for odd j, (j/2)·j!/2^j for even j.
     """
-    j = decomp.j
-    if decomp.parity == "odd":
-        p = (j + 1) // 2
-        if p < 1:
-            raise OutOfRange("no reduced block below j = 1")
-        kappa = Fraction(math.factorial(j), 2**j)
-        t = [[Rt2(0)] * p for _ in range(p)]
-        for i in range(p - 1):
-            t[i][i] = Rt2(
-                Fraction((2 * p - 5) * math.factorial(i) * math.factorial(2 * p - 1 - i), 8)
-            )
-        t[p - 1][p - 1] = Rt2(
-            Fraction((p - 5) * math.factorial(p - 1) * math.factorial(p), 8)
-        )
-        for i in range(p - 1):
-            off = Rt2(
-                -Fraction(math.factorial(i + 1) * math.factorial(2 * p - 1 - i), 8)
-            )
-            t[i][i + 1] = off
-            t[i + 1][i] = off
-        target = decomp.S.entries
-        delta = Fraction(math.factorial(2 * p), 2 ** (2 * p))
-        order = p
-    elif decomp.parity == "even":
-        q = j // 2
-        if q < 1:
-            raise OutOfRange("no tridiagonal part below j = 2")
-        kappa = Fraction(math.factorial(j), 2**j)
-        t = [[Rt2(0)] * q for _ in range(q)]
-        for i in range(q):
-            t[i][i] = Rt2(
-                Fraction((2 * q - 4) * math.factorial(i) * math.factorial(2 * q - i), 8)
-            )
-        for i in range(q - 1):
-            off = Rt2(
-                -Fraction(math.factorial(i + 1) * math.factorial(2 * q - i), 8)
-            )
-            t[i][i + 1] = off
-            t[i + 1][i] = off
-        target = decomp.R.entries
-        delta = q * kappa
-        order = q
-    else:
-        raise WrongParityInput(f"unknown parity {decomp.parity!r}")
-
-    kap = Rt2(kappa)
+    if reduced.kind is not BlockKind.REDUCED_S:
+        raise InvalidParameter(f"cannot split a {reduced.kind.value} block")
+    j = reduced.j
+    even = j % 2 == 0
+    order = reduced.order - even  # R leaves out the border of M
+    if order < 1:
+        raise OutOfRange(f"no tridiagonal part at j = {j}")
+    # M's leading block is 2R, so R has one more factor 2 below it
+    shift = reduced.shift + even
+    kappa = math.factorial(j) << (shift - j)
+    t = [[entry - kappa for entry in row[:order]] for row in reduced.rows[:order]]
     for i in range(order):
         for l in range(order):
-            if t[i][l] + kap != target[i][l]:
+            if abs(i - l) > 1 and t[i][l]:
                 raise WrongParityInput(
                     f"tridiagonal + rank-one does not reassemble the reduced "
                     f"block at ({i},{l}) for j={j}"
                 )
-    t_block = BlockMatrix(j, BlockKind.TRIDIAGONAL_T, _freeze(t))
+    t_block = BlockMatrix(j, BlockKind.TRIDIAGONAL_T, shift, _freeze(t))
     k_block = BlockMatrix(
-        j, BlockKind.RANK_ONE_K, _freeze([[kap] * order for _ in range(order)])
+        j, BlockKind.RANK_ONE_K, shift, _freeze([[kappa] * order for _ in range(order)])
     )
-    return t_block, k_block, delta
+    return t_block, k_block, Fraction(order * math.factorial(j), 2**j)
 
 
 # ---------------------------------------------------------------------------
@@ -318,200 +207,75 @@ def rank_one_split(decomp: CentroDecomposition):
 
 
 def null_vectors(j: int):
-    """The two exact kernel vectors of the reduced symmetric-sector block.
+    """The two exact kernel vectors of the reduced block, as integers:
+    C(j, i) and i(j-i)·C(j, i), for i below the reduced order j//2 + 1.
 
-    Valid for odd j >= 5 and even j >= 4 (below that the reduced block is
-    zero and the two-dimensional kernel statement is vacuous).
+    These are j! times the kernel vectors 1/(i!(j-i)!) and
+    i(j-i)/(i!(j-i)!) of S, mapped by D^-1 for even j, where the reduced
+    block holds M = 2·D S D.  Valid for odd j >= 5 and even j >= 4 (below
+    that the reduced block is zero and the two-dimensional kernel
+    statement is vacuous).
     """
-    if j >= 5 and j % 2 == 1:
-        p = (j + 1) // 2
-        v = tuple(
-            Rt2(Fraction(1, math.factorial(i) * math.factorial(j - i)))
-            for i in range(p)
+    if j < 4:
+        raise OutOfRange(
+            f"the double-kernel statement needs odd j >= 5 or even j >= 4, got {j}"
         )
-        w = tuple(
-            Rt2(Fraction(i * (j - i), math.factorial(i) * math.factorial(j - i)))
-            for i in range(p)
+    v = tuple(math.comb(j, i) for i in range(j // 2 + 1))
+    w = tuple(i * (j - i) * c for i, c in enumerate(v))
+    return v, w
+
+
+def mat_vec(rows, vec) -> tuple:
+    """Exact integer matrix-vector product."""
+    return tuple(sum(map(operator.mul, row, vec)) for row in rows)
+
+
+def kernel_annihilated(reduced: BlockMatrix) -> bool:
+    """Exact check that the reduced block annihilates both `null_vectors`."""
+    if reduced.kind is not BlockKind.REDUCED_S:
+        raise InvalidParameter(
+            f"the kernel check needs a reduced block, got {reduced.kind.value}"
         )
-        return v, w
-    if j >= 4 and j % 2 == 0:
-        q = j // 2
-        v = [
-            Rt2(Fraction(1, math.factorial(i) * math.factorial(j - i)))
-            for i in range(q)
-        ]
-        w = [
-            Rt2(Fraction(i * (j - i), math.factorial(i) * math.factorial(j - i)))
-            for i in range(q)
-        ]
-        v.append(Rt2(0, Fraction(1, 2 * math.factorial(q) ** 2)))
-        w.append(Rt2(0, Fraction(1, 2 * math.factorial(q - 1) ** 2)))
-        return tuple(v), tuple(w)
-    raise _outside_kernel_range(j)
-
-
-def _outside_kernel_range(j: int) -> OutOfRange:
-    return OutOfRange(
-        f"the double-kernel statement needs odd j >= 5 or even j >= 4, got {j}"
-    )
-
-
-def kernel_annihilated(j: int) -> bool:
-    """Exact check that both kernel vectors are annihilated by the reduced block."""
-    return integer_reduction(j).kernel_annihilated()
-
-
-# ---------------------------------------------------------------------------
-# Integer pass: one build and one reduction per block
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntegerReduction:
-    """Symmetric sector of B^(j) as integer numerators over 2^shift.
-
-    Odd j: ``rows`` holds S = A + JC, of order (j+1)/2.  Even j: ``rows``
-    holds M = 2·D S D = [[2R, 2x], [2x^T, q]], of order j/2 + 1, with
-    D = diag(1, ..., 1, 1/sqrt2); see `integer_reduction`.
-    """
-
-    j: int
-    shift: int
-    rows: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.rows)
-
-    def kernel_annihilated(self) -> bool:
-        """Exact check that M annihilates C(j,i) and i(j-i)·C(j,i), i < order.
-
-        These are the vectors of `null_vectors` times j!, with the last
-        component multiplied by sqrt2 for even j (the map v -> D^-1 v).
-        """
-        j = self.j
-        if j < 4:
-            raise _outside_kernel_range(j)
-        v = [math.comb(j, i) for i in range(self.order)]
-        w = [i * (j - i) * c for i, c in enumerate(v)]
-        return all(
-            sum(map(operator.mul, row, v)) == 0 and sum(map(operator.mul, row, w)) == 0
-            for row in self.rows
-        )
-
-    def scaled(self) -> np.ndarray:
-        """The congruence-scaled reduced block, bit for bit equal to
-        ``scaled_block(centro_decompose(build_B_block(j)).S)``.
-
-        Each squared entry S_kl^2 / (w_k w_l), w_k = k!(j-k)!, is one exact
-        integer ratio, and int true division rounds it once, correctly, as
-        ``float(Fraction)`` does.  For even j, S_kl^2 = M_kl^2 e_k e_l / 4
-        with e = (1, ..., 1, 2), which undoes M = 2·D S D.
-        """
-        j, n = self.j, self.order
-        weights = [math.factorial(k) * math.factorial(j - k) for k in range(n)]
-        factors = [1] * n
-        denominator = 4**self.shift
-        if j % 2 == 0:
-            factors[-1] = 2
-            denominator *= 4
-        out = np.empty((n, n))
-        for k in range(n):
-            for l in range(k, n):
-                entry = self.rows[k][l]
-                val = 0.0
-                if entry:
-                    ratio = (entry * entry * factors[k] * factors[l]) / (
-                        denominator * weights[k] * weights[l]
-                    )
-                    val = math.sqrt(ratio) if entry > 0 else -math.sqrt(ratio)
-                out[k, l] = val
-                out[l, k] = val
-        return out
-
-
-def integer_reduction(j: int) -> IntegerReduction:
-    """Build B^(j) once in integers and reduce it to its symmetric sector.
-
-    Every entry of 2^s B^(j), s = max(j+1, 3), is an integer, so the block
-    is built, checked symmetric and centrosymmetric, and reduced with no
-    rational or sqrt2 arithmetic.  Odd j gives S = A + JC directly.
-
-    Even j: the symmetric sector S = [[R, sqrt2 x], [sqrt2 x^T, q]] carries
-    sqrt2 on its border.  The congruence D = diag(1, ..., 1, 1/sqrt2),
-    scaled by 2, gives M = 2·D S D = [[2R, 2x], [2x^T, q]], which has
-    integer numerators.  D is invertible, so S v = 0 exactly when
-    M (D^-1 v) = 0 and the kernels correspond one to one; by Sylvester's
-    law of inertia M and S also have the same inertia.  The exact kernel
-    check therefore runs on M, while the float view (`scaled`) maps back
-    to S and is unchanged.
-    """
-    if j < 0:
-        raise OutOfRange("block index must be non-negative")
-    shift = max(j + 1, 3)
-    n = j + 1
-    fact = [math.factorial(k) for k in range(n)]
-    base = fact[j] << (shift - j - 1)
-    rows = [[base] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = base + ((j - 4) * fact[k] * fact[j - k] << (shift - 3))
-    for k in range(n - 1):
-        off = base - (fact[k + 1] * fact[j - k] << (shift - 3))
-        rows[k][k + 1] = off
-        rows[k + 1][k] = off
-    _check_symmetric_centrosymmetric(rows)
-    m = n // 2
-    if n % 2 == 0:
-        reduced = [[rows[i][l] + rows[n - 1 - i][l] for l in range(m)] for i in range(m)]
-    else:
-        x = [rows[i][m] for i in range(m)]
-        reduced = [
-            [2 * (rows[i][l] + rows[n - 1 - i][l]) for l in range(m)] + [2 * x[i]]
-            for i in range(m)
-        ]
-        reduced.append([2 * xi for xi in x] + [rows[m][m]])
-    return IntegerReduction(j, shift, _freeze(reduced))
+    v, w = null_vectors(reduced.j)
+    return not any(mat_vec(reduced.rows, v)) and not any(mat_vec(reduced.rows, w))
 
 
 # ---------------------------------------------------------------------------
 # Floating-point views
 # ---------------------------------------------------------------------------
 
-_SCALABLE = {
-    BlockKind.FULL_B,
-    BlockKind.FULL_E,
-    BlockKind.REDUCED_S,
-    BlockKind.REDUCED_R,
-}
-
-
-def _scaled_entry(value: Rt2, wk: int, wl: int) -> float:
-    # |entry| may exceed float range; route through bounded squares instead.
-    out = 0.0
-    if value.a:
-        sign = 1.0 if value.a > 0 else -1.0
-        out += sign * math.sqrt(float(value.a * value.a / (wk * wl)))
-    if value.b:
-        sign = 1.0 if value.b > 0 else -1.0
-        out += sign * math.sqrt(float(2 * value.b * value.b / (wk * wl)))
-    return out
+_SCALABLE = {BlockKind.FULL_B, BlockKind.FULL_E, BlockKind.REDUCED_S}
 
 
 def scaled_block(block: BlockMatrix) -> np.ndarray:
-    """Congruence scaling X -> D^-1 X D^-1 with D = diag(sqrt(k!(j-k)!)).
+    """Congruence scaling X -> W^-1/2 X W^-1/2 with W = diag(k!(j-k)!).
 
     Entries become O(j)-bounded binomial ratios; the signature (hence
-    positive semidefiniteness) is preserved.
+    positive semidefiniteness) is preserved.  |X_kl| may exceed float
+    range, so each squared entry X_kl^2 / (w_k w_l) is formed as one exact
+    integer ratio, which int true division rounds once, correctly.  An
+    even-index reduction maps back from M to S: S_kl^2 = M_kl^2 e_k e_l / 4
+    with e = (1, ..., 1, 2), which undoes M = 2·D S D.
     """
     if block.kind not in _SCALABLE:
         raise InvalidParameter(f"cannot congruence-scale a {block.kind.value} block")
-    j = block.j
-    n = block.order
+    j, n = block.j, block.order
     weights = [math.factorial(k) * math.factorial(j - k) for k in range(n)]
+    factors = [1] * n
+    denominator = 4**block.shift
+    if block.has_border:
+        factors[-1] = 2
+        denominator *= 4
     out = np.empty((n, n))
     for k in range(n):
         for l in range(k, n):
-            val = _scaled_entry(block.entries[k][l], weights[k], weights[l])
+            entry = block.rows[k][l]
+            val = 0.0
+            if entry:
+                ratio = (entry * entry * factors[k] * factors[l]) / (
+                    denominator * weights[k] * weights[l]
+                )
+                val = math.sqrt(ratio) if entry > 0 else -math.sqrt(ratio)
             out[k, l] = val
             out[l, k] = val
     return out
@@ -532,8 +296,13 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise NoConvergence(str(exc)) from exc
 
 
-def _raw_float(value: Rt2) -> float:
-    return float(value)
+def _raw_floats(block: BlockMatrix) -> np.ndarray:
+    scale = 1 << block.shift
+    return np.array([[entry / scale for entry in row] for row in block.rows])
+
+
+def _trace(block: BlockMatrix) -> Fraction:
+    return Fraction(sum(block.rows[i][i] for i in range(block.order)), 1 << block.shift)
 
 
 @dataclass(frozen=True)
@@ -564,13 +333,11 @@ def interlacing_check(j: int) -> InterlacingReport:
         raise OutOfRange("interlacing check applies to odd j >= 7")
     if j > 151:
         raise InvalidParameter("raw entries overflow double precision past j ~ 151")
-    decomp = centro_decompose(build_B_block(j))
-    t_block, _, delta = rank_one_split(decomp)
-    p = (j + 1) // 2
-    t = np.array([[_raw_float(e) for e in row] for row in t_block.entries])
-    s = np.array([[_raw_float(e) for e in row] for row in decomp.S.entries])
-    lam = symmetric_eigenvalues(t)
-    lam_prime = symmetric_eigenvalues(s)
+    reduced = centro_decompose(build_B_block(j))
+    t_block, _, delta = rank_one_split(reduced)
+    p = reduced.order
+    lam = symmetric_eigenvalues(_raw_floats(t_block))
+    lam_prime = symmetric_eigenvalues(_raw_floats(reduced))
     norm = float(np.max(np.abs(lam_prime))) if p else 0.0
     tol = 1e-9 * max(norm, 1.0)
     worst = 0.0
@@ -585,11 +352,6 @@ def interlacing_check(j: int) -> InterlacingReport:
                 ok = False
     shift = float(np.sum(lam_prime) - np.sum(lam))
     sum_ok = abs(shift - float(delta)) <= tol
-    trace_s = Fraction(0)
-    trace_t = Fraction(0)
-    for i in range(p):
-        trace_s += decomp.S.entries[i][i].a
-        trace_t += t_block.entries[i][i].a
     return InterlacingReport(
         j=j,
         p=p,
@@ -599,7 +361,7 @@ def interlacing_check(j: int) -> InterlacingReport:
         eig_shift_sum=shift,
         delta=float(delta),
         sum_ok=sum_ok,
-        trace_identity_exact=(trace_s - trace_t == delta),
+        trace_identity_exact=(_trace(reduced) - _trace(t_block) == delta),
     )
 
 
@@ -627,5 +389,16 @@ def block_quadratic_value(coeffs: np.ndarray, j_max: int | None = None) -> float
 
 
 def dump_entries(block: BlockMatrix) -> list:
-    """Entries as exact strings: "p/q" with a "·√2" marker on border terms."""
-    return [[str(e) for e in row] for row in block.entries]
+    """Entries as exact strings "p/q"; the border of an even-index
+    reduction reads "p/q·√2"."""
+    rows, scale = block.rows, 1 << block.shift
+    if not block.has_border:
+        return [[str(Fraction(entry, scale)) for entry in row] for row in rows]
+    # M = 2·D S D: S is M/2 inside, sqrt2·M/2 on the border and M at the corner
+    out = [[str(Fraction(entry, 2 * scale)) for entry in row] for row in rows]
+    last = block.order - 1
+    for k in range(last):
+        border = Fraction(rows[k][last], 2 * scale)
+        out[k][last] = out[last][k] = f"{border}·√2" if border else "0"
+    out[last][last] = str(Fraction(rows[last][last], scale))
+    return out

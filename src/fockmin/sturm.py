@@ -5,7 +5,11 @@ Delta_k(0) = gamma_k * u_k where the gamma_k are explicit positive rationals
 and the u_k are integers obeying a second-order recurrence.  Counting sign
 agreements along the integer sequence bounds the number of non-positive
 eigenvalues; combined with the two exact kernel vectors of the reduced
-block this certifies positive semidefiniteness block by block.
+block, which `spectra.kernel_annihilated` checks on the block's integer
+numerators, this certifies positive semidefiniteness block by block.  The
+sequence is taken from the recurrence, not read off the block; the tests
+check it against the minors of the tridiagonal that
+`spectra.rank_one_split` extracts from the block.
 
 All sequence arithmetic is arbitrary-precision integer: sign correctness is
 the entire point, so there is no floating shortcut anywhere in this module.
@@ -228,7 +232,8 @@ def positivity_certificate(j: int, *, with_gap: bool = False) -> SturmCertificat
     if with_gap:
         from . import spectra
 
-        eigs = spectra.symmetric_eigenvalues(spectra.integer_reduction(j).scaled())
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
+        eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
         norm = float(max(abs(eigs[0]), abs(eigs[-1])))
         positive = [float(e) for e in eigs if e > 1e-10 * norm]
         gap = min(positive) if positive else None

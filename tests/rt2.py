@@ -1,5 +1,7 @@
 """Exact arithmetic in the ring of rationals adjoined sqrt(2).
 
+Reference implementation: `fockmin` once built its blocks over this type,
+and `rt2_spectra` keeps that build as the oracle for the integer blocks.
 The reduced blocks of even index carry a sqrt(2) factor on their border
 row and column, so exact reassembly and null-vector checks need slightly
 more than plain rationals.  Every value is stored as a + b*sqrt(2) with

@@ -13,11 +13,30 @@ import numpy as np
 import pytest
 
 from fockmin import fock, minimize as mz, spectra, sturm
-from fockmin.rt2 import Rt2, mat_vec
 
 
 def report(num, text):
     print(f"PASS criterion {num}: {text}")
+
+
+def exact_entries(block):
+    """Entry (k, l) of a block as (a, b) with value a + b*sqrt(2), a and b
+    exact Fractions; an even-index reduction maps back from M = 2·D S D
+    to S, whose border carries the sqrt(2)."""
+    scale = 2**block.shift
+    last = block.order - 1
+    out = []
+    for k, row in enumerate(block.rows):
+        values = []
+        for l, e in enumerate(row):
+            if not block.has_border or k == l == last:
+                values.append((Fraction(e, scale), 0))
+            elif last in (k, l):
+                values.append((0, Fraction(e, 2 * scale)))
+            else:
+                values.append((Fraction(e, 2 * scale), 0))
+        out.append(values)
+    return out
 
 
 def test_criterion_01_exact_block_reproduction():
@@ -27,16 +46,16 @@ def test_criterion_01_exact_block_reproduction():
         3: [[-3, -3, 3, 3], [-3, 1, -1, 3], [3, -1, 1, -3], [3, 3, -3, -3]],
     }
     for j, rows in printed_b.items():
-        block = spectra.build_B_block(j)
+        block = exact_entries(spectra.build_B_block(j))
         for k in range(j + 1):
             for l in range(j + 1):
-                assert block.entries[k][l] == Rt2(Fraction(rows[k][l], 8))
-    block2 = spectra.build_B_block(2)
+                assert block[k][l] == (Fraction(rows[k][l], 8), 0)
+    block2 = exact_entries(spectra.build_B_block(2))
     rows2 = [[-1, 0, 1], [0, 0, 0], [1, 0, -1]]
     for k in range(3):
         for l in range(3):
-            assert block2.entries[k][l] == Rt2(Fraction(rows2[k][l], 4))
-    block4 = spectra.build_B_block(4)
+            assert block2[k][l] == (Fraction(rows2[k][l], 4), 0)
+    block4 = exact_entries(spectra.build_B_block(4))
     rows4 = [
         [1, -3, 1, 1, 1],
         [-3, 1, -1, 1, 1],
@@ -46,8 +65,8 @@ def test_criterion_01_exact_block_reproduction():
     ]
     for k in range(5):
         for l in range(5):
-            assert block4.entries[k][l] == Rt2(Fraction(3 * rows4[k][l], 4))
-    block5 = spectra.build_B_block(5)
+            assert block4[k][l] == (Fraction(3 * rows4[k][l], 4), 0)
+    block5 = exact_entries(spectra.build_B_block(5))
     rows5 = [
         [45, -35, 5, 5, 5, 5],
         [-35, 13, -11, 5, 5, 5],
@@ -58,26 +77,26 @@ def test_criterion_01_exact_block_reproduction():
     ]
     for k in range(6):
         for l in range(6):
-            assert block5.entries[k][l] == Rt2(Fraction(3 * rows5[k][l], 8))
-    assert spectra.build_B_block(0).entries[0][0] == Rt2(0)
+            assert block5[k][l] == (Fraction(3 * rows5[k][l], 8), 0)
+    assert exact_entries(spectra.build_B_block(0))[0][0] == (0, 0)
 
-    s3 = spectra.centro_decompose(spectra.build_B_block(3)).S
-    assert all(e == Rt2(0) for row in s3.entries for e in row)
-    s5 = spectra.centro_decompose(spectra.build_B_block(5)).S
+    s3 = exact_entries(spectra.centro_decompose(spectra.build_B_block(3)))
+    assert all(e == (0, 0) for row in s3 for e in row)
+    s5 = exact_entries(spectra.centro_decompose(spectra.build_B_block(5)))
     rows_s5 = [[25, -15, 5], [-15, 9, -3], [5, -3, 1]]
     for k in range(3):
         for l in range(3):
-            assert s5.entries[k][l] == Rt2(Fraction(3 * rows_s5[k][l], 4))
-    s4 = spectra.centro_decompose(spectra.build_B_block(4)).S
+            assert s5[k][l] == (Fraction(3 * rows_s5[k][l], 4), 0)
+    s4 = exact_entries(spectra.centro_decompose(spectra.build_B_block(4)))
     c = Fraction(3, 4)
     expect_s4 = [
-        [Rt2(2 * c), Rt2(-2 * c), Rt2(0, c)],
-        [Rt2(-2 * c), Rt2(2 * c), Rt2(0, -c)],
-        [Rt2(0, c), Rt2(0, -c), Rt2(c)],
+        [(2 * c, 0), (-2 * c, 0), (0, c)],
+        [(-2 * c, 0), (2 * c, 0), (0, -c)],
+        [(0, c), (0, -c), (c, 0)],
     ]
     for k in range(3):
         for l in range(3):
-            assert s4.entries[k][l] == expect_s4[k][l]
+            assert s4[k][l] == expect_s4[k][l]
     elapsed = time.time() - t0
     assert elapsed < 1.0
     report(1, f"printed blocks j<=5 and reduced blocks j in {{3,4,5}} exact ({elapsed:.2f}s < 1s)")
@@ -87,10 +106,10 @@ def test_criterion_02_null_vector_certificate():
     t0 = time.time()
     checked = 0
     for j in list(range(7, 202, 2)) + list(range(6, 201, 2)):
-        decomp = spectra.centro_decompose(spectra.build_B_block(j))
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
         v, w = spectra.null_vectors(j)
-        assert all(not e for e in mat_vec(decomp.S.entries, v)), j
-        assert all(not e for e in mat_vec(decomp.S.entries, w)), j
+        assert all(not e for e in spectra.mat_vec(reduced.rows, v)), j
+        assert all(not e for e in spectra.mat_vec(reduced.rows, w)), j
         checked += 1
     elapsed = time.time() - t0
     assert elapsed < 120.0
@@ -101,8 +120,8 @@ def test_criterion_03_positivity():
     t0 = time.time()
     worst = 0.0
     for j in range(0, 201):
-        decomp = spectra.centro_decompose(spectra.build_B_block(j))
-        eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(decomp.S))
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
+        eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
         norm = max(abs(eigs[0]), abs(eigs[-1]))
         if norm > 0:
             worst = min(worst, eigs[0] / norm)
@@ -245,7 +264,7 @@ def test_criterion_08_symmetry_laws():
 
 def test_criterion_09_decoupled_block_not_psd():
     eigs = spectra.symmetric_eigenvalues(
-        spectra.scaled_block(spectra.build_E_block(3))
+        spectra.scaled_block(spectra.build_B_block(3, decoupled=True))
     )
     assert eigs[0] < -1e-6
     report(9, f"decoupled block at j=3 has negative eigenvalue {eigs[0]:.4f}")

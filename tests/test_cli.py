@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from fockmin import cli, fock, minimize, spectra, sturm
-from fockmin.rt2 import mat_vec
+
+import rt2_spectra as oracle
+from rt2 import mat_vec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -55,18 +57,19 @@ class TestCertifyCommand:
 
 
 def oracle_certify(max_j, exact_max_j=200, eigs=True):
-    """`certify` stdout assembled from the Rt2 build, reduction and matvec."""
+    """`certify` stdout assembled from the oracle's Rt2 build, reduction,
+    matvec and float view."""
     lines = []
     for j in range(6, max_j + 1):
         checks = [f"sturm transition={sturm.positivity_certificate(j).transition_index}"]
         if j <= exact_max_j:
-            reduced = spectra.centro_decompose(spectra.build_B_block(j)).S
-            v, w = spectra.null_vectors(j)
+            reduced = oracle.centro_decompose(oracle.build_B_block(j)).S
+            v, w = oracle.null_vectors(j)
             assert not any(mat_vec(reduced.entries, v))
             assert not any(mat_vec(reduced.entries, w))
             checks.append("kernel=exact")
             if eigs:
-                values = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
+                values = spectra.symmetric_eigenvalues(oracle.scaled_block(reduced))
                 checks.append(f"min_eig={values[0]:.3e}")
         lines.append(f"j={j} pass " + " ".join(checks))
     return "\n".join(lines) + "\n"
@@ -85,6 +88,47 @@ class TestCertifyMatchesOracle:
         code, out, _ = run_capture(capsys, ["certify", "--max-j", "40", *flags])
         assert code == 0
         assert out == oracle_certify(40, **kwargs)
+
+
+class TestBlockMatchesOracle:
+    @pytest.mark.parametrize("j", [*range(41), 97])
+    def test_stdout_byte_identical(self, capsys, j):
+        for decoupled in (False, True):
+            for reduced in (False, True):
+                for fmt in ("pretty", "json"):
+                    argv = ["block", "--j", str(j), "--format", fmt]
+                    argv += ["--E"] * decoupled + ["--reduced"] * reduced
+                    code, out, _ = run_capture(capsys, argv)
+                    assert code == 0
+                    assert out == oracle.block_stdout(j, decoupled, reduced, fmt), argv
+
+
+class TestUnwritableOut:
+    """An --out path in a missing directory is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["block", "--j", "4"],
+            ["certify", "--max-j", "8"],
+            ["catalog", "--wave", "psi_b"],
+            ["minimize", "--mu", "0.6", "--trunc", "12", "--restarts", "1"],
+        ],
+        ids=["block", "certify", "catalog", "minimize"],
+    )
+    def test_exit_one_with_error(self, tmp_path, argv):
+        out = tmp_path / "missing" / "x.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "fockmin.cli", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: cannot write ")
+        assert "Traceback" not in done.stderr
+        assert not out.parent.exists()
 
 
 class TestCatalogRoundTrip:

@@ -1,10 +1,10 @@
-"""Exact quadratic-ring scalar arithmetic."""
+"""Exact quadratic-ring scalar arithmetic of the `rt2` reference module."""
 
 from fractions import Fraction
 
 import pytest
 
-from fockmin.rt2 import Rt2, mat_vec
+from rt2 import Rt2, mat_vec
 
 
 class TestRt2:

@@ -1,6 +1,10 @@
-"""Exact block construction, centrosymmetric reduction and eigen checks."""
+"""Exact block construction, centrosymmetric reduction and eigen checks.
+
+`rt2_spectra`, the Rt2 build these integer blocks replaced, is the oracle.
+"""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +12,30 @@ import pytest
 
 from fockmin import fock, spectra
 from fockmin.errors import NotCentrosymmetric, OutOfRange
-from fockmin.rt2 import Rt2, mat_vec
 from fockmin.spectra import BlockKind
 
+import rt2_spectra as oracle
+from rt2 import Rt2, mat_vec
 
-def as_fractions(rows):
-    out = []
-    for row in rows:
-        assert all(e.is_rational for e in row)
-        out.append([e.a for e in row])
-    return out
+
+def as_fractions(block):
+    assert not block.has_border
+    return [[Fraction(e, 2**block.shift) for e in row] for row in block.rows]
+
+
+def as_rt2(block):
+    """The block's exact values as oracle numbers; an even-index reduction
+    maps back from M = 2·D S D to S, with sqrt2 on its border."""
+    scale = 2**block.shift * (2 if block.has_border else 1)
+    rows = [[Rt2(Fraction(e, scale)) for e in row] for row in block.rows]
+    if block.has_border:
+        # S is M/2 inside, sqrt2·M/2 on the border and M at the corner
+        last = block.order - 1
+        for k in range(last):
+            border = Rt2(0, Fraction(block.rows[k][last], scale))
+            rows[k][last] = rows[last][k] = border
+        rows[last][last] = Rt2(Fraction(block.rows[last][last], scale // 2))
+    return tuple(map(tuple, rows))
 
 
 # Matrices as printed for small indices, scaled entries written exactly.
@@ -56,11 +74,11 @@ class TestBlockConstruction:
     @pytest.mark.parametrize("j", sorted(PRINTED_B))
     def test_printed_blocks(self, j):
         block = spectra.build_B_block(j)
-        assert as_fractions(block.entries) == PRINTED_B[j]
+        assert as_fractions(block) == PRINTED_B[j]
 
     def test_block_zero(self):
         block = spectra.build_B_block(0)
-        assert as_fractions(block.entries) == [[Fraction(0)]]
+        assert as_fractions(block) == [[Fraction(0)]]
 
     def test_symmetric_centrosymmetric_range(self):
         for j in range(0, 26):
@@ -68,31 +86,29 @@ class TestBlockConstruction:
             n = j + 1
             for k in range(n):
                 for l in range(n):
-                    assert block.entries[k][l] == block.entries[l][k]
-                    assert block.entries[k][l] == block.entries[n - 1 - k][n - 1 - l]
+                    assert block.rows[k][l] == block.rows[l][k]
+                    assert block.rows[k][l] == block.rows[n - 1 - k][n - 1 - l]
 
     def test_decoupled_block_zero_index(self):
-        block = spectra.build_E_block(0)
-        assert as_fractions(block.entries) == [[Fraction(0)]]
+        block = spectra.build_B_block(0, decoupled=True)
+        assert as_fractions(block) == [[Fraction(0)]]
 
     def test_decoupled_difference_is_momentum_tridiagonal(self):
         # E - B keeps only the momentum coupling: zero diagonal, entries
         # (k+1)!(j-k)!/8 on the first off-diagonals
-        b = spectra.build_B_block(2)
-        e = spectra.build_E_block(2)
-        diff = [
-            [e.entries[k][l] - b.entries[k][l] for l in range(3)] for k in range(3)
-        ]
+        b = as_fractions(spectra.build_B_block(2))
+        e = as_fractions(spectra.build_B_block(2, decoupled=True))
+        diff = [[e[k][l] - b[k][l] for l in range(3)] for k in range(3)]
         expect = [
-            [Rt2(0), Rt2(Fraction(1, 4)), Rt2(0)],
-            [Rt2(Fraction(1, 4)), Rt2(0), Rt2(Fraction(1, 4))],
-            [Rt2(0), Rt2(Fraction(1, 4)), Rt2(0)],
+            [Fraction(0), Fraction(1, 4), Fraction(0)],
+            [Fraction(1, 4), Fraction(0), Fraction(1, 4)],
+            [Fraction(0), Fraction(1, 4), Fraction(0)],
         ]
         assert diff == expect
 
     def test_decoupled_block_has_negative_eigenvalue(self):
         eigs = spectra.symmetric_eigenvalues(
-            spectra.scaled_block(spectra.build_E_block(3))
+            spectra.scaled_block(spectra.build_B_block(3, decoupled=True))
         )
         assert eigs[0] < -1e-6
 
@@ -109,35 +125,34 @@ PRINTED_S = {
 class TestCentroDecomposition:
     @pytest.mark.parametrize("j", sorted(PRINTED_S))
     def test_printed_reduced_blocks(self, j):
-        decomp = spectra.centro_decompose(spectra.build_B_block(j))
-        assert as_fractions(decomp.S.entries) == PRINTED_S[j]
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
+        assert as_fractions(reduced) == PRINTED_S[j]
 
     def test_printed_reduced_block_even(self):
-        decomp = spectra.centro_decompose(spectra.build_B_block(4))
-        s = decomp.S.entries
+        reduced = spectra.centro_decompose(spectra.build_B_block(4))
         c = Fraction(3, 4)
-        expect = [
-            [Rt2(2 * c), Rt2(-2 * c), Rt2(0, c)],
-            [Rt2(-2 * c), Rt2(2 * c), Rt2(0, -c)],
-            [Rt2(0, c), Rt2(0, -c), Rt2(c)],
-        ]
-        assert [list(row) for row in s] == expect
+        expect = (
+            (Rt2(2 * c), Rt2(-2 * c), Rt2(0, c)),
+            (Rt2(-2 * c), Rt2(2 * c), Rt2(0, -c)),
+            (Rt2(0, c), Rt2(0, -c), Rt2(c)),
+        )
+        assert as_rt2(reduced) == expect
 
     def test_reassembly_exact(self):
+        # the reduced block is the oracle's S, whose pieces rebuild the block
         for j in range(1, 16):
             block = spectra.build_B_block(j)
-            decomp = spectra.centro_decompose(block)
-            assert spectra.reassemble(decomp) == block.entries
+            decomp = oracle.centro_decompose(oracle.build_B_block(j))
+            assert as_rt2(block) == oracle.reassemble(decomp)
+            assert as_rt2(spectra.centro_decompose(block)) == decomp.S.entries
 
     def test_eigen_multiset_union(self):
         for j in (3, 6, 9, 12):
             block = spectra.build_B_block(j)
-            decomp = spectra.centro_decompose(block)
+            decomp = oracle.centro_decompose(oracle.build_B_block(j))
             full = spectra.symmetric_eigenvalues(spectra.scaled_block(block))
-            s_scaled = spectra.scaled_block(decomp.S)
+            s_scaled = spectra.scaled_block(spectra.centro_decompose(block))
             # scale the skew sector with the same leading weights
-            import math
-
             m = len(decomp.skew)
             w = [
                 math.sqrt(math.factorial(k) * math.factorial(j - k)) for k in range(m)
@@ -159,62 +174,67 @@ class TestCentroDecomposition:
 
     def test_rejects_non_centrosymmetric(self):
         rows = (
-            (Rt2(1), Rt2(2)),
-            (Rt2(2), Rt2(3)),
+            (1, 2),
+            (2, 3),
         )
-        bad = spectra.BlockMatrix(1, BlockKind.FULL_B, rows)
+        bad = spectra.BlockMatrix(1, BlockKind.FULL_B, 0, rows)
         with pytest.raises(NotCentrosymmetric):
             spectra.centro_decompose(bad)
 
 
 class TestRankOneSplit:
     def test_even_reassembly_printed(self):
-        decomp = spectra.centro_decompose(spectra.build_B_block(4))
-        t, k, delta = spectra.rank_one_split(decomp)
-        assert t.entries[0][0] == Rt2(0)
-        assert all(e == Rt2(Fraction(3, 2)) for row in k.entries for e in row)
+        reduced = spectra.centro_decompose(spectra.build_B_block(4))
+        t, k, delta = spectra.rank_one_split(reduced)
+        assert t.rows[0][0] == 0
+        kappa = Fraction(3, 2)
+        assert all(Fraction(e, 2**k.shift) == kappa for row in k.rows for e in row)
         assert delta == Fraction(3)
 
     def test_odd_trace_is_delta(self):
         # remaining eigenvalue of the rank-one part is its trace
         for j in (7, 9, 15, 21):
-            decomp = spectra.centro_decompose(spectra.build_B_block(j))
-            t, k, delta = spectra.rank_one_split(decomp)
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            t, k, delta = spectra.rank_one_split(reduced)
             p = (j + 1) // 2
-            trace = sum((k.entries[i][i].a for i in range(p)), Fraction(0))
+            trace = sum(Fraction(k.rows[i][i], 2**k.shift) for i in range(p))
             assert trace == delta
 
     def test_delta_value_j7(self):
-        decomp = spectra.centro_decompose(spectra.build_B_block(7))
-        _, _, delta = spectra.rank_one_split(decomp)
+        reduced = spectra.centro_decompose(spectra.build_B_block(7))
+        _, _, delta = spectra.rank_one_split(reduced)
         assert delta == Fraction(315, 2)
 
     def test_exact_reassembly_range(self):
-        # T + K = reduced block is asserted inside rank_one_split
+        # T is banded by a check inside rank_one_split, and it matches the
+        # oracle's closed-form T, which the oracle checks against its S
         for j in range(4, 40):
-            decomp = spectra.centro_decompose(spectra.build_B_block(j))
-            spectra.rank_one_split(decomp)
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            t, k, _ = spectra.rank_one_split(reduced)
+            decomp = oracle.centro_decompose(oracle.build_B_block(j))
+            t_oracle, k_oracle, _ = oracle.rank_one_split(decomp)
+            assert as_rt2(t) == t_oracle.entries
+            assert as_rt2(k) == k_oracle.entries
 
 
 class TestNullVectors:
     def test_j5_vectors(self):
+        # 5! times (1/120, 1/24, 1/12) and (0, 1/6, 1/2)
         v, w = spectra.null_vectors(5)
-        assert [e.a for e in v] == [
-            Fraction(1, 120),
-            Fraction(1, 24),
-            Fraction(1, 12),
-        ]
-        assert [e.a for e in w] == [Fraction(0), Fraction(1, 6), Fraction(1, 2)]
-        decomp = spectra.centro_decompose(spectra.build_B_block(5))
-        assert all(not e for e in mat_vec(decomp.S.entries, v))
-        assert all(not e for e in mat_vec(decomp.S.entries, w))
+        assert v == (1, 5, 10)
+        assert w == (0, 20, 60)
+        reduced = spectra.centro_decompose(spectra.build_B_block(5))
+        assert all(not e for e in spectra.mat_vec(reduced.rows, v))
+        assert all(not e for e in spectra.mat_vec(reduced.rows, w))
 
     def test_j6_vectors_annihilated(self):
-        assert spectra.kernel_annihilated(6)
+        reduced = spectra.centro_decompose(spectra.build_B_block(6))
+        assert spectra.kernel_annihilated(reduced)
 
     def test_sample_range_exact(self):
         for j in (4, 5, 8, 11, 20, 33, 47):
-            assert spectra.kernel_annihilated(j)
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            assert spectra.kernel_annihilated(reduced)
 
     def test_out_of_range(self):
         for j in (0, 1, 2, 3):
@@ -223,32 +243,43 @@ class TestNullVectors:
 
 
 class TestIntegerReduction:
-    """The integer pass against the Rt2 path it replaces in `certify`."""
+    """The integer blocks against the Rt2 build they replaced."""
 
     @pytest.mark.parametrize("j", range(81))
     def test_matches_rt2_oracle(self, j):
-        reduction = spectra.integer_reduction(j)
-        decomp = spectra.centro_decompose(spectra.build_B_block(j))
+        reduction = spectra.centro_decompose(spectra.build_B_block(j))
+        decomp = oracle.centro_decompose(oracle.build_B_block(j))
+        assert as_rt2(reduction) == decomp.S.entries
         if j >= 4:
-            v, w = spectra.null_vectors(j)
-            oracle = not any(mat_vec(decomp.S.entries, v)) and not any(
+            v, w = oracle.null_vectors(j)
+            expect_kernel = not any(mat_vec(decomp.S.entries, v)) and not any(
                 mat_vec(decomp.S.entries, w)
             )
-            assert reduction.kernel_annihilated() == oracle
+            assert spectra.kernel_annihilated(reduction) == expect_kernel
+            # j! times the oracle's vectors, the last mapped by D^-1 for even j
+            for new, old in zip(spectra.null_vectors(j), (v, w)):
+                last = Rt2(0, 1) if reduction.has_border else Rt2(1)
+                scaled = [e * math.factorial(j) for e in old[:-1]]
+                scaled.append(old[-1] * math.factorial(j) * last)
+                assert [Rt2(e) for e in new] == scaled
         else:
             with pytest.raises(OutOfRange):
-                reduction.kernel_annihilated()
-        expect = spectra.scaled_block(decomp.S)
-        got = reduction.scaled()
+                spectra.kernel_annihilated(reduction)
+        expect = oracle.scaled_block(decomp.S)
+        got = spectra.scaled_block(reduction)
         assert np.array_equal(got, expect)
         assert np.array_equal(
             spectra.symmetric_eigenvalues(got), spectra.symmetric_eigenvalues(expect)
         )
+        builds = ((False, oracle.build_B_block), (True, oracle.build_E_block))
+        for decoupled, build in builds:
+            full = spectra.scaled_block(spectra.build_B_block(j, decoupled=decoupled))
+            assert np.array_equal(full, oracle.scaled_block(build(j)))
 
     @pytest.mark.parametrize("j", [4, 9, 30, 31])
     @pytest.mark.parametrize("keeps_v", [False, True])
     def test_perturbed_row_breaks_kernel(self, j, keeps_v):
-        reduction = spectra.integer_reduction(j)
+        reduction = spectra.centro_decompose(spectra.build_B_block(j))
         rows = [list(row) for row in reduction.rows]
         if keeps_v:
             # (C(j,1), -C(j,0)) on the first two entries of row 0 is
@@ -258,13 +289,13 @@ class TestIntegerReduction:
         else:
             rows[0][0] += 1
         broken = dataclasses.replace(reduction, rows=tuple(map(tuple, rows)))
-        assert reduction.kernel_annihilated()
-        assert not broken.kernel_annihilated()
+        assert spectra.kernel_annihilated(reduction)
+        assert not spectra.kernel_annihilated(broken)
 
     def test_even_border_is_rational_after_congruence(self):
         # j = 4: S = (3/4)[[2, -2, r], [-2, 2, -r], [r, -r, 1]], r = sqrt2,
         # so M = 2 D S D = (3/4)[[4, -4, 2], [-4, 4, -2], [2, -2, 1]]
-        reduction = spectra.integer_reduction(4)
+        reduction = spectra.centro_decompose(spectra.build_B_block(4))
         scale = Fraction(1, 2**reduction.shift)
         got = [[Fraction(e) * scale for e in row] for row in reduction.rows]
         c = Fraction(3, 4)
@@ -287,7 +318,7 @@ class TestScaledBlocks:
     def test_signature_preserved_small(self):
         for j in (2, 3, 4, 5):
             block = spectra.build_B_block(j)
-            raw = np.array([[float(e) for e in row] for row in block.entries])
+            raw = np.array([[e / 2**block.shift for e in row] for row in block.rows])
             scaled = spectra.scaled_block(block)
             raw_signs = np.sign(
                 np.round(spectra.symmetric_eigenvalues(raw), 12)
@@ -300,12 +331,12 @@ class TestScaledBlocks:
     def test_reduced_rank_one_structure_j5(self):
         # rows of the reduced block at j = 5 are proportional to (5, -3, 1),
         # so the scaled spectrum is {0, 0, t} with t > 0
-        decomp = spectra.centro_decompose(spectra.build_B_block(5))
-        rows = as_fractions(decomp.S.entries)
+        reduced = spectra.centro_decompose(spectra.build_B_block(5))
+        rows = as_fractions(reduced)
         base = rows[2]
         for i, factor in ((0, 5), (1, -3)):
             assert rows[i] == [factor * x for x in base]
-        eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(decomp.S))
+        eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
         assert abs(eigs[0]) <= 1e-12 and abs(eigs[1]) <= 1e-12 and eigs[2] > 0
 
     def test_eigenvalues_sorted_diagonal(self):
@@ -342,7 +373,7 @@ class TestQuadraticFormConsistency:
 
     def test_psd_on_reduced_blocks_sample(self):
         for j in range(2, 40):
-            decomp = spectra.centro_decompose(spectra.build_B_block(j))
-            eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(decomp.S))
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
             norm = max(abs(eigs[0]), abs(eigs[-1]), 1e-30)
             assert eigs[0] >= -1e-10 * norm

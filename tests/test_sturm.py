@@ -90,12 +90,13 @@ class TestScalings:
     def test_scaled_integers_reproduce_exact_minors(self, j):
         # independent oracle: the exact minor recurrence on the rational
         # tridiagonal entries
-        decomp = spectra.centro_decompose(spectra.build_B_block(j))
-        t_block, _, _ = spectra.rank_one_split(decomp)
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
+        t_block, _, _ = spectra.rank_one_split(reduced)
         order = t_block.order
         count = order if j % 2 == 1 else order + 1
-        diag = [t_block.entries[i][i].a for i in range(order)]
-        off = [t_block.entries[i][i + 1].a for i in range(order - 1)]
+        scale = 2**t_block.shift
+        diag = [Fraction(t_block.rows[i][i], scale) for i in range(order)]
+        off = [Fraction(t_block.rows[i][i + 1], scale) for i in range(order - 1)]
         minors = [Fraction(1)]
         for r in range(1, count):
             value = diag[r - 1] * minors[r - 1]
