@@ -301,22 +301,21 @@ def displacement_matrix(alpha: complex, size: int) -> np.ndarray:
 
     beta = -np.conj(alpha)
     x = abs(beta) ** 2
-    pref = math.exp(-0.5 * x)
     log_fact = np.zeros(size)
-    for n in range(1, size):
-        log_fact[n] = log_fact[n - 1] + math.log(n)
+    log_fact[1:] = np.cumsum(np.log(np.arange(1, size)))
+    # an entry depends on lo = min(m, n) and d = |m - n| only, up to the
+    # phase factor beta^d below the diagonal and (-conj(beta))^d above it
+    m, lo = np.tril_indices(size)
+    d = m - lo
+    magnitude = (
+        np.exp(0.5 * (log_fact[lo] - log_fact[m]))
+        * math.exp(-0.5 * x)
+        * eval_genlaguerre(lo, d, x)
+    )
+    powers = np.arange(size)
     out = np.zeros((size, size), dtype=complex)
-    for m in range(size):
-        for n in range(size):
-            d = m - n
-            if d >= 0:
-                ratio = math.exp(0.5 * (log_fact[n] - log_fact[m]))
-                out[m, n] = ratio * beta**d * pref * eval_genlaguerre(n, d, x)
-            else:
-                ratio = math.exp(0.5 * (log_fact[m] - log_fact[n]))
-                out[m, n] = (
-                    ratio * (-np.conj(beta)) ** (-d) * pref * eval_genlaguerre(m, -d, x)
-                )
+    out[m, lo] = magnitude * (beta**powers)[d]
+    out[lo, m] = magnitude * ((-np.conj(beta)) ** powers)[d]
     return out
 
 
@@ -428,14 +427,12 @@ def _psi_b_coefficients(b: float, truncation: int) -> np.ndarray:
     pref = math.exp(-0.5 * gam * gam) / math.sqrt(math.pi * (1.0 + b * b))
     out = np.zeros(truncation + 1, dtype=complex)
     out[0] = -math.sqrt(math.pi) * pref * bet
-    # sqrt(pi n!) * (gam^{n-1}/(n-1)! - bet*gam^n/n!) with ratios kept incremental
-    gam_pow_over_fact = 1.0  # gam^{n-1}/(n-1)!
-    sqrt_fact = 1.0  # sqrt(n!)
+    # sqrt(pi n!) * (gam^{n-1}/(n-1)! - bet*gam^n/n!), with the one ratio
+    # sqrt(n!) gam^{n-1}/(n-1)! carried: sqrt(n!) alone overflows at n = 301
+    ratio = 1.0
     for n in range(1, truncation + 1):
-        sqrt_fact *= math.sqrt(n)
-        term = gam_pow_over_fact * (1.0 - bet * gam / n)
-        out[n] = math.sqrt(math.pi) * pref * sqrt_fact * term
-        gam_pow_over_fact *= gam / n
+        out[n] = math.sqrt(math.pi) * pref * ratio * (1.0 - bet * gam / n)
+        ratio *= math.sqrt(n + 1) * gam / n
     return out
 
 
@@ -444,12 +441,10 @@ def _equality_family_coefficients(
 ) -> np.ndarray:
     out = np.zeros(truncation + 1, dtype=complex)
     out[0] = a0
-    c_pow_over_fact = 1.0 + 0j  # c^{n-1}/(n-1)!
-    sqrt_fact = 1.0
+    ratio = 1.0 + 0j  # sqrt(n!) c^{n-1}/(n-1)!
     for n in range(1, truncation + 1):
-        sqrt_fact *= math.sqrt(n)
-        out[n] = sqrt_fact * (a0 * c_pow_over_fact * c / n + a1 * c_pow_over_fact)
-        c_pow_over_fact *= c / n
+        out[n] = ratio * (a0 * c / n + a1)
+        ratio *= math.sqrt(n + 1) * c / n
     return out
 
 

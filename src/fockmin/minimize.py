@@ -1,10 +1,11 @@
 """Constrained minimization of the rotating-trap energy on the mass sphere.
 
 The energy G_mu = 8*pi*H + mu*P is minimized over unit-mass coefficient
-vectors by projected gradient descent with renormalization as the
-retraction, restarted from the closed-form stationary waves and from
-seeded random states.  Converged minimizers are classified against the
-catalog after quotienting out phase, rotation and translation.
+vectors by a Riemannian L-BFGS descent, seeded with the diagonal of the
+Riemannian Hessian and with renormalization as the retraction, restarted
+from the closed-form stationary waves and from seeded random states.
+Converged minimizers are classified against the catalog after quotienting
+out phase, rotation and translation.
 """
 
 from __future__ import annotations
@@ -57,10 +58,20 @@ CLASSIFY_OVERLAP_THRESHOLD = 1.0 - 1e-4
 
 # The line search compares each trial against the largest of the last
 # NONMONOTONE_MEMORY accepted values (Grippo, Lampariello and Lucidi, SIAM J.
-# Numer. Anal. 23 (1986)), as Raydan (SIAM J. Optim. 7 (1997)) does for
-# Barzilai-Borwein steps.  Near a minimizer the monotone test asks for a
+# Numer. Anal. 23 (1986)).  Near a minimizer the monotone test asks for a
 # decrease below one ulp of G, so it rejects good steps by rounding alone.
 NONMONOTONE_MEMORY = 10
+
+# The descent direction is the L-BFGS two-loop recursion over the last
+# LBFGS_MEMORY curvature pairs (Huang, Gallivan and Absil, SIAM J. Optim. 25
+# (2015), for the Riemannian form), seeded with the diagonal metric below.
+LBFGS_MEMORY = 6
+
+# A later restart replaces the best one so far only when its G is lower by
+# more than TIE_MARGIN * max(1, |G|), so ties go to the lower restart index
+# and an exact catalog critical point is not displaced by a random restart
+# that reaches the same G up to rounding.
+TIE_MARGIN = 1e-14
 
 # The descent's diagonal metric is floored at this fraction of the Lagrange
 # multiplier, which keeps it positive along the flat phase, rotation and
@@ -160,10 +171,16 @@ def _squared_weights(truncation: int) -> np.ndarray:
     return table
 
 
-def _search_direction(
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """Real inner product Re<x, y> of two contiguous complex vectors: the
+    dot product of their interleaved (re, im) float views."""
+    return float(x.view(float).dot(y.view(float)))
+
+
+def _tangent_and_metric(
     a: np.ndarray, grad: np.ndarray, weights_sq: np.ndarray, mode_curvature: np.ndarray
 ):
-    """(tangent, metric, direction) at the unit vector a.
+    """(tangent, metric) at the unit vector a.
 
     tangent = grad - lam a is the Riemannian gradient, with the Lagrange
     multiplier lam = Re<a, grad>.  The metric is the diagonal of the
@@ -172,28 +189,80 @@ def _search_direction(
     G_mu averaged over the Re and Im directions of mode k, less lam,
     floored at METRIC_FLOOR * lam (lam > 0 for every nonzero a, since G_mu
     is a positive quartic plus a non-negative quadratic).
-    `mode_curvature` holds 2 mu k.  The direction is tangent / m projected
-    back onto the tangent space at a.
+    `mode_curvature` holds 2 mu k.
     """
-    lam = float(np.real(np.vdot(a, grad)))
+    lam = _inner(a, grad)
     tangent = grad - lam * a
     metric = weights_sq @ (a.real * a.real + a.imag * a.imag)
     metric *= 8.0
     metric += mode_curvature
     metric -= lam
     np.maximum(metric, METRIC_FLOOR * lam, out=metric)
+    return tangent, metric
+
+
+def _metric_direction(
+    a: np.ndarray, tangent: np.ndarray, metric: np.ndarray
+) -> np.ndarray:
+    """tangent / metric projected back onto the tangent space at a."""
     direction = tangent / metric
-    direction -= np.real(np.vdot(a, direction)) * a
-    return tangent, metric, direction
+    direction -= _inner(a, direction) * a
+    return direction
+
+
+def _remember_pair(pairs: deque, s: np.ndarray, y: np.ndarray) -> None:
+    """Append the curvature pair (s, y, 1 / s^T y), as float views of the
+    complex vectors, unless s^T y <= 0, which would make the
+    inverse-Hessian estimate indefinite."""
+    sy = _inner(s, y)
+    if sy > 0:
+        pairs.append((s.view(float), y.view(float), 1.0 / sy))
+
+
+def _lbfgs_direction(
+    a: np.ndarray, tangent: np.ndarray, metric: np.ndarray, pairs: deque
+) -> np.ndarray:
+    """L-BFGS two-loop recursion (Liu and Nocedal, Math. Prog. 45 (1989))
+    applied to the tangent, seeded with gamma / metric, where
+    gamma = s^T y / y^T M^-1 y for the newest pair, and projected onto the
+    tangent space at a.  The stored pairs are used as they are, without
+    vector transport.  `pairs` must not be empty."""
+    q = tangent.copy()
+    qf = q.view(float)
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * s.dot(qf)
+        qf -= alpha * y
+        alphas.append(alpha)
+    inv_metric = 1.0 / metric
+    _, y, rho = pairs[-1]
+    newest = y.view(complex)
+    gamma = 1.0 / (rho * _inner(newest, newest * inv_metric))
+    inv_metric *= gamma
+    r = q * inv_metric
+    rf = r.view(float)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        rf += (alpha - rho * y.dot(rf)) * s
+    r -= _inner(a, r) * a
+    return r
 
 
 def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
-    """Preconditioned Riemannian Barzilai-Borwein descent from a0.
+    """Riemannian L-BFGS descent from a0, in the diagonal metric.
 
-    Each iteration searches along `_search_direction`, with the
-    Barzilai-Borwein step measured in its diagonal metric and a
-    nonmonotone Armijo test on the slope Re<tangent, direction>.
-    Convergence is the Euclidean test |tangent| <= grad_tol.
+    Returns (a, value, residual, iterations, stop), where stop says why
+    the descent ended: "tolerance" (|tangent| <= grad_tol, the Euclidean
+    test), "stall" (the Armijo backtracking reached float resolution),
+    "plateau" (no decrease above rounding for 200 steps) or "budget"
+    (max_iters steps taken).  A plateau or budget stop whose last point
+    meets the tolerance is reported as "tolerance".
+
+    Each iteration searches along `_lbfgs_direction` over the last
+    LBFGS_MEMORY pairs (s = a+ - a, y = tangent+ - tangent), or along
+    `_metric_direction` while no pair is stored or when the L-BFGS slope
+    Re<tangent, direction> is not positive.  The first trial step is 1
+    once a pair is stored (step_init before), and a nonmonotone Armijo
+    test on the slope accepts it or backtracks.
     """
     kern = energy_kernel(config.truncation)
     weights_sq = _squared_weights(config.truncation)
@@ -202,31 +271,30 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     value, grad = kern.value_and_gradient(a, mu)
     # each trial's convolution, reused for the gradient once it is accepted
     cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
-    step = config.step_init
     recent = deque([value], maxlen=NONMONOTONE_MEMORY)
+    pairs = deque(maxlen=LBFGS_MEMORY)
     prev_a = prev_tangent = None
     landmark = value
     since_progress = 0
     iters = 0
+    stop = "budget"
     for iters in range(1, config.max_iters + 1):
-        tangent, metric, direction = _search_direction(
-            a, grad, weights_sq, mode_curvature
-        )
+        tangent, metric = _tangent_and_metric(a, grad, weights_sq, mode_curvature)
         residual = _norm(tangent)
         if residual <= config.grad_tol:
-            return a, value, residual, iters - 1, True
-        slope = float(np.real(np.vdot(tangent, direction)))
-        # Barzilai-Borwein trial step in the metric, safeguarded by
-        # nonmonotone Armijo backtracking
+            return a, value, residual, iters - 1, "tolerance"
         if prev_a is not None:
-            da = a - prev_a
-            dt = tangent - prev_tangent
-            denom = float(np.real(np.vdot(da, dt)))
-            if denom > 0:
-                step = float(np.real(np.vdot(da, metric * da))) / denom
-            step = min(max(step, 1e-12), 1e3)
+            _remember_pair(pairs, a - prev_a, tangent - prev_tangent)
+        trial = config.step_init
+        slope = 0.0
+        if pairs:
+            trial = 1.0
+            direction = _lbfgs_direction(a, tangent, metric, pairs)
+            slope = _inner(tangent, direction)
+        if not slope > 0:
+            direction = _metric_direction(a, tangent, metric)
+            slope = _inner(tangent, direction)
         accepted = False
-        trial = step
         reference = max(recent)
         while trial > 1e-18:
             cand = a - trial * direction
@@ -237,7 +305,8 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
                 break
             trial *= config.backtrack
         if not accepted:
-            break  # stalled at floating-point resolution
+            stop = "stall"  # Armijo backtracking at floating-point resolution
+            break
         prev_a, prev_tangent = a, tangent
         a, value = cand, cand_value
         recent.append(value)
@@ -249,10 +318,12 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         else:
             since_progress += 1
             if since_progress >= 200:
+                stop = "plateau"
                 break
-    lam = float(np.real(np.vdot(a, grad)))
-    residual = _norm(grad - lam * a)
-    return a, value, residual, iters, residual <= config.grad_tol
+    residual = _norm(grad - _inner(a, grad) * a)
+    if residual <= config.grad_tol:
+        stop = "tolerance"
+    return a, value, residual, iters, stop
 
 
 # Catalog starts, in restart order; random states fill the remaining restarts.
@@ -284,19 +355,19 @@ def minimize_G(mu: float, config: OptimizerConfig | None = None) -> Minimization
     """Best sphere-constrained minimizer of G_mu across restarts.
 
     Raises MuNonPositive for mu <= 0, where no global minimizer exists,
-    and NonFiniteParameter for a NaN or infinite mu.  A result that
-    exhausted its budget is returned with converged=False.
+    and NonFiniteParameter for a NaN or infinite mu.  A result whose
+    descent stopped short of the tolerance (Armijo stall, plateau or
+    budget) is returned with converged=False.
     """
     _check_coupling(mu)
     config = config or OptimizerConfig()
     rng = np.random.default_rng(config.seed)
     best = None
     for idx, start in enumerate(_starting_points(config, rng)):
-        a, value, residual, iters, converged = _descend(start, mu, config)
-        key = (value, idx)
-        if best is None or key < best[0]:
-            best = (key, a, residual, iters, converged, idx)
-    _, a, residual, iters, converged, idx = best
+        a, value, residual, iters, stop = _descend(start, mu, config)
+        if best is None or value < best[0] - TIE_MARGIN * max(1.0, abs(best[0])):
+            best = (value, a, residual, iters, stop, idx)
+    _, a, residual, iters, stop, idx = best
     u = FockCoefficients(config.truncation, a)
     rep = fock.functionals(u, mu)
     cls = classify(u)
@@ -309,7 +380,7 @@ def minimize_G(mu: float, config: OptimizerConfig | None = None) -> Minimization
         Q_value=rep.Q,
         H_value=rep.H,
         lagrange_residual=residual,
-        converged=converged,
+        converged=stop == "tolerance",
         iterations=iters,
         restart_index=idx,
         label=cls.label,
@@ -415,9 +486,17 @@ class ZeroCount:
 def count_zeros(u: FockCoefficients, radius: float = DEFAULT_ZERO_RADIUS) -> ZeroCount:
     """Zeros of the polynomial part inside |z| <= radius.
 
-    Roots come from the companion matrix of sum_n a_n z^n / sqrt(n!) after
-    trimming trailing coefficients below 1e-13.  The radius must be finite
-    and non-negative.
+    The polynomial is sum_n a_n z^n / sqrt(n!), with trailing coefficients
+    below 1e-13 trimmed to degree `top`.  Its roots come from the companion
+    matrix in the scaled variable w = z / r, r = (top!)^(1/(2 top)), about
+    sqrt(top / e), which gives the weights r^n / sqrt(n!) the same value 1
+    at n = 0 and n = top.  Those weights are formed in logarithms relative
+    to the largest, about e^(top/(2e)) near n = top/e, so none overflows or
+    underflows below top = 4000 (sqrt(n!) alone overflows at n = 301).
+    The scale sqrt(top) would also stay in range, but it leaves the roots
+    of (phi_0 + phi_350)/sqrt(2) wrong by up to 11 in |z|.  Each residual
+    is |p(w)| / sum_n |c_n w^n|, evaluated in w, on the reversed
+    polynomial when |w| > 1.  The radius must be finite and non-negative.
     """
     if not math.isfinite(radius):
         raise NonFiniteParameter(f"the radius must be finite, got {radius}")
@@ -429,26 +508,28 @@ def count_zeros(u: FockCoefficients, radius: float = DEFAULT_ZERO_RADIUS) -> Zer
         top -= 1
     if top < 0:
         raise DegenerateInput("all coefficients are numerically zero")
-    sqrt_fact = np.ones(top + 1)
-    for n in range(1, top + 1):
-        sqrt_fact[n] = sqrt_fact[n - 1] * math.sqrt(n)
-    poly = a[: top + 1] / sqrt_fact
     if top == 0:
         return ZeroCount(0, radius, (), ())
+    degrees = np.arange(top + 1)
+    log_fact = np.zeros(top + 1)
+    log_fact[1:] = np.cumsum(np.log(degrees[1:]))
+    log_scale = 0.5 * (degrees * (log_fact[top] / top) - log_fact)
+    poly = a[: top + 1] * np.exp(log_scale - log_scale.max())
+    unit = math.exp(log_fact[top] / (2 * top))
     roots = np.roots(poly[::-1])
+    inside = [w for w in roots if abs(w) * unit <= radius]
+    inside.sort(key=lambda w: (abs(w), w.real, w.imag))
     residuals = []
-    for r in roots:
-        powers = r ** np.arange(top + 1)
+    for w in inside:
+        powers = w ** (degrees if abs(w) <= 1.0 else degrees - top)
         val = abs(np.sum(poly * powers))
         scale = float(np.sum(np.abs(poly) * np.abs(powers)))
         residuals.append(val / scale if scale > 0 else val)
-    inside = [i for i, r in enumerate(roots) if abs(r) <= radius]
-    order = sorted(inside, key=lambda i: (abs(roots[i]), roots[i].real, roots[i].imag))
     return ZeroCount(
-        count=len(order),
+        count=len(inside),
         radius=radius,
-        roots=tuple(complex(roots[i]) for i in order),
-        residuals=tuple(float(residuals[i]) for i in order),
+        roots=tuple(complex(w * unit) for w in inside),
+        residuals=tuple(float(r) for r in residuals),
     )
 
 

@@ -206,6 +206,22 @@ class TestMinimizeCommand:
         assert lines[0].startswith("mu,G_min")
         assert len(lines) == 4
 
+    def test_scan_past_truncation_300(self, capsys):
+        # sqrt(n!) overflows at n = 301: the catalog starts and the zero
+        # count once failed there, and this scan exited 1
+        argv = ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3"]
+        code, small, _ = run_capture(capsys, argv)
+        assert code == 0
+        code, large, err = run_capture(capsys, argv + ["--trunc", "384"])
+        assert (code, err) == (0, "")
+        header, *rows = small.strip().split("\n")
+        assert large.strip().split("\n")[0] == header
+        for row, ref in zip(large.strip().split("\n")[1:], rows, strict=True):
+            got, want = row.split(","), ref.split(",")
+            assert float(got[1]) == pytest.approx(float(want[1]), abs=1e-12)
+            assert got[5] == want[5]  # class
+            assert got[7] == want[7]  # n_zeros
+
     def test_semiclassical_pretty(self, capsys):
         code, out, _ = run_capture(
             capsys, ["semiclassical", "--Na", "12.5", "--h", "0.4"]

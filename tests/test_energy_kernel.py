@@ -252,8 +252,8 @@ def test_descent_convolves_once_per_trial(monkeypatch):
     config = minimize.OptimizerConfig(truncation=24, restarts=1)
     rng = np.random.default_rng(7)
     start = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-    *_, iters, converged = minimize._descend(start, 0.3, config)
-    assert converged and iters > 10
+    *_, iters, stop = minimize._descend(start, 0.3, config)
+    assert stop == "tolerance" and iters > 10
     # one convolution for the start, then one per trial point; every
     # accepted trial adds one value_and_gradient call that convolves nothing
     assert counts["convolution"] == counts["value"] + 1
@@ -264,7 +264,7 @@ def test_descent_convolves_once_per_trial(monkeypatch):
 # stdout of `fockmin scan --from 0.1 --to 0.7 --step 0.3` at the default seed
 SCAN_GOLDEN = (
     "mu,G_min,P,H,Qabs,class,b_fit,n_zeros,G_phi0,G_phi1,G_psi1\n"
-    "0.1,0.544724439227,2.31340157117,0.0124691643963,3.61886439131e-09,"
+    "0.1,0.544724439227,2.3134015771,0.0124691643727,1.0057662407e-09,"
     "unclassified,,6,1,0.6,0.9\n"
     "0.4,0.9,1,0.0198943678865,0,phi1,,1,1,0.9,0.975\n"
     "0.7,1,0,0.039788735773,0,phi0,,0,1,1.2,1.05\n"

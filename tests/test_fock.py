@@ -10,6 +10,45 @@ from fockmin import fock
 from fockmin.errors import InvalidParameter, NonFiniteParameter, TruncationTooSmall
 
 
+def loop_displacement_matrix(alpha, size):
+    """The entry-by-entry double loop `fock.displacement_matrix` once ran,
+    kept as the oracle for the vectorized form."""
+    from scipy.special import eval_genlaguerre
+
+    beta = -np.conj(alpha)
+    x = abs(beta) ** 2
+    pref = math.exp(-0.5 * x)
+    log_fact = np.zeros(size)
+    for n in range(1, size):
+        log_fact[n] = log_fact[n - 1] + math.log(n)
+    out = np.zeros((size, size), dtype=complex)
+    for m in range(size):
+        for n in range(size):
+            d = m - n
+            if d >= 0:
+                ratio = math.exp(0.5 * (log_fact[n] - log_fact[m]))
+                out[m, n] = ratio * beta**d * pref * eval_genlaguerre(n, d, x)
+            else:
+                ratio = math.exp(0.5 * (log_fact[m] - log_fact[n]))
+                out[m, n] = (
+                    ratio * (-np.conj(beta)) ** (-d) * pref * eval_genlaguerre(m, -d, x)
+                )
+    return out
+
+
+def log_space_psi_b(b, truncation):
+    """psi_b coefficients with every factorial and power in logarithms."""
+    gam = b / (1.0 + b * b)
+    bet = b * (2.0 + b * b) / (1.0 + b * b)
+    pref = math.exp(-0.5 * gam * gam) / math.sqrt(math.pi * (1.0 + b * b))
+    out = np.zeros(truncation + 1)
+    out[0] = -math.sqrt(math.pi) * pref * bet
+    for n in range(1, truncation + 1):
+        log_ratio = 0.5 * math.lgamma(n + 1) + (n - 1) * math.log(gam) - math.lgamma(n)
+        out[n] = math.sqrt(math.pi) * pref * math.exp(log_ratio) * (1.0 - bet * gam / n)
+    return out
+
+
 def random_state(rng, truncation, support=None):
     support = truncation if support is None else support
     a = np.zeros(truncation + 1, dtype=complex)
@@ -161,6 +200,24 @@ class TestCatalog:
         assert u.coeffs[1] == 2.0
         assert np.all(u.coeffs[2:] == 0.0)
 
+    @pytest.mark.parametrize("b", [0.3, 0.5, 1.0, 2.0, 5.0])
+    def test_psi_b_finite_to_large_truncation(self, b):
+        # sqrt(n!) alone overflows at n = 301; the carried ratio does not
+        u = fock.catalog_coefficients(fock.PsiB(b), 2000)
+        assert np.all(np.isfinite(u.coeffs.view(float)))
+        assert fock.mass(u) == pytest.approx(1.0, abs=1e-14)
+        oracle = log_space_psi_b(b, 2000)
+        normal = np.abs(oracle) > 1e-250
+        assert np.all(np.abs(u.coeffs.imag) == 0)
+        assert np.allclose(u.coeffs.real[normal], oracle[normal], rtol=1e-12, atol=0)
+
+    def test_equality_family_finite_to_large_truncation(self):
+        spec = fock.EqualityFamily(0.6, 0.3 - 0.2j, 0.8 + 0.5j)
+        u = fock.catalog_coefficients(spec, 2000)
+        assert np.all(np.isfinite(u.coeffs.view(float)))
+        small = fock.catalog_coefficients(spec, 64)
+        assert np.array_equal(u.coeffs[:65], small.coeffs)
+
     def test_translated_basis_element_stays_normalized(self):
         u = fock.catalog_coefficients(fock.PhiNAlpha(2, 0.5 + 0.25j), 48)
         assert fock.mass(u) == pytest.approx(1.0, abs=1e-13)
@@ -224,6 +281,16 @@ class TestSymmetries:
         gram = d.conj().T @ d
         defect = np.max(np.abs((gram - np.eye(129))[:65, :65]))
         assert defect <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.1j, 0.7 - 0.3j, -1.2 + 0.7j, 2.5j])
+    @pytest.mark.parametrize("size", [1, 2, 9, 49, 97])
+    def test_displacement_matches_loop_oracle(self, alpha, size):
+        d = fock.displacement_matrix(alpha, size)
+        oracle = loop_displacement_matrix(alpha, size)
+        assert np.array_equal(d == 0, oracle == 0)
+        nonzero = oracle != 0
+        rel = np.abs(d - oracle)[nonzero] / np.abs(oracle[nonzero])
+        assert np.all(rel <= 1e-14)
 
     def test_translation_without_headroom_fails(self):
         u = fock.catalog_coefficients(fock.PhiN(10), 12)

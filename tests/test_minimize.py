@@ -1,10 +1,13 @@
 """Gradient checks, sphere-constrained descent, classification, scans."""
 
 import math
+import warnings
+from collections import deque
 
 import numpy as np
 import pytest
 
+import bb_descent
 from fockmin import fock, minimize as mz
 from fockmin.errors import (
     DegenerateInput,
@@ -141,10 +144,9 @@ class TestMinimize:
 
 
 class TestNonmonotoneLineSearch:
-    """The preconditioned Barzilai-Borwein descent accepts steps against the
-    largest of the last few accepted values, on the slope of its
-    diagonal-metric direction, so it stops backtracking at float
-    resolution."""
+    """The L-BFGS descent accepts steps against the largest of the last few
+    accepted values, on the slope of its search direction, so it stops
+    backtracking at float resolution."""
 
     SCAN = mz.OptimizerConfig(truncation=48, seed=0)
 
@@ -198,9 +200,10 @@ class TestPreconditionedDescent:
         kern = fock.energy_kernel(self.N)
         for a in self._states():
             _, grad = kern.value_and_gradient(a, mu)
-            tangent, metric, direction = mz._search_direction(
+            tangent, metric = mz._tangent_and_metric(
                 a, grad, weights_sq, mode_curvature
             )
+            direction = mz._metric_direction(a, tangent, metric)
             assert np.all(metric > 0)
             assert abs(np.real(np.vdot(a, direction))) <= 1e-14
             slope = np.real(np.vdot(tangent, direction))
@@ -219,7 +222,7 @@ class TestPreconditionedDescent:
         _, grad = kern.value_and_gradient(a, mu)
         lam = np.real(np.vdot(a, grad))
         mode_curvature = 2.0 * mu * np.arange(n + 1, dtype=float)
-        _, metric, _ = mz._search_direction(
+        _, metric = mz._tangent_and_metric(
             a, grad, mz._squared_weights(n), mode_curvature
         )
         averaged = np.zeros(n + 1)
@@ -257,14 +260,161 @@ class TestPreconditionedDescent:
 
             monkeypatch.setattr(fock.EnergyKernel, name, counted)
         mz.scan_mu([0.1, 0.4, 0.7], mz.OptimizerConfig(truncation=48, seed=0))
-        # the unpreconditioned descent made 15,565 calls here
-        assert calls["n"] < 7800
+        # the Barzilai-Borwein descent made 5,151 calls here, and the
+        # unpreconditioned one 15,565; L-BFGS makes 1,742
+        assert calls["n"] <= 1900
 
     def test_large_truncation_iterations(self):
         res = mz.minimize_G(0.1, mz.OptimizerConfig(truncation=192, seed=0))
         assert res.converged
-        # the unpreconditioned descent took 1,705 iterations here
-        assert res.iterations < 600
+        # the Barzilai-Borwein descent took 286 iterations here, and the
+        # unpreconditioned one 1,705; L-BFGS takes 50
+        assert res.iterations < 80
+
+
+class TestLbfgsDescent:
+    """The L-BFGS direction and its pair memory, the stop reasons of the
+    descent, the tie rule between restarts, and agreement with the
+    Barzilai-Borwein descent it replaced."""
+
+    N = 48
+    BENCH_GRID = (0.1, 0.4, 0.7)
+
+    def _pairs(self, rng, a, count):
+        """Curvature pairs with s tangent at a and y = D s + noise."""
+        pairs = deque(maxlen=mz.LBFGS_MEMORY)
+        for _ in range(count):
+            s = 0.1 * random_unit(rng, self.N)
+            s -= np.real(np.vdot(a, s)) * a
+            y = s * rng.uniform(0.2, 3.0, self.N + 1) + 0.01 * random_unit(rng, self.N)
+            mz._remember_pair(pairs, s, y)
+        return pairs
+
+    @pytest.mark.parametrize("mu", [0.02, 0.1, 0.4, 0.7])
+    def test_direction_is_a_tangent_descent_direction(self, mu):
+        rng = np.random.default_rng(12)
+        weights_sq = mz._squared_weights(self.N)
+        mode_curvature = 2.0 * mu * np.arange(self.N + 1, dtype=float)
+        kern = fock.energy_kernel(self.N)
+        states = [fock.catalog_coefficients(s, self.N).coeffs for s in mz._NAMED_STARTS]
+        states += [random_unit(rng, self.N) for _ in range(8)]
+        for a in states:
+            _, grad = kern.value_and_gradient(a, mu)
+            tangent, metric = mz._tangent_and_metric(
+                a, grad, weights_sq, mode_curvature
+            )
+            for count in (1, 3, mz.LBFGS_MEMORY + 2):
+                pairs = self._pairs(rng, a, count)
+                assert 0 < len(pairs) <= mz.LBFGS_MEMORY
+                direction = mz._lbfgs_direction(a, tangent, metric, pairs)
+                scale = np.linalg.norm(direction)
+                assert abs(np.real(np.vdot(a, direction))) <= 1e-14 * max(scale, 1.0)
+                slope = np.real(np.vdot(tangent, direction))
+                if np.any(tangent != 0):
+                    assert slope > 0
+                else:  # phi_0 and phi_1 are exactly stationary
+                    assert slope == 0
+
+    def test_direction_matches_the_dense_bfgs_update(self):
+        # H_0 = gamma M^-1 on the real (re, im) coordinates, updated pair by
+        # pair, oldest first, as H <- V^T H V + rho s s^T, V = I - rho y s^T
+        rng = np.random.default_rng(5)
+        a = random_unit(rng, self.N)
+        tangent = random_unit(rng, self.N)
+        tangent -= np.real(np.vdot(a, tangent)) * a
+        metric = rng.uniform(0.1, 5.0, self.N + 1)
+        pairs = self._pairs(rng, a, mz.LBFGS_MEMORY + 2)
+        _, y_new, rho_new = pairs[-1]
+        inv_metric = np.repeat(1.0 / metric, 2)
+        gamma = 1.0 / (rho_new * y_new.dot(inv_metric * y_new))
+        h = np.diag(gamma * inv_metric)
+        eye = np.eye(h.shape[0])
+        for s, y, rho in pairs:
+            v = eye - rho * np.outer(y, s)
+            h = v.T @ h @ v + rho * np.outer(s, s)
+        expected = (h @ tangent.view(float)).view(complex)
+        expected -= np.real(np.vdot(a, expected)) * a
+        direction = mz._lbfgs_direction(a, tangent, metric, pairs)
+        assert direction == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        # and the secant equation H y = s holds for the newest pair
+        s_new = pairs[-1][0]
+        assert h @ y_new == pytest.approx(s_new, rel=1e-12, abs=1e-14)
+
+    def test_pair_without_positive_curvature_is_dropped(self):
+        n = self.N + 1
+        s = np.zeros(n, dtype=complex)
+        s[1] = 1.0
+        pairs = deque(maxlen=mz.LBFGS_MEMORY)
+        mz._remember_pair(pairs, s, -s)  # s^T y < 0
+        orthogonal = np.zeros(n, dtype=complex)
+        orthogonal[2] = 1j
+        mz._remember_pair(pairs, s, orthogonal)  # s^T y == 0
+        assert len(pairs) == 0
+        mz._remember_pair(pairs, s, 2.0 * s)
+        assert len(pairs) == 1
+        kept_s, kept_y, rho = pairs[0]
+        assert np.array_equal(kept_s.view(complex), s)
+        assert np.array_equal(kept_y.view(complex), 2.0 * s)
+        assert rho == 0.5
+        for _ in range(mz.LBFGS_MEMORY + 3):
+            mz._remember_pair(pairs, s, s)
+        assert len(pairs) == mz.LBFGS_MEMORY
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_bench_restart_stops_on_tolerance(self, seed):
+        config = mz.OptimizerConfig(truncation=self.N, seed=seed)
+        for mu in self.BENCH_GRID:
+            rng = np.random.default_rng(config.seed)
+            for start in mz._starting_points(config, rng):
+                *_, residual, _, stop = mz._descend(start, mu, config)
+                assert stop == "tolerance"
+                assert residual <= config.grad_tol
+
+    def test_budget_stop(self):
+        rng = np.random.default_rng(3)
+        start = random_unit(rng, self.N)
+        for budget in (0, 3):
+            config = mz.OptimizerConfig(truncation=self.N, max_iters=budget)
+            *_, residual, iters, stop = mz._descend(start, 0.3, config)
+            assert (stop, iters) == ("budget", budget)
+            assert residual > config.grad_tol
+        # an exact critical point meets the tolerance without a step
+        phi1 = fock.catalog_coefficients(fock.PhiN(1), self.N).coeffs
+        config = mz.OptimizerConfig(truncation=self.N, max_iters=0)
+        *_, iters, stop = mz._descend(phi1, 0.3, config)
+        assert (stop, iters) == ("tolerance", 0)
+
+    def test_ties_go_to_the_lower_restart_index(self, monkeypatch):
+        config = mz.OptimizerConfig(truncation=self.N, restarts=6, seed=0)
+
+        def run(values):
+            queue = iter(values)
+
+            def fixed(a0, mu, cfg):
+                return a0 / np.linalg.norm(a0), next(queue), 0.0, 0, "tolerance"
+
+            monkeypatch.setattr(mz, "_descend", fixed)
+            return mz.minimize_G(0.7, config).restart_index
+
+        one_ulp_below = math.nextafter(1.0, 0.0)
+        assert run([1.0, 1.2, 1.1, 1.3, 1.4, one_ulp_below]) == 0
+        assert run([1.0, 1.2, 1.1, 1.3, 1.4, 1.0 - 3e-14]) == 5
+        assert run([2.0, 1.0, 1.0 - 1e-15, 1.0, 1.5, 1.2]) == 1
+
+    @pytest.mark.parametrize("seed", range(10, 20))
+    def test_same_minima_as_barzilai_borwein(self, monkeypatch, seed):
+        config = mz.OptimizerConfig(truncation=self.N, seed=seed)
+        rows = mz.scan_mu(self.BENCH_GRID, config)
+
+        def oracle(a0, mu, cfg):
+            a, value, residual, iters, converged = bb_descent._descend(a0, mu, cfg)
+            return a, value, residual, iters, "tolerance" if converged else "budget"
+
+        monkeypatch.setattr(mz, "_descend", oracle)
+        expected = mz.scan_mu(self.BENCH_GRID, config)
+        for row, ref in zip(rows, expected):
+            assert row.label is ref.label
+            assert row.G_min == pytest.approx(ref.G_min, abs=1e-12)
 
 
 class TestClassify:
@@ -317,6 +467,20 @@ class TestZeroCounting:
         assert zc.count == 1
         assert zc.roots[0] == pytest.approx(1.5, abs=1e-10)
         assert all(r <= 1e-10 for r in zc.residuals)
+
+    def test_high_degree_zeros_are_counted(self):
+        # (phi_0 + phi_350)/sqrt(2): all 350 zeros lie on |z| = (350!)^(1/700)
+        a = np.zeros(401, dtype=complex)
+        a[0] = a[350] = 1.0 / math.sqrt(2.0)
+        u = fock.FockCoefficients(400, a)
+        ring = math.exp(math.lgamma(351) / 700)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zc = mz.count_zeros(u, 30.0)
+            assert mz.count_zeros(u, ring - 0.01).count == 0
+        assert zc.count == 350
+        assert max(abs(abs(z) - ring) for z in zc.roots) <= 1e-9 * ring
+        assert max(zc.residuals) <= 1e-10
 
     def test_degenerate_input(self):
         u = fock.FockCoefficients(8, np.zeros(9))
