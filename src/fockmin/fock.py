@@ -93,7 +93,13 @@ class EnergyKernel:
     every intermediate in floating range for any practical truncation.
 
     The weights are stored densely as W[k, l] = w_{k+l, k}, which is
-    symmetric.  The convolution writes the products W[k, l] a_k a_l into
+    symmetric, next to their read-only square
+    `weights_sq[k, l] = C(k+l, k)/2^(k+l)`, which the descent's metric
+    reads.  The square is built once, along each anti-diagonal s = k + l,
+    with one `math.comb` per diagonal and the exact integer step
+    C(s, k+1) = C(s, k)(s-k)/(k+1); each entry is one int true division,
+    which is correctly rounded at any size, and W is its IEEE square root.
+    The convolution writes the products W[k, l] a_k a_l into
     the first n = N + 1 columns of a zeroed (n, 2n) buffer; the first
     n(2n-1) entries of that buffer, read as an (n, 2n-1) array, hold row k
     shifted right by k places, so column j of this sheared view carries
@@ -128,15 +134,16 @@ class EnergyKernel:
     def __init__(self, truncation: int):
         self.truncation = truncation
         n = truncation + 1
-        weights = np.empty((n, n))
-        for k in range(n):
-            for l in range(k, n):
-                # int/int true division is correctly rounded at any size
-                weights[k, l] = weights[l, k] = math.sqrt(
-                    math.comb(k + l, k) / (1 << (k + l))
-                )
-        self.weights = weights
-        self.n_modes = n
+        weights_sq = np.empty((n, n))
+        for s in range(2 * n - 1):
+            lo = max(0, s - truncation)
+            binom, scale = math.comb(s, lo), 1 << s
+            for k in range(lo, s // 2 + 1):
+                weights_sq[k, s - k] = weights_sq[s - k, k] = binom / scale
+                binom = binom * (s - k) // (k + 1)
+        weights_sq.setflags(write=False)
+        self.weights_sq = weights_sq
+        self.weights = weights = np.sqrt(weights_sq)
         self.mode_index = np.arange(n, dtype=float)
         self._weights_c = weights.astype(complex)
         self._weights4_c = (4.0 * weights).astype(complex)

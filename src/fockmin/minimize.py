@@ -14,7 +14,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +61,12 @@ CLASSIFY_OVERLAP_THRESHOLD = 1.0 - 1e-4
 # decrease below one ulp of G, so it rejects good steps by rounding alone.
 NONMONOTONE_MEMORY = 10
 
+# The first trial step before any L-BFGS pair is stored, the factor each
+# rejected trial is shrunk by, and the Armijo sufficient-decrease fraction.
+STEP_INIT = 0.2
+BACKTRACK = 0.5
+ARMIJO = 1e-4
+
 # The descent direction is the L-BFGS two-loop recursion over the last
 # LBFGS_MEMORY curvature pairs (Huang, Gallivan and Absil, SIAM J. Optim. 25
 # (2015), for the Riemannian form), seeded with the diagonal metric below.
@@ -85,9 +90,6 @@ class OptimizerConfig:
     restarts: int = 8
     max_iters: int = 20000
     grad_tol: float = 1e-8
-    step_init: float = 0.2
-    backtrack: float = 0.5
-    armijo: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -158,19 +160,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-@lru_cache(maxsize=16)
-def _squared_weights(truncation: int) -> np.ndarray:
-    """c[k, l] = C(k+l, k) / 2^(k+l), the square of the kernel weight
-    w_{k+l,k}."""
-    n = truncation + 1
-    table = np.empty((n, n))
-    for k in range(n):
-        for l in range(k, n):
-            table[k, l] = table[l, k] = math.comb(k + l, k) / (1 << (k + l))
-    table.setflags(write=False)
-    return table
-
-
 def _inner(x: np.ndarray, y: np.ndarray) -> float:
     """Real inner product Re<x, y> of two contiguous complex vectors: the
     dot product of their interleaved (re, im) float views."""
@@ -189,7 +178,8 @@ def _tangent_and_metric(
     G_mu averaged over the Re and Im directions of mode k, less lam,
     floored at METRIC_FLOOR * lam (lam > 0 for every nonzero a, since G_mu
     is a positive quartic plus a non-negative quadratic).
-    `mode_curvature` holds 2 mu k.
+    `weights_sq` holds c_kl = C(k+l, k)/2^(k+l), the energy kernel's
+    `weights_sq`, and `mode_curvature` holds 2 mu k.
     """
     lam = _inner(a, grad)
     tangent = grad - lam * a
@@ -261,11 +251,11 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     LBFGS_MEMORY pairs (s = a+ - a, y = tangent+ - tangent), or along
     `_metric_direction` while no pair is stored or when the L-BFGS slope
     Re<tangent, direction> is not positive.  The first trial step is 1
-    once a pair is stored (step_init before), and a nonmonotone Armijo
+    once a pair is stored (STEP_INIT before), and a nonmonotone Armijo
     test on the slope accepts it or backtracks.
     """
     kern = energy_kernel(config.truncation)
-    weights_sq = _squared_weights(config.truncation)
+    weights_sq = kern.weights_sq
     mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
     a = a0 / _norm(a0)
     value, grad = kern.value_and_gradient(a, mu)
@@ -285,7 +275,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             return a, value, residual, iters - 1, "tolerance"
         if prev_a is not None:
             _remember_pair(pairs, a - prev_a, tangent - prev_tangent)
-        trial = config.step_init
+        trial = STEP_INIT
         slope = 0.0
         if pairs:
             trial = 1.0
@@ -300,10 +290,10 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             cand = a - trial * direction
             cand = cand / _norm(cand)
             cand_value = kern.value(cand, mu, cand_ct)
-            if cand_value <= reference - config.armijo * trial * slope:
+            if cand_value <= reference - ARMIJO * trial * slope:
                 accepted = True
                 break
-            trial *= config.backtrack
+            trial *= BACKTRACK
         if not accepted:
             stop = "stall"  # Armijo backtracking at floating-point resolution
             break

@@ -2,8 +2,10 @@
 
 `fockmin.minimize._descend` once took Barzilai-Borwein steps along the
 diagonal-metric direction; it now takes L-BFGS steps.  `_search_direction`
-and `_descend` below are that earlier code, verbatim, so the tests can
-check that both descents reach the same minima.  `_descend` returns
+and `_descend` below are that earlier code, verbatim except that the
+squared weights come from the energy kernel and the line-search
+constants from the module, where the current descent reads them, so the
+tests can check that both descents reach the same minima.  `_descend` returns
 (a, value, residual, iterations, converged).
 """
 
@@ -15,11 +17,13 @@ import numpy as np
 
 from fockmin.fock import energy_kernel
 from fockmin.minimize import (
+    ARMIJO,
+    BACKTRACK,
     METRIC_FLOOR,
     NONMONOTONE_MEMORY,
+    STEP_INIT,
     OptimizerConfig,
     _norm,
-    _squared_weights,
 )
 
 
@@ -59,13 +63,13 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     Convergence is the Euclidean test |tangent| <= grad_tol.
     """
     kern = energy_kernel(config.truncation)
-    weights_sq = _squared_weights(config.truncation)
+    weights_sq = kern.weights_sq
     mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
     a = a0 / _norm(a0)
     value, grad = kern.value_and_gradient(a, mu)
     # each trial's convolution, reused for the gradient once it is accepted
     cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
-    step = config.step_init
+    step = STEP_INIT
     recent = deque([value], maxlen=NONMONOTONE_MEMORY)
     prev_a = prev_tangent = None
     landmark = value
@@ -95,10 +99,10 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             cand = a - trial * direction
             cand = cand / _norm(cand)
             cand_value = kern.value(cand, mu, cand_ct)
-            if cand_value <= reference - config.armijo * trial * slope:
+            if cand_value <= reference - ARMIJO * trial * slope:
                 accepted = True
                 break
-            trial *= config.backtrack
+            trial *= BACKTRACK
         if not accepted:
             break  # stalled at floating-point resolution
         prev_a, prev_tangent = a, tangent

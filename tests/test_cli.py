@@ -212,15 +212,16 @@ class TestMinimizeCommand:
         argv = ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3"]
         code, small, _ = run_capture(capsys, argv)
         assert code == 0
-        code, large, err = run_capture(capsys, argv + ["--trunc", "384"])
-        assert (code, err) == (0, "")
         header, *rows = small.strip().split("\n")
-        assert large.strip().split("\n")[0] == header
-        for row, ref in zip(large.strip().split("\n")[1:], rows, strict=True):
-            got, want = row.split(","), ref.split(",")
-            assert float(got[1]) == pytest.approx(float(want[1]), abs=1e-12)
-            assert got[5] == want[5]  # class
-            assert got[7] == want[7]  # n_zeros
+        for trunc in ("384", "768"):
+            code, large, err = run_capture(capsys, argv + ["--trunc", trunc])
+            assert (code, err) == (0, "")
+            assert large.strip().split("\n")[0] == header
+            for row, ref in zip(large.strip().split("\n")[1:], rows, strict=True):
+                got, want = row.split(","), ref.split(",")
+                assert float(got[1]) == pytest.approx(float(want[1]), abs=1e-12)
+                assert got[5] == want[5]  # class
+                assert got[7] == want[7]  # n_zeros
 
     def test_semiclassical_pretty(self, capsys):
         code, out, _ = run_capture(

@@ -1,7 +1,8 @@
 """The sheared-row energy kernel against the index-table kernel it replaced.
 
 `BincountKernel` is the earlier `fock.EnergyKernel`, kept verbatim as the
-oracle: every result of the current kernel must equal it bit for bit, on
+oracle, plus the squared-weight table that the descent reads from the
+kernel: every result of the current kernel must equal it bit for bit, on
 both the convolving path and the path that reuses a trial's ct, and the
 CLI must print the same bytes with either kernel in place.
 """
@@ -12,6 +13,17 @@ import numpy as np
 import pytest
 
 from fockmin import cli, fock, minimize
+
+
+def _comb_table(truncation):
+    """C(k+l, k) / 2^(k+l) with one `math.comb` per entry: the double loop
+    that built the squared weights before the anti-diagonal recurrence."""
+    n = truncation + 1
+    table = np.empty((n, n))
+    for k in range(n):
+        for l in range(k, n):
+            table[k, l] = table[l, k] = math.comb(k + l, k) / (1 << (k + l))
+    return table
 
 
 class BincountKernel:
@@ -42,6 +54,7 @@ class BincountKernel:
         self.n_j = 2 * truncation + 1
         self.n_modes = n
         self.mode_index = np.arange(n, dtype=float)
+        self.weights_sq = _comb_table(truncation)
 
     def convolution(self, a: np.ndarray) -> np.ndarray:
         """The weighted self-convolution ct_j for all j."""
@@ -201,6 +214,18 @@ class TestBitIdentity:
         n, new, old = kernels
         assert np.array_equal(new.weights, new.weights.T)
         assert _bits(new.weights[old.k_ids, old.l_ids]) == _bits(old.weights)
+
+
+def test_weights_sq_is_the_comb_table():
+    # every entry of the anti-diagonal recurrence equals its own
+    # `math.comb` quotient bit for bit, and W is its IEEE square root
+    for n in (8, 9, 48, 192, 384):
+        kern = fock.EnergyKernel(n)
+        assert _bits(kern.weights_sq) == _bits(_comb_table(n))
+        assert _bits(kern.weights) == _bits(np.sqrt(kern.weights_sq))
+        assert not kern.weights_sq.flags.writeable
+        with pytest.raises(ValueError):
+            kern.weights_sq[0, 0] = 0.0
 
 
 def _patched_run(monkeypatch, capsys, argv):

@@ -195,9 +195,9 @@ class TestPreconditionedDescent:
 
     @pytest.mark.parametrize("mu", [0.02, 0.1, 0.4, 0.7])
     def test_direction_is_a_tangent_descent_direction(self, mu):
-        weights_sq = mz._squared_weights(self.N)
-        mode_curvature = 2.0 * mu * np.arange(self.N + 1, dtype=float)
         kern = fock.energy_kernel(self.N)
+        weights_sq = kern.weights_sq
+        mode_curvature = 2.0 * mu * np.arange(self.N + 1, dtype=float)
         for a in self._states():
             _, grad = kern.value_and_gradient(a, mu)
             tangent, metric = mz._tangent_and_metric(
@@ -223,7 +223,7 @@ class TestPreconditionedDescent:
         lam = np.real(np.vdot(a, grad))
         mode_curvature = 2.0 * mu * np.arange(n + 1, dtype=float)
         _, metric = mz._tangent_and_metric(
-            a, grad, mz._squared_weights(n), mode_curvature
+            a, grad, kern.weights_sq, mode_curvature
         )
         averaged = np.zeros(n + 1)
         for k in range(n + 1):
@@ -236,11 +236,6 @@ class TestPreconditionedDescent:
         floor = mz.METRIC_FLOOR * lam
         assert metric == pytest.approx(np.maximum(averaged - lam, floor), rel=1e-6)
         assert np.any(metric > floor) and np.any(metric == floor)
-
-    def test_squared_weights_are_the_kernel_weights_squared(self):
-        n = 40
-        c = mz._squared_weights(n)
-        assert np.allclose(c, fock.EnergyKernel(n).weights ** 2, rtol=1e-15, atol=0)
 
     def test_norm_has_the_bits_of_linalg_norm(self):
         rng = np.random.default_rng(9)
@@ -293,9 +288,9 @@ class TestLbfgsDescent:
     @pytest.mark.parametrize("mu", [0.02, 0.1, 0.4, 0.7])
     def test_direction_is_a_tangent_descent_direction(self, mu):
         rng = np.random.default_rng(12)
-        weights_sq = mz._squared_weights(self.N)
-        mode_curvature = 2.0 * mu * np.arange(self.N + 1, dtype=float)
         kern = fock.energy_kernel(self.N)
+        weights_sq = kern.weights_sq
+        mode_curvature = 2.0 * mu * np.arange(self.N + 1, dtype=float)
         states = [fock.catalog_coefficients(s, self.N).coeffs for s in mz._NAMED_STARTS]
         states += [random_unit(rng, self.N) for _ in range(8)]
         for a in states:
