@@ -329,7 +329,7 @@ def _cmd_mu0(args) -> int:
 
 
 def _cmd_semiclassical(args) -> int:
-    rep = mz.semiclassical(args.Na, 1.0, args.h)
+    rep = mz.semiclassical(args.Na, args.h)
     data = {
         "h": rep.h,
         "Na": rep.Na,
@@ -395,6 +395,11 @@ def run(argv) -> int:
         return EXIT_NUMERICAL
     except FockminError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # e.g. a --trunc whose tables do not fit: numpy names the size
+        detail = str(exc) or "allocation failed"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -477,9 +477,12 @@ def catalog_coefficients(spec: WaveSpec, truncation: int) -> FockCoefficients:
         if spec.n < 0:
             raise InvalidParameter("basis index must be non-negative")
         base = catalog_coefficients(PhiN(spec.n), truncation)
-        d = displacement_matrix(-np.conj(spec.alpha), truncation + 1)
-        out = d @ base.coeffs
-        defect = 1.0 - float(np.sum(out.real**2 + out.imag**2))
+        # an alpha past float range overflows here; FockCoefficients'
+        # finiteness check below reports it, so numpy stays quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = displacement_matrix(-np.conj(spec.alpha), truncation + 1)
+            out = d @ base.coeffs
+            defect = 1.0 - float(np.sum(out.real**2 + out.imag**2))
         if defect > CATALOG_TAIL_TOL:
             raise TruncationTooSmall(
                 f"translated phi_{spec.n} tail mass {defect:.3e} exceeds "
@@ -501,10 +504,11 @@ def catalog_coefficients(spec: WaveSpec, truncation: int) -> FockCoefficients:
         probe = _equality_family_coefficients(
             spec.a0, spec.a1, spec.c, truncation + 16
         )
-        total = float(np.sum(probe.real**2 + probe.imag**2))
-        tail = float(
-            np.sum(probe[truncation + 1 :].real ** 2 + probe[truncation + 1 :].imag ** 2)
-        )
+        rest = probe[truncation + 1 :]
+        # as for PhiNAlpha: overflow is reported by the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(probe.real**2 + probe.imag**2))
+            tail = float(np.sum(rest.real**2 + rest.imag**2))
         if total > 0 and tail > CATALOG_TAIL_TOL * total:
             raise TruncationTooSmall(
                 f"equality-family tail mass {tail / total:.3e} exceeds "

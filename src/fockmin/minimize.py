@@ -417,9 +417,7 @@ def _max_overlap_over_rotation(target: np.ndarray, a: np.ndarray) -> float:
     return max(fc, fd)
 
 
-def classify(
-    u: FockCoefficients, *, threshold: float = CLASSIFY_OVERLAP_THRESHOLD
-) -> Classification:
+def classify(u: FockCoefficients) -> Classification:
     """Label a unit-mass state against the stationary catalog.
 
     Symmetries are quotiented before comparing: the state is displaced so
@@ -443,16 +441,16 @@ def classify(
             u = FockCoefficients(u.truncation, a)
     overlap0 = abs(a[0])
     overlap1 = abs(a[1]) if a.shape[0] > 1 else 0.0
-    if overlap0 >= threshold:
+    if overlap0 >= CLASSIFY_OVERLAP_THRESHOLD:
         return Classification(MinimizerClass.PHI0, overlap0, None)
-    if overlap1 >= threshold:
+    if overlap1 >= CLASSIFY_OVERLAP_THRESHOLD:
         return Classification(MinimizerClass.PHI1, overlap1, None)
     p = fock.angular_momentum(u)
     if 0.0 < p <= 1.0 + 1e-9:
         b_fit = math.sqrt(max(1.0 / math.sqrt(min(p, 1.0)) - 1.0, 0.0))
         target = catalog_coefficients(PsiB(b_fit), u.truncation).coeffs
         overlap_b = _max_overlap_over_rotation(target, a)
-        if overlap_b >= threshold:
+        if overlap_b >= CLASSIFY_OVERLAP_THRESHOLD:
             return Classification(MinimizerClass.PSI_B, overlap_b, b_fit)
         best = max(overlap0, overlap1, overlap_b)
     else:
@@ -684,7 +682,7 @@ def _threshold_h(kappa: float, Na: float) -> float:
     return math.sqrt(c / (1.0 + c))
 
 
-def semiclassical(N_param: float, a_param: float, h: float) -> SemiclassicalReport:
+def semiclassical(Na: float, h: float) -> SemiclassicalReport:
     """Semiclassical regime report for trap strength h and interaction Na.
 
     The effective coupling is mu_eff = 4 pi h^2 / (Na * Omega_h^2) with
@@ -692,18 +690,17 @@ def semiclassical(N_param: float, a_param: float, h: float) -> SemiclassicalRepo
     5/32, and the two closed-form energies are
     E(phi_0,h) = Na*Omega^2/(4 pi h) + h,  E(phi_1,h) = Na*Omega^2/(8 pi h) + 2h.
     """
-    for name, value in (("N", N_param), ("a", a_param), ("h", h)):
+    for name, value in (("Na", Na), ("h", h)):
         if not math.isfinite(value):
             raise NonFiniteParameter(f"{name} must be finite, got {value}")
     if not 0.0 < h < 1.0:
         raise InvalidParameter("h must lie in (0, 1)")
-    if N_param <= 0 or a_param <= 0:
-        raise InvalidParameter("N and a must be positive")
-    na = N_param * a_param
+    if Na <= 0:
+        raise InvalidParameter("Na must be positive")
     omega_sq = 1.0 - h * h
-    mu_eff = 4.0 * math.pi * h * h / (na * omega_sq)
-    e0 = na * omega_sq / (4.0 * math.pi * h) + h
-    e1 = na * omega_sq / (8.0 * math.pi * h) + 2.0 * h
+    mu_eff = 4.0 * math.pi * h * h / (Na * omega_sq)
+    e0 = Na * omega_sq / (4.0 * math.pi * h) + h
+    e1 = Na * omega_sq / (8.0 * math.pi * h) + 2.0 * h
     if mu_eff > KAPPA_ZERO:
         regime = "gaussian-unique"
     elif mu_eff > KAPPA_INF:
@@ -712,11 +709,11 @@ def semiclassical(N_param: float, a_param: float, h: float) -> SemiclassicalRepo
         regime = "infinitely-many-zeros"
     return SemiclassicalReport(
         h=h,
-        Na=na,
+        Na=Na,
         omega_sq=omega_sq,
         mu_eff=mu_eff,
-        h_at_half=_threshold_h(KAPPA_ZERO, na),
-        h_at_532=_threshold_h(KAPPA_INF, na),
+        h_at_half=_threshold_h(KAPPA_ZERO, Na),
+        h_at_532=_threshold_h(KAPPA_INF, Na),
         energy_phi0=e0,
         energy_phi1=e1,
         regime=regime,

@@ -6,9 +6,10 @@ through a symmetric centrosymmetric matrix of order j+1.  Every entry of
 numerators over 2^s (`BlockMatrix`) and every exact step is integer
 arithmetic: this module builds the blocks, reduces them to their
 symmetric-sector half (the anti-diagonal flip splits the spectrum), peels
-off the rank-one all-ones part, checks the two exact kernel vectors, and
-provides congruence-scaled floating-point views for eigenvalue checks and
-exact strings for printing.  The sqrt2 on the border of an even-index
+off the rank-one all-ones part (kept as its one value kappa = j!/2^j, never
+as a block), checks the two exact kernel vectors, and provides
+congruence-scaled floating-point views for eigenvalue checks and exact
+strings for printing.  The sqrt2 on the border of an even-index
 reduction is carried by a congruence (see `centro_decompose`), never
 stored.
 
@@ -57,7 +58,6 @@ class BlockKind(Enum):
     FULL_E = "E"
     REDUCED_S = "S"
     TRIDIAGONAL_T = "T"
-    RANK_ONE_K = "K"
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def rank_one_split(reduced: BlockMatrix):
 
     The leading block L (all of S for odd j, R for even j) is T + K with
     K = kappa·ones, kappa = j!/2^j.  T = L - K is formed exactly and must
-    vanish off its three diagonals.  Returns (T, K, delta) with
+    vanish off its three diagonals.  Returns (T, kappa, delta) with
     delta = trace(K): (j+1)!/2^{j+1} for odd j, (j/2)·j!/2^j for even j.
     """
     if reduced.kind is not BlockKind.REDUCED_S:
@@ -195,10 +195,7 @@ def rank_one_split(reduced: BlockMatrix):
                     f"block at ({i},{l}) for j={j}"
                 )
     t_block = BlockMatrix(j, BlockKind.TRIDIAGONAL_T, shift, _freeze(t))
-    k_block = BlockMatrix(
-        j, BlockKind.RANK_ONE_K, shift, _freeze([[kappa] * order for _ in range(order)])
-    )
-    return t_block, k_block, Fraction(order * math.factorial(j), 2**j)
+    return t_block, Fraction(kappa, 1 << shift), Fraction(order * kappa, 1 << shift)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +367,14 @@ def interlacing_check(j: int) -> InterlacingReport:
 # ---------------------------------------------------------------------------
 
 
-def block_quadratic_value(coeffs: np.ndarray, j_max: int | None = None) -> float:
+def block_quadratic_value(coeffs: np.ndarray) -> float:
     """Evaluate the quartic functional as sum_j conj(A_j)^T B^(j) A_j with
     A_{jk} = a_k a_{j-k} / sqrt(k!(j-k)!), using the scaled blocks so the
     weights cancel exactly."""
     a = np.asarray(coeffs, dtype=complex)
     n = a.shape[0] - 1
-    top = 2 * n if j_max is None else min(j_max, 2 * n)
     total = 0.0
-    for j in range(top + 1):
+    for j in range(2 * n + 1):
         scaled = scaled_block(build_B_block(j))
         g = np.zeros(j + 1, dtype=complex)
         for k in range(j + 1):

@@ -330,7 +330,7 @@ def test_criterion_11_momentum_monotonicity_on_scan():
 def test_criterion_12_semiclassical():
     worst = 0.0
     for na, h in ((4.0 * math.pi / 0.75, 0.5), (7.0, 0.3), (30.0, 0.8)):
-        rep = mz.semiclassical(na, 1.0, h)
+        rep = mz.semiclassical(na, h)
         om2 = 1.0 - h * h
         worst = max(
             worst, abs(rep.energy_phi0 - (na * om2 / (4 * math.pi * h) + h))
@@ -340,22 +340,22 @@ def test_criterion_12_semiclassical():
         )
     assert worst <= 1e-12
     na = 10.0
-    base = mz.semiclassical(na, 1.0, 0.5)
+    base = mz.semiclassical(na, 0.5)
     eps = 1e-9
-    assert mz.semiclassical(na, 1.0, base.h_at_half + eps).regime == "gaussian-unique"
+    assert mz.semiclassical(na, base.h_at_half + eps).regime == "gaussian-unique"
     assert (
-        mz.semiclassical(na, 1.0, base.h_at_half - eps).regime
+        mz.semiclassical(na, base.h_at_half - eps).regime
         == "first-excited-window"
     )
     assert (
-        mz.semiclassical(na, 1.0, base.h_at_532 + eps).regime
+        mz.semiclassical(na, base.h_at_532 + eps).regime
         == "first-excited-window"
     )
     assert (
-        mz.semiclassical(na, 1.0, base.h_at_532 - eps).regime
+        mz.semiclassical(na, base.h_at_532 - eps).regime
         == "infinitely-many-zeros"
     )
-    assert mz.semiclassical(na, 1.0, base.h_at_half).mu_eff == pytest.approx(
+    assert mz.semiclassical(na, base.h_at_half).mu_eff == pytest.approx(
         0.5, rel=1e-12
     )
     report(12, f"closed-form energies to {worst:.1e} <= 1e-12; labels flip at "

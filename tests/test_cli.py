@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,12 +57,24 @@ class TestCertifyCommand:
         assert all(" pass " in l for l in lines)
 
 
+def oracle_transition(j):
+    """The first n >= 2 where the closed form (j-2)!/(j-n)!·((j-2n)^2 - j)
+    of the minor sequence is negative."""
+    return next(n for n in range(2, j) if (j - 2 * n) ** 2 < j)
+
+
+def test_oracle_transition_is_the_certificate_transition():
+    for j in range(6, 401):
+        cert = sturm.positivity_certificate(j)
+        assert oracle_transition(j) == cert.transition_index, j
+
+
 def oracle_certify(max_j, exact_max_j=200, eigs=True):
-    """`certify` stdout assembled from the oracle's Rt2 build, reduction,
-    matvec and float view."""
+    """`certify` stdout assembled from the closed-form transition and the
+    oracle's Rt2 build, reduction, matvec and float view."""
     lines = []
     for j in range(6, max_j + 1):
-        checks = [f"sturm transition={sturm.positivity_certificate(j).transition_index}"]
+        checks = [f"sturm transition={oracle_transition(j)}"]
         if j <= exact_max_j:
             reduced = oracle.centro_decompose(oracle.build_B_block(j)).S
             v, w = oracle.null_vectors(j)
@@ -327,6 +340,48 @@ class TestErrorPaths:
         assert code == 0
         assert "class = phi0\n" in out
         assert err == ""
+
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        # the kernel build is made to fail as numpy does at this truncation,
+        # without allocating
+        message = (
+            "Unable to allocate 7.28 TiB for an array with shape "
+            "(1000001, 1000001) and data type float64"
+        )
+
+        def no_room(self, truncation):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(fock.EnergyKernel, "__init__", no_room)
+        code, out, err = run_capture(
+            capsys, ["minimize", "--mu", "0.3", "--trunc", "1000000", "--restarts", "1"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: out of memory: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--wave", "equality", "--c-re", "1e200"], id="equality"),
+            pytest.param(
+                ["--wave", "phi_n_alpha", "--alpha-re", "1e10"], id="phi_n_alpha"
+            ),
+        ],
+    )
+    def test_catalog_overflow_is_one_error_line(self, capsys, tmp_path, argv):
+        # numpy's overflow warnings would come first; under "error" they
+        # escape as exceptions instead
+        out_path = tmp_path / "state.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(
+                capsys, ["catalog", *argv, "--out", str(out_path)]
+            )
+        assert code == 1
+        assert out == ""
+        assert err == "error: coefficients must be finite\n"
+        assert not out_path.exists()
 
     def test_bad_coefficient_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -593,7 +593,7 @@ class TestSemiclassical:
     def test_closed_form_energies(self):
         # hold Na*Omega^2 = 4 pi fixed at h = 1/2: Na = 4 pi / (1 - 1/4)
         na = 4.0 * math.pi / 0.75
-        rep = mz.semiclassical(na, 1.0, 0.5)
+        rep = mz.semiclassical(na, 0.5)
         assert rep.energy_phi0 == pytest.approx(2.5, abs=1e-12)
         assert rep.energy_phi1 == pytest.approx(2.0, abs=1e-12)
 
@@ -601,7 +601,7 @@ class TestSemiclassical:
         # independent evaluation of Na*Omega^2/(4 pi h) + h and the
         # first-excited analog Na*Omega^2/(8 pi h) + 2h
         for na, h in ((7.0, 0.3), (20.0, 0.8), (1.0, 0.05)):
-            rep = mz.semiclassical(na, 1.0, h)
+            rep = mz.semiclassical(na, h)
             om2 = 1.0 - h * h
             assert rep.energy_phi0 == pytest.approx(
                 na * om2 / (4 * math.pi * h) + h, rel=1e-14
@@ -611,37 +611,36 @@ class TestSemiclassical:
             )
 
     def test_threshold_self_consistency(self):
-        rep = mz.semiclassical(10.0, 1.0, 0.4)
+        rep = mz.semiclassical(10.0, 0.4)
         for kappa, h_star in ((0.5, rep.h_at_half), (5.0 / 32.0, rep.h_at_532)):
-            probe = mz.semiclassical(10.0, 1.0, h_star)
+            probe = mz.semiclassical(10.0, h_star)
             assert probe.mu_eff == pytest.approx(kappa, rel=1e-12)
 
     def test_regime_flips(self):
         na = 4.0 * math.pi
-        h_half = mz.semiclassical(na, 1.0, 0.5).h_at_half
-        h_532 = mz.semiclassical(na, 1.0, 0.5).h_at_532
+        h_half = mz.semiclassical(na, 0.5).h_at_half
+        h_532 = mz.semiclassical(na, 0.5).h_at_532
         eps = 1e-9
-        assert mz.semiclassical(na, 1.0, h_half + eps).regime == "gaussian-unique"
+        assert mz.semiclassical(na, h_half + eps).regime == "gaussian-unique"
         assert (
-            mz.semiclassical(na, 1.0, h_half - eps).regime == "first-excited-window"
+            mz.semiclassical(na, h_half - eps).regime == "first-excited-window"
         )
         assert (
-            mz.semiclassical(na, 1.0, h_532 + eps).regime == "first-excited-window"
+            mz.semiclassical(na, h_532 + eps).regime == "first-excited-window"
         )
         assert (
-            mz.semiclassical(na, 1.0, h_532 - eps).regime == "infinitely-many-zeros"
+            mz.semiclassical(na, h_532 - eps).regime == "infinitely-many-zeros"
         )
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):
-            mz.semiclassical(1.0, 1.0, 0.0)
+            mz.semiclassical(1.0, 0.0)
         with pytest.raises(InvalidParameter):
-            mz.semiclassical(-1.0, 1.0, 0.5)
+            mz.semiclassical(-1.0, 0.5)
 
     @pytest.mark.parametrize(
         "args",
-        [(math.nan, 1.0, 0.5), (math.inf, 1.0, 0.5), (1.0, math.nan, 0.5),
-         (1.0, 1.0, math.nan)],
+        [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)],
     )
     def test_rejects_non_finite_parameters(self, args):
         with pytest.raises(NonFiniteParameter):

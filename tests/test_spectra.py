@@ -185,20 +185,19 @@ class TestCentroDecomposition:
 class TestRankOneSplit:
     def test_even_reassembly_printed(self):
         reduced = spectra.centro_decompose(spectra.build_B_block(4))
-        t, k, delta = spectra.rank_one_split(reduced)
+        t, kappa, delta = spectra.rank_one_split(reduced)
         assert t.rows[0][0] == 0
-        kappa = Fraction(3, 2)
-        assert all(Fraction(e, 2**k.shift) == kappa for row in k.rows for e in row)
+        assert kappa == Fraction(3, 2)
         assert delta == Fraction(3)
 
     def test_odd_trace_is_delta(self):
         # remaining eigenvalue of the rank-one part is its trace
         for j in (7, 9, 15, 21):
             reduced = spectra.centro_decompose(spectra.build_B_block(j))
-            t, k, delta = spectra.rank_one_split(reduced)
+            t, kappa, delta = spectra.rank_one_split(reduced)
             p = (j + 1) // 2
-            trace = sum(Fraction(k.rows[i][i], 2**k.shift) for i in range(p))
-            assert trace == delta
+            assert t.order == p
+            assert p * kappa == delta
 
     def test_delta_value_j7(self):
         reduced = spectra.centro_decompose(spectra.build_B_block(7))
@@ -210,11 +209,12 @@ class TestRankOneSplit:
         # oracle's closed-form T, which the oracle checks against its S
         for j in range(4, 40):
             reduced = spectra.centro_decompose(spectra.build_B_block(j))
-            t, k, _ = spectra.rank_one_split(reduced)
+            t, kappa, _ = spectra.rank_one_split(reduced)
             decomp = oracle.centro_decompose(oracle.build_B_block(j))
             t_oracle, k_oracle, _ = oracle.rank_one_split(decomp)
             assert as_rt2(t) == t_oracle.entries
-            assert as_rt2(k) == k_oracle.entries
+            assert len(k_oracle.entries) == t.order
+            assert all(e == Rt2(kappa) for row in k_oracle.entries for e in row)
 
 
 class TestNullVectors:
@@ -338,6 +338,17 @@ class TestScaledBlocks:
             assert rows[i] == [factor * x for x in base]
         eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
         assert abs(eigs[0]) <= 1e-12 and abs(eigs[1]) <= 1e-12 and eigs[2] > 0
+
+    def test_reduced_spectrum_begins_0_0_half(self):
+        # the two exact kernel vectors, then the smallest positive
+        # eigenvalue, exactly 1/2 for every j >= 4
+        for j in range(6, 81):
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
+            norm = max(abs(eigs[0]), abs(eigs[-1]))
+            assert abs(eigs[0]) <= 1e-12 * norm, j
+            assert abs(eigs[1]) <= 1e-12 * norm, j
+            assert abs(eigs[2] - 0.5) <= 1e-12, j
 
     def test_eigenvalues_sorted_diagonal(self):
         eigs = spectra.symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0]))

@@ -42,9 +42,7 @@ class TestClosedForm:
 
     def test_matches_recurrence(self):
         for j in (7, 9, 12, 20, 31, 44):
-            cert = sturm.sturm_sequence(j)
-            m = cert.half_order
-            top = 2 * m - 3 if cert.parity == "odd" else 2 * m - 2
+            top = j - 2
             vals = sturm.recurrence_values(j, top + 1)
             for n in range(2, top + 1):
                 assert sturm.closed_form(j, n) == vals[n]
@@ -82,9 +80,8 @@ class TestScalings:
         import math
 
         cert = sturm.sturm_sequence(9)
-        p = cert.half_order
         assert cert.scalings[0] == Fraction(1)
-        assert cert.scalings[1] == Fraction(math.factorial(2 * p - 1), 8)
+        assert cert.scalings[1] == Fraction(math.factorial(9), 8)
 
     @pytest.mark.parametrize("j", [7, 8, 9, 10, 15, 16, 33, 40, 59, 60])
     def test_scaled_integers_reproduce_exact_minors(self, j):
@@ -93,6 +90,8 @@ class TestScalings:
         reduced = spectra.centro_decompose(spectra.build_B_block(j))
         t_block, _, _ = spectra.rank_one_split(reduced)
         order = t_block.order
+        # the extracted tridiagonal's order p-1 minors for odd j, the full
+        # tridiagonal's q+1 for even j: j//2 + 1 either way
         count = order if j % 2 == 1 else order + 1
         scale = 2**t_block.shift
         diag = [Fraction(t_block.rows[i][i], scale) for i in range(order)]
@@ -104,8 +103,8 @@ class TestScalings:
                 value -= off[r - 2] ** 2 * minors[r - 2]
             minors.append(value)
         cert = sturm.sturm_sequence(j)
-        upto = min(13, len(cert.sequence))
-        for k in range(upto):
+        assert len(cert.sequence) == len(cert.scalings) == count == j // 2 + 1
+        for k in range(count):
             assert minors[k] == cert.scalings[k] * cert.sequence[k]
 
 
@@ -144,13 +143,14 @@ class TestCertificate:
             lo, hi = cert.root_window
             t = cert.transition_index
             assert lo < t <= hi + 1e-12
-            s = 2 * cert.half_order - 1 if cert.parity == "odd" else 2 * cert.half_order
-            assert lo == pytest.approx(0.5 * (s - math.sqrt(s)), rel=1e-12)
+            assert lo == pytest.approx(0.5 * (j - math.sqrt(j)), rel=1e-12)
 
-    def test_gap_reporting(self):
-        cert = sturm.positivity_certificate(11, with_gap=True)
-        assert cert.smallest_positive_eigenvalue is not None
-        assert cert.smallest_positive_eigenvalue > 0
+    def test_parity_and_half_order_follow_j(self):
+        cases = ((6, "even", 3), (7, "odd", 4), (8, "even", 4), (9, "odd", 5))
+        for j, parity, half in cases:
+            cert = sturm.positivity_certificate(j)
+            assert (cert.parity, cert.half_order) == (parity, half)
+            assert sturm.certificate_json(cert)["parity"] == parity
 
     def test_json_shape(self):
         data = sturm.certificate_json(sturm.positivity_certificate(8))
