@@ -13,7 +13,6 @@ from .errors import (
     NotCentrosymmetric,
     OutOfRange,
     TruncationTooSmall,
-    WrongParityInput,
 )
 from .fock import (
     EqualityFamily,
@@ -59,21 +58,14 @@ from .minimize import (
 from .spectra import (
     BlockKind,
     BlockMatrix,
-    InterlacingReport,
-    block_quadratic_value,
     build_B_block,
     centro_decompose,
-    interlacing_check,
     null_vectors,
-    rank_one_split,
     scaled_block,
     symmetric_eigenvalues,
 )
 from .sturm import (
     SturmCertificate,
-    certificate_json,
-    closed_form,
-    generating_polynomial_check,
     positivity_certificate,
     sturm_sequence,
 )

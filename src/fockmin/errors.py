@@ -17,10 +17,6 @@ class NotCentrosymmetric(FockminError):
     """Input matrix is not symmetric centrosymmetric."""
 
 
-class WrongParityInput(FockminError):
-    """Operation applied to a block of the wrong parity or kind."""
-
-
 class OutOfRange(FockminError):
     """Block index outside the range where the statement applies."""
 

@@ -66,6 +66,12 @@ class FockCoefficients:
             )
         if not np.all(np.isfinite(arr.view(float))):
             raise InvalidParameter("coefficients must be finite")
+        # every functional sums |a_k|^2 or more; a mass past float range
+        # would turn them all into inf and nan
+        with np.errstate(over="ignore"):
+            total = np.sum(arr.real**2 + arr.imag**2)
+        if not np.isfinite(total):
+            raise InvalidParameter("mass sum |a_k|^2 overflows double precision")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

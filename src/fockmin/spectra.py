@@ -5,13 +5,14 @@ through a symmetric centrosymmetric matrix of order j+1.  Every entry of
 2^s B^(j), s = max(j+1, 3), is an integer, so a block is held as integer
 numerators over 2^s (`BlockMatrix`) and every exact step is integer
 arithmetic: this module builds the blocks, reduces them to their
-symmetric-sector half (the anti-diagonal flip splits the spectrum), peels
-off the rank-one all-ones part (kept as its one value kappa = j!/2^j, never
-as a block), checks the two exact kernel vectors, and provides
-congruence-scaled floating-point views for eigenvalue checks and exact
-strings for printing.  The sqrt2 on the border of an even-index
-reduction is carried by a congruence (see `centro_decompose`), never
-stored.
+symmetric-sector half (the anti-diagonal flip splits the spectrum), checks
+the two exact kernel vectors, and provides congruence-scaled
+floating-point views for eigenvalue checks and exact strings for
+printing.  The sqrt2 on the border of an even-index reduction is carried
+by a congruence (see `centro_decompose`), never stored.  The
+tridiagonal + rank-one split of a reduced block and the interlacing of
+their spectra are cross-checks that no verdict reads; they live with the
+tests, as oracles.
 
 Public indexing is 0-based throughout; the usual 1-based entry formulas
 are shifted here, in one place.
@@ -27,13 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InvalidParameter,
-    NoConvergence,
-    NotCentrosymmetric,
-    OutOfRange,
-    WrongParityInput,
-)
+from .errors import InvalidParameter, NoConvergence, NotCentrosymmetric, OutOfRange
 
 __all__ = [
     "BlockKind",
@@ -42,13 +37,9 @@ __all__ = [
     "centro_decompose",
     "mat_vec",
     "kernel_annihilated",
-    "rank_one_split",
     "null_vectors",
     "scaled_block",
     "symmetric_eigenvalues",
-    "interlacing_check",
-    "InterlacingReport",
-    "block_quadratic_value",
     "dump_entries",
 ]
 
@@ -57,7 +48,6 @@ class BlockKind(Enum):
     FULL_B = "B"
     FULL_E = "E"
     REDUCED_S = "S"
-    TRIDIAGONAL_T = "T"
 
 
 @dataclass(frozen=True)
@@ -164,41 +154,6 @@ def centro_decompose(block: BlockMatrix) -> BlockMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Rank-one splitting of the reduced block
-# ---------------------------------------------------------------------------
-
-
-def rank_one_split(reduced: BlockMatrix):
-    """Split the reduced block into tridiagonal + all-ones rank-one parts.
-
-    The leading block L (all of S for odd j, R for even j) is T + K with
-    K = kappa·ones, kappa = j!/2^j.  T = L - K is formed exactly and must
-    vanish off its three diagonals.  Returns (T, kappa, delta) with
-    delta = trace(K): (j+1)!/2^{j+1} for odd j, (j/2)·j!/2^j for even j.
-    """
-    if reduced.kind is not BlockKind.REDUCED_S:
-        raise InvalidParameter(f"cannot split a {reduced.kind.value} block")
-    j = reduced.j
-    even = j % 2 == 0
-    order = reduced.order - even  # R leaves out the border of M
-    if order < 1:
-        raise OutOfRange(f"no tridiagonal part at j = {j}")
-    # M's leading block is 2R, so R has one more factor 2 below it
-    shift = reduced.shift + even
-    kappa = math.factorial(j) << (shift - j)
-    t = [[entry - kappa for entry in row[:order]] for row in reduced.rows[:order]]
-    for i in range(order):
-        for l in range(order):
-            if abs(i - l) > 1 and t[i][l]:
-                raise WrongParityInput(
-                    f"tridiagonal + rank-one does not reassemble the reduced "
-                    f"block at ({i},{l}) for j={j}"
-                )
-    t_block = BlockMatrix(j, BlockKind.TRIDIAGONAL_T, shift, _freeze(t))
-    return t_block, Fraction(kappa, 1 << shift), Fraction(order * kappa, 1 << shift)
-
-
-# ---------------------------------------------------------------------------
 # Exact null vectors of the reduced block
 # ---------------------------------------------------------------------------
 
@@ -241,9 +196,6 @@ def kernel_annihilated(reduced: BlockMatrix) -> bool:
 # Floating-point views
 # ---------------------------------------------------------------------------
 
-_SCALABLE = {BlockKind.FULL_B, BlockKind.FULL_E, BlockKind.REDUCED_S}
-
-
 def scaled_block(block: BlockMatrix) -> np.ndarray:
     """Congruence scaling X -> W^-1/2 X W^-1/2 with W = diag(k!(j-k)!).
 
@@ -254,8 +206,6 @@ def scaled_block(block: BlockMatrix) -> np.ndarray:
     even-index reduction maps back from M to S: S_kl^2 = M_kl^2 e_k e_l / 4
     with e = (1, ..., 1, 2), which undoes M = 2·D S D.
     """
-    if block.kind not in _SCALABLE:
-        raise InvalidParameter(f"cannot congruence-scale a {block.kind.value} block")
     j, n = block.j, block.order
     weights = [math.factorial(k) * math.factorial(j - k) for k in range(n)]
     factors = [1] * n
@@ -291,97 +241,6 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NoConvergence(str(exc)) from exc
-
-
-def _raw_floats(block: BlockMatrix) -> np.ndarray:
-    scale = 1 << block.shift
-    return np.array([[entry / scale for entry in row] for row in block.rows])
-
-
-def _trace(block: BlockMatrix) -> Fraction:
-    return Fraction(sum(block.rows[i][i] for i in range(block.order)), 1 << block.shift)
-
-
-@dataclass(frozen=True)
-class InterlacingReport:
-    j: int
-    p: int
-    tolerance: float
-    interlaces: bool
-    max_violation: float
-    eig_shift_sum: float
-    delta: float
-    sum_ok: bool
-    trace_identity_exact: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.interlaces and self.sum_ok and self.trace_identity_exact
-
-
-def interlacing_check(j: int) -> InterlacingReport:
-    """Eigenvalues of the tridiagonal part interlace those of the reduced
-    block, and the total shift equals the rank-one trace.
-
-    Works on the raw matrices, so it is limited to j below roughly 150
-    (beyond that the entries overflow double precision).
-    """
-    if j < 7 or j % 2 == 0:
-        raise OutOfRange("interlacing check applies to odd j >= 7")
-    if j > 151:
-        raise InvalidParameter("raw entries overflow double precision past j ~ 151")
-    reduced = centro_decompose(build_B_block(j))
-    t_block, _, delta = rank_one_split(reduced)
-    p = reduced.order
-    lam = symmetric_eigenvalues(_raw_floats(t_block))
-    lam_prime = symmetric_eigenvalues(_raw_floats(reduced))
-    norm = float(np.max(np.abs(lam_prime))) if p else 0.0
-    tol = 1e-9 * max(norm, 1.0)
-    worst = 0.0
-    ok = True
-    for i in range(p):
-        worst = max(worst, lam[i] - lam_prime[i])
-        if lam[i] > lam_prime[i] + tol:
-            ok = False
-        if i + 1 < p:
-            worst = max(worst, lam_prime[i] - lam[i + 1])
-            if lam_prime[i] > lam[i + 1] + tol:
-                ok = False
-    shift = float(np.sum(lam_prime) - np.sum(lam))
-    sum_ok = abs(shift - float(delta)) <= tol
-    return InterlacingReport(
-        j=j,
-        p=p,
-        tolerance=tol,
-        interlaces=ok,
-        max_violation=worst,
-        eig_shift_sum=shift,
-        delta=float(delta),
-        sum_ok=sum_ok,
-        trace_identity_exact=(_trace(reduced) - _trace(t_block) == delta),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Quadratic-form evaluation through the blocks
-# ---------------------------------------------------------------------------
-
-
-def block_quadratic_value(coeffs: np.ndarray) -> float:
-    """Evaluate the quartic functional as sum_j conj(A_j)^T B^(j) A_j with
-    A_{jk} = a_k a_{j-k} / sqrt(k!(j-k)!), using the scaled blocks so the
-    weights cancel exactly."""
-    a = np.asarray(coeffs, dtype=complex)
-    n = a.shape[0] - 1
-    total = 0.0
-    for j in range(2 * n + 1):
-        scaled = scaled_block(build_B_block(j))
-        g = np.zeros(j + 1, dtype=complex)
-        for k in range(j + 1):
-            if k <= n and j - k <= n:
-                g[k] = a[k] * a[j - k]
-        total += float(np.real(np.conj(g) @ scaled @ g))
-    return total
 
 
 def dump_entries(block: BlockMatrix) -> list:

@@ -8,12 +8,14 @@ eigenvalues; combined with the two exact kernel vectors of the reduced
 block, which `spectra.kernel_annihilated` checks on the block's integer
 numerators, this certifies positive semidefiniteness block by block.  The
 sequence is taken from the recurrence, not read off the block; the tests
-check it against the minors of the tridiagonal that
-`spectra.rank_one_split` extracts from the block.
+check it against the minors of the tridiagonal part that their oracle
+splits off the reduced block, and against the sequence's closed form and
+generating polynomial.
 
 Odd and even j share every constant, each a function of j alone: the
-recurrence coefficients, the j//2 + 1 minors, the scalings, the root
-window and the closed form.  Only the wording of the verdict differs.
+recurrence coefficients, the j//2 + 1 minors, the scalings and the root
+window.  Only what one transition proves differs (see
+`positivity_certificate`).
 
 All sequence arithmetic is arbitrary-precision integer: sign correctness is
 the entire point, so there is no floating shortcut anywhere in this module.
@@ -30,40 +32,24 @@ from .errors import CertificateFailed, OutOfRange
 __all__ = [
     "SturmCertificate",
     "sturm_sequence",
-    "closed_form",
-    "generating_polynomial_check",
     "positivity_certificate",
-    "certificate_json",
     "recurrence_values",
 ]
 
 _FIRST_J = 6  # the first block index the certificate covers
 
-_REASONS = {
-    "odd": (
-        "one transition: at most one non-positive eigenvalue in the "
-        "extracted tridiagonal; third eigenvalue positive; reduced block "
-        "PSD with its two exact kernel vectors"
-    ),
-    "even": (
-        "one transition: second eigenvalue of the tridiagonal positive; "
-        "leading reduced block PSD, hence the bordered block is PSD"
-    ),
-}
-
 
 @dataclass(frozen=True)
 class SturmCertificate:
-    """Exact minor sequence and sign-count verdict for one block index."""
+    """Exact minor sequence for one block index and, once
+    `positivity_certificate` has passed it, the index of its single sign
+    transition."""
 
     j: int
     sequence: tuple
     scalings: tuple
-    sign_agreements: int | None
     transition_index: int | None
     root_window: tuple  # (root_minus, root_minus + 1) as floats
-    verdict: str
-    reason: str
 
     @property
     def parity(self) -> str:
@@ -115,7 +101,7 @@ def sturm_sequence(j: int) -> SturmCertificate:
     """Exact minor sequence of the tridiagonal part at shift zero.
 
     Returns the certificate skeleton with the j//2 + 1 minors and their
-    scalings populated and the verdict left unevaluated.  The sign flip
+    scalings populated and no transition located yet.  The sign flip
     is expected in the window (root_minus, root_minus + 1] with
     root_minus = (j - sqrt(j))/2.
     """
@@ -126,40 +112,9 @@ def sturm_sequence(j: int) -> SturmCertificate:
         j=j,
         sequence=seq,
         scalings=_scalings(j, count),
-        sign_agreements=None,
         transition_index=None,
         root_window=(rm, rm + 1.0),
-        verdict="unevaluated",
-        reason="sequence only",
     )
-
-
-def closed_form(j: int, n: int) -> int:
-    """Closed-form value of the n-th sequence entry, 2 <= n <= j-2:
-    (j-2)!/(j-n)! ((j-2n)^2 - j); the radicals of the two roots cancel."""
-    _check_index(j)
-    if not 2 <= n <= j - 2:
-        raise OutOfRange(f"closed form needs 2 <= n <= {j - 2}")
-    return math.prod(range(j - n + 1, j - 1)) * ((j - 2 * n) ** 2 - j)
-
-
-def generating_polynomial_check(j: int) -> bool:
-    """Verify n! [x^n] (1+x)^{j-2} (1-x)^2 = u_n for every n, including the
-    vanishing of the sequence past the degree j."""
-    power = j - 2
-    seq = recurrence_values(j, j + 3)
-
-    def comb(k):
-        return math.comb(power, k) if 0 <= k <= power else 0
-
-    fact = 1
-    for n in range(j + 3):
-        if n > 0:
-            fact *= n
-        coeff = comb(n) - 2 * comb(n - 1) + comb(n - 2)
-        if fact * coeff != seq[n]:
-            return False
-    return True
 
 
 def _effective_signs(seq) -> list:
@@ -183,15 +138,15 @@ def positivity_certificate(j: int) -> SturmCertificate:
     eigenvalue in the extracted tridiagonal of order p-1, so the third
     eigenvalue of the full tridiagonal is positive and the reduced block is
     PSD given its two exact kernel vectors.  Even path: the same count gives
-    a positive second eigenvalue, hence the bordered reduced block is PSD.
+    a positive second eigenvalue of the tridiagonal, so the leading reduced
+    block is PSD, hence the bordered reduced block is PSD.
     A sign pattern with more than one transition would falsify the
     positivity claim itself and raises instead of returning.
     """
     base = sturm_sequence(j)
     seq = base.sequence
     signs = _effective_signs(seq)
-    agreements = sum(1 for a, b in zip(signs, signs[1:]) if a == b)
-    transitions = len(signs) - 1 - agreements
+    transitions = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     if transitions != 1:
         raise CertificateFailed(
             f"j={j}: sign pattern has {transitions} transitions (expected 1)"
@@ -202,20 +157,4 @@ def positivity_certificate(j: int) -> SturmCertificate:
         raise CertificateFailed(
             f"j={j}: transition index {t} outside ({rm}, {rm + 1}]"
         )
-    return replace(
-        base,
-        sign_agreements=agreements,
-        transition_index=t,
-        verdict="pass",
-        reason=_REASONS[base.parity],
-    )
-
-
-def certificate_json(cert: SturmCertificate) -> dict:
-    return {
-        "j": cert.j,
-        "parity": cert.parity,
-        "verdict": cert.verdict,
-        "transition_index": cert.transition_index,
-        "sequence_prefix": [str(v) for v in cert.sequence[:16]],
-    }
+    return replace(base, transition_index=t)

@@ -18,13 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from fockmin.errors import (
-    InvalidParameter,
-    NotCentrosymmetric,
-    OutOfRange,
-    WrongParityInput,
-)
+from fockmin.errors import InvalidParameter, NotCentrosymmetric, OutOfRange
 from rt2 import Rt2
+
+
+class WrongParityInput(Exception):
+    """Operation applied to a block of the wrong parity or kind."""
+
 
 class BlockKind(Enum):
     FULL_B = "B"

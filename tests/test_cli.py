@@ -361,15 +361,27 @@ class TestErrorPaths:
         assert err == f"error: out of memory: {message}\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            pytest.param(["--wave", "equality", "--c-re", "1e200"], id="equality"),
             pytest.param(
-                ["--wave", "phi_n_alpha", "--alpha-re", "1e10"], id="phi_n_alpha"
+                ["--wave", "equality", "--c-re", "1e200"],
+                "coefficients must be finite",
+                id="equality",
+            ),
+            pytest.param(
+                ["--wave", "phi_n_alpha", "--alpha-re", "1e10"],
+                "coefficients must be finite",
+                id="phi_n_alpha",
+            ),
+            # a_0 = 1e160 is finite, its square is not
+            pytest.param(
+                ["--wave", "equality", "--a0-re", "1e160", "--trunc", "8"],
+                "mass sum |a_k|^2 overflows double precision",
+                id="equality-mass",
             ),
         ],
     )
-    def test_catalog_overflow_is_one_error_line(self, capsys, tmp_path, argv):
+    def test_catalog_overflow_is_one_error_line(self, capsys, tmp_path, argv, message):
         # numpy's overflow warnings would come first; under "error" they
         # escape as exceptions instead
         out_path = tmp_path / "state.json"
@@ -380,7 +392,7 @@ class TestErrorPaths:
             )
         assert code == 1
         assert out == ""
-        assert err == "error: coefficients must be finite\n"
+        assert err == f"error: {message}\n"
         assert not out_path.exists()
 
     def test_bad_coefficient_file(self, capsys, tmp_path):
@@ -519,6 +531,9 @@ class TestErrorPaths:
             pytest.param('{"truncation": 1, "coeffs": [[1, 0], [0]]}', id="short-pair"),
             pytest.param('{"truncation": 1, "coeffs": [[1, 0], [0, 0]', id="bad-json"),
             pytest.param(None, id="missing-file"),
+            pytest.param(
+                '{"truncation": 1, "coeffs": [[1e160, 0], [0, 0]]}', id="mass-overflow"
+            ),
         ],
     )
     def test_malformed_coefficient_file(self, capsys, tmp_path, content):

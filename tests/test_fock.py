@@ -354,3 +354,17 @@ class TestCoefficientFile:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidParameter):
             fock.FockCoefficients(1, np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1e160, 0.0], [1.3e154 + 1.3e154j, 0.0], [1.3e154] * 2],
+        ids=["one", "re-im", "sum"],
+    )
+    def test_overflowing_mass_rejected(self, coeffs):
+        # every coefficient is finite; the sum of their squares is not
+        with pytest.raises(InvalidParameter, match="mass"):
+            fock.FockCoefficients(1, np.array(coeffs))
+
+    def test_mass_near_float_limit_accepted(self):
+        u = fock.FockCoefficients(1, np.array([1.3e154, 1e153]))
+        assert fock.mass(u) == pytest.approx(1.7e308)

