@@ -23,19 +23,14 @@ from .fock import (
     PsiB,
     SemiclassicalPhi,
     angular_momentum,
-    apply_phase,
-    apply_rotation,
     apply_translation,
-    carlen_gap,
     catalog_coefficients,
-    displacement_matrix,
     functionals,
     hamiltonian,
     load_coefficients,
     magnetic_momentum,
     mass,
     save_coefficients,
-    stationary_frequency,
 )
 from .minimize import (
     Classification,

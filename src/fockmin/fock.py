@@ -1,5 +1,5 @@
 """Coefficient-space core: states, conserved quantities, quartic energy,
-symmetry actions and the catalog of closed-form stationary waves.
+magnetic translations and the catalog of closed-form stationary waves.
 
 A state is a finite expansion u = sum_n a_n phi_n over the orthonormal
 basis phi_n(z) = z^n e^{-|z|^2/2} / sqrt(pi n!).  All functionals below
@@ -8,6 +8,8 @@ are evaluated directly on the coefficient sequence (a_0 .. a_N).
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,17 +28,12 @@ __all__ = [
     "EqualityFamily",
     "SemiclassicalPhi",
     "catalog_coefficients",
-    "stationary_frequency",
     "mass",
     "angular_momentum",
     "magnetic_momentum",
     "hamiltonian",
     "functionals",
-    "apply_phase",
-    "apply_rotation",
     "apply_translation",
-    "displacement_matrix",
-    "carlen_gap",
     "save_coefficients",
     "load_coefficients",
 ]
@@ -45,6 +42,10 @@ __all__ = [
 # translation output only has to keep functional errors below test tolerances.
 CATALOG_TAIL_TOL = 1e-14
 TRANSLATION_TAIL_TOL = 1e-10
+# Zero modes appended to a state before it is translated, and the relative
+# size of the Taylor term at which each step of a translation stops (`_displace`).
+TRANSLATION_PAD = 64
+TAYLOR_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class FockCoefficients:
             raise InvalidParameter(
                 f"expected {self.truncation + 1} coefficients, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.view(float))):
+        if not np.all(np.isfinite(arr)):
             raise InvalidParameter("coefficients must be finite")
         # every functional sums |a_k|^2 or more; a mass past float range
         # would turn them all into inf and nan
@@ -72,6 +73,13 @@ class FockCoefficients:
             total = np.sum(arr.real**2 + arr.imag**2)
         if not np.isfinite(total):
             raise InvalidParameter("mass sum |a_k|^2 overflows double precision")
+        # P <= N M, |Q|^2 <= (P + M) M and 8 pi H <= M^2, so every term of
+        # B and E stays finite while (N + 1) M^2 does
+        m = float(total)
+        if not math.isfinite((self.truncation + 1) * m * m):
+            raise InvalidParameter(
+                f"mass {m:.3e} is too large: (N + 1) M^2 overflows double precision"
+            )
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -286,99 +294,77 @@ def functionals(u: FockCoefficients, mu: float) -> FunctionalReport:
 
 
 # ---------------------------------------------------------------------------
-# Symmetry actions
+# Magnetic translations
 # ---------------------------------------------------------------------------
 
 
-def apply_phase(u: FockCoefficients, gamma: float) -> FockCoefficients:
-    return FockCoefficients(u.truncation, np.exp(1j * gamma) * u.coeffs)
+def _displace(coeffs: np.ndarray, beta: complex) -> tuple[np.ndarray, float]:
+    """The displacement exp(beta a^+ - conj(beta) a) applied to (a_0 .. a_N).
 
+    Returns the first N + 1 coefficients of the image and the mass that
+    lands past mode N, which is the truncation defect.
 
-def apply_rotation(u: FockCoefficients, theta: float) -> FockCoefficients:
-    n = np.arange(u.truncation + 1, dtype=float)
-    return FockCoefficients(u.truncation, np.exp(1j * theta * n) * u.coeffs)
+    The generator G is tridiagonal,
+    (G v)_k = beta sqrt(k) v_{k-1} - conj(beta) sqrt(k+1) v_{k+1}.  It acts
+    on the coefficients padded by TRANSLATION_PAD zero modes, n = N + 65
+    modes in all, where its norm is below 2|beta| sqrt(n).  exp(G) is taken
+    as s = max(1, ceil(2|beta| sqrt(n))) steps exp(G/s), so G/s has norm
+    at most 1, and each step is a Taylor sum that stops at the first term
+    below TAYLOR_TOL of the sum (compared by largest modulus).  The padded
+    generator acts as the true one while the image keeps its mass off the
+    last padded modes; the defect is what shows that it did.
 
-
-def displacement_matrix(alpha: complex, size: int) -> np.ndarray:
-    """Matrix of the magnetic translation by alpha on the first `size` modes.
-
-    The translation u(z) -> u(z+alpha) e^{(zbar*alpha - z*alphabar)/2} acts on
-    basis coefficients as the unitary displacement with parameter -conj(alpha);
-    entries involve generalized Laguerre polynomials.  Entries are exact matrix
-    elements of the infinite operator, so truncation loss shows up only as a
-    mass defect of the output.
+    Bound: the image's magnetic momentum is Q + conj(beta) M, and a state on
+    modes 0..K has |Q| <= sqrt(K) M.  For |beta| > 2 sqrt(n - 1) the image
+    therefore cannot lie in the padded space, and `TruncationTooSmall` is
+    raised before any step is taken; below that bound s is at most 4n.
     """
-    # Imported here, not at module level: scipy.special adds about 24 MiB
-    # and 0.1 s to start-up, and only translations need it.
-    from scipy.special import eval_genlaguerre
-
-    beta = -np.conj(alpha)
-    x = abs(beta) ** 2
-    log_fact = np.zeros(size)
-    log_fact[1:] = np.cumsum(np.log(np.arange(1, size)))
-    # an entry depends on lo = min(m, n) and d = |m - n| only, up to the
-    # phase factor beta^d below the diagonal and (-conj(beta))^d above it
-    m, lo = np.tril_indices(size)
-    d = m - lo
-    magnitude = (
-        np.exp(0.5 * (log_fact[lo] - log_fact[m]))
-        * math.exp(-0.5 * x)
-        * eval_genlaguerre(lo, d, x)
-    )
-    powers = np.arange(size)
-    out = np.zeros((size, size), dtype=complex)
-    out[m, lo] = magnitude * (beta**powers)[d]
-    out[lo, m] = magnitude * ((-np.conj(beta)) ** powers)[d]
-    return out
+    beta = complex(beta)  # an int beta would take numpy's wrapping int64 path
+    if not cmath.isfinite(beta):
+        raise NonFiniteParameter(f"the translation must be finite, got {beta}")
+    size = coeffs.shape[0]
+    n = size + TRANSLATION_PAD
+    bound = 2.0 * math.sqrt(n - 1)
+    if abs(beta) > bound:
+        raise TruncationTooSmall(
+            f"translation by |alpha| = {abs(beta):.3e} exceeds 2 sqrt({n - 1}) = "
+            f"{bound:.3e}: truncation {size - 1} plus {TRANSLATION_PAD} padding "
+            "modes cannot hold it"
+        )
+    steps = max(1, math.ceil(2.0 * abs(beta) * math.sqrt(n)))
+    root = np.sqrt(np.arange(1.0, n))
+    up = (beta / steps) * root
+    down = (-beta.conjugate() / steps) * root
+    v = np.zeros(n, dtype=complex)
+    v[:size] = coeffs
+    for _ in range(steps):
+        term = v
+        for k in itertools.count(1):
+            nxt = np.zeros(n, dtype=complex)
+            nxt[1:] = up * term[:-1]
+            nxt[:-1] += down * term[1:]
+            term = nxt / k
+            v = v + term
+            if np.max(np.abs(term)) <= TAYLOR_TOL * np.max(np.abs(v)):
+                break
+    tail = v[size:]
+    return v[:size], float(np.sum(tail.real**2 + tail.imag**2))
 
 
 def apply_translation(
     u: FockCoefficients, alpha: complex, *, tail_tol: float = TRANSLATION_TAIL_TOL
 ) -> FockCoefficients:
-    """Magnetic translation by alpha; errors out without truncation headroom."""
-    d = displacement_matrix(alpha, u.truncation + 1)
-    out = d @ u.coeffs
+    """Magnetic translation u(z) -> u(z+alpha) e^{(zbar*alpha - z*alphabar)/2},
+    the displacement with beta = -conj(alpha); errors out when more than
+    `tail_tol` of the mass would leave the truncation."""
+    out, escaped = _displace(u.coeffs, -complex(alpha).conjugate())
     m_in = mass(u)
-    m_out = float(np.sum(out.real**2 + out.imag**2))
-    if m_in > 0 and (m_in - m_out) > tail_tol * m_in:
+    if escaped > tail_tol * m_in:
         raise TruncationTooSmall(
-            f"translation by {alpha} loses mass {m_in - m_out:.3e} "
+            f"translation by {alpha} loses mass {escaped:.3e} "
             f"(tolerance {tail_tol:.1e}); pad the input first"
         )
     return FockCoefficients(u.truncation, out)
-
-
-# ---------------------------------------------------------------------------
-# Embedding constants (Carlen)
-# ---------------------------------------------------------------------------
-
-
-def _log_norm_p(n: int, p: float) -> float:
-    """log of the L^p norm of phi_n, from the closed radial integral:
-    ||phi_n||_p^p = (pi n!)^{-p/2} * pi * (2/p)^{n p/2 + 1} * Gamma(n p/2 + 1).
-    """
-    log_pp = (
-        -0.5 * p * (math.log(math.pi) + math.lgamma(n + 1))
-        + math.log(math.pi)
-        + (0.5 * n * p + 1.0) * math.log(2.0 / p)
-        + math.lgamma(0.5 * n * p + 1.0)
-    )
-    return log_pp / p
-
-
-def carlen_gap(n: int, p: float, q: float) -> float:
-    """Slack in the sharp holomorphic L^p -> L^q embedding for phi_n.
-
-    Returns (p/2pi)^{1/p} ||phi_n||_p - (q/2pi)^{1/q} ||phi_n||_q, which is
-    non-negative whenever 1 <= p <= q.
-    """
-    if n < 0:
-        raise InvalidParameter("n must be a non-negative integer")
-    if p < 1.0 or q < p:
-        raise InvalidParameter("need 1 <= p <= q")
-    left = math.exp(math.log(p / (2.0 * math.pi)) / p + _log_norm_p(n, p))
-    right = math.exp(math.log(q / (2.0 * math.pi)) / q + _log_norm_p(n, q))
-    return left - right
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +414,6 @@ class SemiclassicalPhi:
 WaveSpec = PhiN | PhiNAlpha | PsiB | EqualityFamily | SemiclassicalPhi
 
 
-def stationary_frequency(spec: PhiN) -> float:
-    """Rotation frequency of the stationary wave phi_n."""
-    n = spec.n
-    return math.comb(2 * n, n) / (math.pi * 2.0 ** (2 * n + 1))
-
-
 def _psi_b_coefficients(b: float, truncation: int) -> np.ndarray:
     gam = b / (1.0 + b * b)
     bet = b * (2.0 + b * b) / (1.0 + b * b)
@@ -480,15 +460,8 @@ def catalog_coefficients(spec: WaveSpec, truncation: int) -> FockCoefficients:
             raise InvalidParameter("semiclassical parameter must lie in (0, 1)")
         return catalog_coefficients(PhiN(spec.k), truncation)
     if isinstance(spec, PhiNAlpha):
-        if spec.n < 0:
-            raise InvalidParameter("basis index must be non-negative")
         base = catalog_coefficients(PhiN(spec.n), truncation)
-        # an alpha past float range overflows here; FockCoefficients'
-        # finiteness check below reports it, so numpy stays quiet
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = displacement_matrix(-np.conj(spec.alpha), truncation + 1)
-            out = d @ base.coeffs
-            defect = 1.0 - float(np.sum(out.real**2 + out.imag**2))
+        out, defect = _displace(base.coeffs, spec.alpha)
         if defect > CATALOG_TAIL_TOL:
             raise TruncationTooSmall(
                 f"translated phi_{spec.n} tail mass {defect:.3e} exceeds "
@@ -511,7 +484,7 @@ def catalog_coefficients(spec: WaveSpec, truncation: int) -> FockCoefficients:
             spec.a0, spec.a1, spec.c, truncation + 16
         )
         rest = probe[truncation + 1 :]
-        # as for PhiNAlpha: overflow is reported by the finiteness check
+        # an overflow is reported by FockCoefficients' finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(np.sum(probe.real**2 + probe.imag**2))
             tail = float(np.sum(rest.real**2 + rest.imag**2))

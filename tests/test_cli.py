@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -161,6 +162,16 @@ class TestCatalogRoundTrip:
         assert abs(complex(*rep["Q"])) <= 1e-12
         assert rep["G"] == pytest.approx(0.95, abs=1e-12)
 
+    def test_translated_catalog_past_truncation_1030(self, capsys, tmp_path):
+        # the Laguerre matrix turned NaN past size ~1030; the generator does not
+        path = str(tmp_path / "t.json")
+        argv = ["catalog", "--wave", "phi_n_alpha", "--alpha-re", "0.5"]
+        code, _, err = run_capture(capsys, argv + ["--trunc", "1100", "--out", path])
+        assert (code, err) == (0, "")
+        u = fock.load_coefficients(path)
+        assert fock.mass(u) == pytest.approx(1.0, abs=1e-13)
+        assert fock.magnetic_momentum(u) == pytest.approx(0.5, abs=1e-13)
+
     def test_zeros_subcommand(self, capsys, tmp_path):
         path = str(tmp_path / "psi.json")
         run_capture(
@@ -221,13 +232,17 @@ class TestMinimizeCommand:
 
     def test_scan_past_truncation_300(self, capsys):
         # sqrt(n!) overflows at n = 301: the catalog starts and the zero
-        # count once failed there, and this scan exited 1
+        # count once failed there, and this scan exited 1; past N ~ 1030
+        # the Laguerre translation matrix did
         argv = ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3"]
         code, small, _ = run_capture(capsys, argv)
         assert code == 0
         header, *rows = small.strip().split("\n")
-        for trunc in ("384", "768"):
-            code, large, err = run_capture(capsys, argv + ["--trunc", trunc])
+        for trunc in ("384", "768", "1536"):
+            try:
+                code, large, err = run_capture(capsys, argv + ["--trunc", trunc])
+            finally:
+                fock.energy_kernel.cache_clear()  # N = 1536 holds ~250 MiB
             assert (code, err) == (0, "")
             assert large.strip().split("\n")[0] == header
             for row, ref in zip(large.strip().split("\n")[1:], rows, strict=True):
@@ -370,8 +385,20 @@ class TestErrorPaths:
             ),
             pytest.param(
                 ["--wave", "phi_n_alpha", "--alpha-re", "1e10"],
-                "coefficients must be finite",
+                "translation by |alpha| = 1.000e+10 exceeds 2 sqrt(128) = "
+                "2.263e+01: truncation 64 plus 64 padding modes cannot hold it",
                 id="phi_n_alpha",
+            ),
+            pytest.param(
+                ["--wave", "phi_n_alpha", "--alpha-re", "1e300"],
+                "translation by |alpha| = 1.000e+300 exceeds 2 sqrt(128) = "
+                "2.263e+01: truncation 64 plus 64 padding modes cannot hold it",
+                id="phi_n_alpha-1e300",
+            ),
+            pytest.param(
+                ["--wave", "phi_n_alpha", "--alpha-re", "nan"],
+                "the translation must be finite, got (nan+0j)",
+                id="phi_n_alpha-nan",
             ),
             # a_0 = 1e160 is finite, its square is not
             pytest.param(
@@ -379,17 +406,26 @@ class TestErrorPaths:
                 "mass sum |a_k|^2 overflows double precision",
                 id="equality-mass",
             ),
+            # the mass 1e300 is finite, its square is not
+            pytest.param(
+                ["--wave", "equality", "--a0-re", "1e150", "--trunc", "8"],
+                "mass 1.000e+300 is too large: (N + 1) M^2 overflows double precision",
+                id="equality-square",
+            ),
         ],
     )
     def test_catalog_overflow_is_one_error_line(self, capsys, tmp_path, argv, message):
         # numpy's overflow warnings would come first; under "error" they
-        # escape as exceptions instead
+        # escape as exceptions instead.  A translation's step count grows
+        # with |alpha|, so its bound must be checked before the first step.
         out_path = tmp_path / "state.json"
+        start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_capture(
                 capsys, ["catalog", *argv, "--out", str(out_path)]
             )
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
@@ -533,6 +569,9 @@ class TestErrorPaths:
             pytest.param(None, id="missing-file"),
             pytest.param(
                 '{"truncation": 1, "coeffs": [[1e160, 0], [0, 0]]}', id="mass-overflow"
+            ),
+            pytest.param(
+                '{"truncation": 1, "coeffs": [[1e150, 0], [0, 0]]}', id="square-overflow"
             ),
         ],
     )

@@ -1,39 +1,58 @@
 """Coefficient-space functionals, catalog identities and symmetry actions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fock_oracles import (
+    apply_phase,
+    apply_rotation,
+    displacement_matrix,
+    generator_columns,
+    loop_displacement_matrix,
+)
 from fockmin import fock
 from fockmin.errors import InvalidParameter, NonFiniteParameter, TruncationTooSmall
 
 
-def loop_displacement_matrix(alpha, size):
-    """The entry-by-entry double loop `fock.displacement_matrix` once ran,
-    kept as the oracle for the vectorized form."""
-    from scipy.special import eval_genlaguerre
+def _log_norm_p(n: int, p: float) -> float:
+    """log of the L^p norm of phi_n, from the closed radial integral:
+    ||phi_n||_p^p = (pi n!)^{-p/2} * pi * (2/p)^{n p/2 + 1} * Gamma(n p/2 + 1).
+    """
+    log_pp = (
+        -0.5 * p * (math.log(math.pi) + math.lgamma(n + 1))
+        + math.log(math.pi)
+        + (0.5 * n * p + 1.0) * math.log(2.0 / p)
+        + math.lgamma(0.5 * n * p + 1.0)
+    )
+    return log_pp / p
 
-    beta = -np.conj(alpha)
-    x = abs(beta) ** 2
-    pref = math.exp(-0.5 * x)
-    log_fact = np.zeros(size)
-    for n in range(1, size):
-        log_fact[n] = log_fact[n - 1] + math.log(n)
-    out = np.zeros((size, size), dtype=complex)
-    for m in range(size):
-        for n in range(size):
-            d = m - n
-            if d >= 0:
-                ratio = math.exp(0.5 * (log_fact[n] - log_fact[m]))
-                out[m, n] = ratio * beta**d * pref * eval_genlaguerre(n, d, x)
-            else:
-                ratio = math.exp(0.5 * (log_fact[m] - log_fact[n]))
-                out[m, n] = (
-                    ratio * (-np.conj(beta)) ** (-d) * pref * eval_genlaguerre(m, -d, x)
-                )
-    return out
+
+def carlen_gap(n: int, p: float, q: float) -> float:
+    """Slack in the sharp holomorphic L^p -> L^q embedding for phi_n.
+
+    Returns (p/2pi)^{1/p} ||phi_n||_p - (q/2pi)^{1/q} ||phi_n||_q, which is
+    non-negative whenever 1 <= p <= q.
+    """
+    if n < 0:
+        raise InvalidParameter("n must be a non-negative integer")
+    if p < 1.0 or q < p:
+        raise InvalidParameter("need 1 <= p <= q")
+    left = math.exp(math.log(p / (2.0 * math.pi)) / p + _log_norm_p(n, p))
+    right = math.exp(math.log(q / (2.0 * math.pi)) / q + _log_norm_p(n, q))
+    return left - right
+
+
+def stationary_frequency(spec):
+    """Rotation frequency of the stationary wave phi_n."""
+    n = spec.n
+    return math.comb(2 * n, n) / (math.pi * 2.0 ** (2 * n + 1))
 
 
 def log_space_psi_b(b, truncation):
@@ -233,10 +252,10 @@ class TestCatalog:
             fock.catalog_coefficients(fock.PhiNAlpha(0, 4.0 + 0j), 12)
 
     def test_stationary_frequency(self):
-        assert fock.stationary_frequency(fock.PhiN(0)) == pytest.approx(
+        assert stationary_frequency(fock.PhiN(0)) == pytest.approx(
             1.0 / (2.0 * math.pi)
         )
-        assert fock.stationary_frequency(fock.PhiN(1)) == pytest.approx(
+        assert stationary_frequency(fock.PhiN(1)) == pytest.approx(
             2.0 / (8.0 * math.pi)
         )
 
@@ -247,12 +266,12 @@ class TestSymmetries:
         u = random_state(rng, 20)
         rep = fock.functionals(u, 0.4)
         for gamma in (0.3, 1.2):
-            rep_p = fock.functionals(fock.apply_phase(u, gamma), 0.4)
+            rep_p = fock.functionals(apply_phase(u, gamma), 0.4)
             assert rep_p.M == pytest.approx(rep.M, rel=1e-13)
             assert rep_p.H == pytest.approx(rep.H, rel=1e-12)
             assert rep_p.Q == pytest.approx(rep.Q, abs=1e-13)
         for theta in (0.3, 2.0):
-            rep_r = fock.functionals(fock.apply_rotation(u, theta), 0.4)
+            rep_r = fock.functionals(apply_rotation(u, theta), 0.4)
             assert rep_r.M == pytest.approx(rep.M, rel=1e-13)
             assert rep_r.P == pytest.approx(rep.P, rel=1e-13)
             assert rep_r.H == pytest.approx(rep.H, rel=1e-12)
@@ -277,20 +296,64 @@ class TestSymmetries:
         assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-10
 
     def test_displacement_unitary_on_retained_block(self):
-        d = fock.displacement_matrix(0.7 - 0.3j, 129)
-        gram = d.conj().T @ d
-        defect = np.max(np.abs((gram - np.eye(129))[:65, :65]))
+        d = generator_columns(0.7 - 0.3j, 128, 65)
+        defect = np.max(np.abs(d.conj().T @ d - np.eye(65)))
         assert defect <= 1e-10
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.1j, 0.7 - 0.3j, -1.2 + 0.7j, 2.5j])
     @pytest.mark.parametrize("size", [1, 2, 9, 49, 97])
     def test_displacement_matches_loop_oracle(self, alpha, size):
-        d = fock.displacement_matrix(alpha, size)
+        d = displacement_matrix(alpha, size)
         oracle = loop_displacement_matrix(alpha, size)
         assert np.array_equal(d == 0, oracle == 0)
         nonzero = oracle != 0
         rel = np.abs(d - oracle)[nonzero] / np.abs(oracle[nonzero])
         assert np.all(rel <= 1e-14)
+
+    @pytest.mark.parametrize(
+        "truncation, alpha",
+        [(48, 0.3 + 0.2j), (200, 1.5 - 0.5j), (768, 1e-9), (768, 2.0), (1000, 1.0 - 1.5j)],
+    )
+    def test_generator_matches_matrix_oracle(self, truncation, alpha):
+        rng = np.random.default_rng(truncation)
+        u = random_state(rng, truncation, support=truncation // 2)
+        moved = fock.apply_translation(u, alpha)
+        expected = displacement_matrix(alpha, truncation + 1) @ u.coeffs
+        assert np.max(np.abs(moved.coeffs - expected)) <= 1e-13
+
+    def test_integer_alpha_equals_float(self):
+        # an int alpha once took numpy's int64 power path, which wraps
+        rng = np.random.default_rng(17)
+        u = random_state(rng, 768, support=384)
+        by_int = fock.apply_translation(u, 2)
+        assert np.array_equal(by_int.coeffs, fock.apply_translation(u, 2.0).coeffs)
+        phi = fock.catalog_coefficients(fock.PhiNAlpha(3, 3), 96)
+        phi_float = fock.catalog_coefficients(fock.PhiNAlpha(3, 3.0), 96)
+        assert np.array_equal(phi.coeffs, phi_float.coeffs)
+        e_3 = np.zeros(49)
+        e_3[3] = 1.0
+        assert np.array_equal(
+            displacement_matrix(3, 49) @ e_3, displacement_matrix(3.0, 49) @ e_3
+        )
+
+    def test_translation_laws_at_truncation_2000(self):
+        # past size ~1030 the Laguerre matrix was NaN; the generator is not
+        rng = np.random.default_rng(29)
+        u = random_state(rng, 2000, support=1000)
+        alpha = 1.5 - 0.8j
+        try:
+            rep = fock.functionals(u, 0.4)
+            moved = fock.apply_translation(u, alpha)
+            rep_t = fock.functionals(moved, 0.4)
+        finally:
+            fock.energy_kernel.cache_clear()  # the N = 2000 tables hold ~450 MiB
+        expected_p = rep.P - 2.0 * np.real(np.conj(alpha) * rep.Q) + abs(alpha) ** 2 * rep.M
+        assert rep_t.M == pytest.approx(rep.M, rel=1e-13)
+        assert rep_t.P == pytest.approx(expected_p, rel=1e-12)
+        assert rep_t.Q == pytest.approx(rep.Q - alpha * rep.M, abs=1e-10)
+        assert rep_t.B == pytest.approx(rep.B, rel=1e-9)
+        back = fock.apply_translation(moved, -alpha)
+        assert np.max(np.abs(back.coeffs - u.coeffs)) <= 1e-10
 
     def test_translation_without_headroom_fails(self):
         u = fock.catalog_coefficients(fock.PhiN(10), 12)
@@ -307,11 +370,11 @@ class TestSymmetries:
 
 class TestCarlen:
     def test_gap_nonnegative_and_zero_cases(self):
-        assert fock.carlen_gap(0, 2.0, 4.0) >= -1e-12
-        assert fock.carlen_gap(0, 2.0, 2.0) == pytest.approx(0.0, abs=1e-15)
+        assert carlen_gap(0, 2.0, 4.0) >= -1e-12
+        assert carlen_gap(0, 2.0, 2.0) == pytest.approx(0.0, abs=1e-15)
         for n in range(5):
             for p, q in [(1.0, 2.0), (2.0, 6.0), (3.0, 7.5)]:
-                assert fock.carlen_gap(n, p, q) >= -1e-12
+                assert carlen_gap(n, p, q) >= -1e-12
 
     def test_closed_form_against_quadrature(self):
         # independent oracle: radial quadrature of |phi_n|^p
@@ -326,13 +389,13 @@ class TestCarlen:
         oracle = (p / (2 * math.pi)) ** (1 / p) * norm_p(n, p) - (
             q / (2 * math.pi)
         ) ** (1 / q) * norm_p(n, q)
-        assert fock.carlen_gap(n, p, q) == pytest.approx(oracle, abs=1e-10)
+        assert carlen_gap(n, p, q) == pytest.approx(oracle, abs=1e-10)
 
     def test_domain_errors(self):
         with pytest.raises(InvalidParameter):
-            fock.carlen_gap(0, 0.5, 2.0)
+            carlen_gap(0, 0.5, 2.0)
         with pytest.raises(InvalidParameter):
-            fock.carlen_gap(0, 3.0, 2.0)
+            carlen_gap(0, 3.0, 2.0)
 
 
 class TestCoefficientFile:
@@ -355,16 +418,51 @@ class TestCoefficientFile:
         with pytest.raises(InvalidParameter):
             fock.FockCoefficients(1, np.array([1.0, np.nan]))
 
+    def test_strided_coefficients_accepted(self):
+        # a column of a matrix is not contiguous, so it has no float view
+        column = np.eye(3, dtype=complex)[:, 1]
+        assert fock.FockCoefficients(2, column).coeffs.tolist() == [0, 1, 0]
+
     @pytest.mark.parametrize(
         "coeffs",
-        [[1e160, 0.0], [1.3e154 + 1.3e154j, 0.0], [1.3e154] * 2],
-        ids=["one", "re-im", "sum"],
+        [
+            [1e160, 0.0],
+            [1.3e154 + 1.3e154j, 0.0],
+            [1.3e154] * 2,
+            [1.3e154, 1e153],
+            [1e150, 0.0],
+        ],
+        ids=["one", "re-im", "sum", "square", "quartic"],
     )
     def test_overflowing_mass_rejected(self, coeffs):
-        # every coefficient is finite; the sum of their squares is not
+        # every coefficient is finite; the sum of their squares, or
+        # (N + 1) times its square, which bounds B and E, is not
         with pytest.raises(InvalidParameter, match="mass"):
             fock.FockCoefficients(1, np.array(coeffs))
 
     def test_mass_near_float_limit_accepted(self):
-        u = fock.FockCoefficients(1, np.array([1.3e154, 1e153]))
-        assert fock.mass(u) == pytest.approx(1.7e308)
+        # (N + 1) M^2 = 1.34e308 is still finite, and so is every functional
+        u = fock.FockCoefficients(1, np.array([9e76, 1e76]))
+        assert fock.mass(u) == pytest.approx(8.2e153)
+        rep = fock.functionals(u, 0.5)
+        assert all(math.isfinite(x) for x in (rep.H, rep.B, rep.E, rep.G, rep.F))
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test dependency only: every module imports, and a
+    # translation runs, with it blocked
+    script = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import fockmin
+for module in pkgutil.iter_modules(fockmin.__path__):
+    importlib.import_module("fockmin." + module.name)
+from fockmin import fock, minimize
+u = fock.catalog_coefficients(fock.PhiNAlpha(1, 0.5 - 0.25j), 48)
+assert minimize.classify(u).label is minimize.MinimizerClass.PHI1
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bb_descent
+from fock_oracles import apply_phase, apply_rotation
 from fockmin import fock, minimize as mz
 from fockmin.errors import (
     DegenerateInput,
@@ -414,7 +415,7 @@ class TestLbfgsDescent:
 
 class TestClassify:
     def test_phase_of_gaussian(self):
-        u = fock.apply_phase(fock.catalog_coefficients(fock.PhiN(0), 24), 1.1)
+        u = apply_phase(fock.catalog_coefficients(fock.PhiN(0), 24), 1.1)
         c = mz.classify(u)
         assert c.label is mz.MinimizerClass.PHI0
         assert c.overlap == pytest.approx(1.0, abs=1e-12)
@@ -428,7 +429,7 @@ class TestClassify:
 
     def test_psi_family_fit_up_to_symmetry(self):
         u = fock.catalog_coefficients(fock.PsiB(0.6), 48)
-        u = fock.apply_rotation(fock.apply_phase(u, 0.9), 1.3)
+        u = apply_rotation(apply_phase(u, 0.9), 1.3)
         c = mz.classify(u)
         assert c.label is mz.MinimizerClass.PSI_B
         assert c.b_fit == pytest.approx(0.6, abs=1e-6)

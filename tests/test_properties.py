@@ -47,9 +47,10 @@ def test_window_contains_matches_isqrt(s, offset, near):
     assert sturm._window_contains(s, t) == (s - 2 * t < c <= s - 2 * t + 2)
 
 
-# |x| <= 1e153 keeps the mass of 20 pairs, at most 4e307, in float range;
-# a state whose mass overflows is rejected (test_fock, test_cli)
-finite = st.floats(min_value=-1e153, max_value=1e153)
+# |x| <= 1e75 keeps the mass M of 20 pairs, at most 4e151, and (N + 1) M^2
+# in float range; a state where either overflows is rejected (test_fock,
+# test_cli)
+finite = st.floats(min_value=-1e75, max_value=1e75)
 
 
 @settings(max_examples=50, deadline=None)
