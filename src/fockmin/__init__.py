@@ -48,7 +48,6 @@ from .minimize import (
     scan_mu,
     scan_to_csv,
     semiclassical,
-    wirtinger_gradient,
 )
 from .spectra import (
     BlockKind,

@@ -11,6 +11,7 @@ import json
 import math
 import re
 import sys
+from functools import lru_cache
 
 from . import fock, minimize as mz, spectra, sturm
 from .errors import CertificateFailed, FockminError, InvalidParameter, NoConvergence
@@ -45,7 +46,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves no state on
+    it, so every `run` shares it."""
     parser = _Parser(prog="fockmin")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -129,11 +129,14 @@ class EnergyKernel:
     `re + 1j * im` would be the identity.  Never replace these sums with
     `dot`/`vdot`: they add in a different order.
 
-    One convolution per trial point: `value(a, mu, ct)` leaves ct of `a`
-    in the caller's array `ct` (length 2N + 1), and
-    `value_and_gradient(a, mu, ct)` at the same `a` copies it from there
-    instead of convolving again.  Without `ct` both methods convolve.  The
-    energy and gradient are the same bits either way.
+    One convolution per trial point: the descent evaluates a line search's
+    first trial, which it nearly always accepts, with
+    `value_and_gradient(a, mu)`.  A backtracked trial calls
+    `value(a, mu, ct)`, which leaves ct of `a` in the caller's array `ct`
+    (length 2N + 1), and `value_and_gradient(a, mu, ct)` at the same `a`
+    copies it from there instead of convolving again.  Without `ct` both
+    methods convolve.  The energy and gradient are the same bits either
+    way.
 
     Every intermediate lives in scratch arrays built once here: the outer
     product, the sheared rows, ct and its Hankel view, the (n, n) gradient
@@ -356,7 +359,12 @@ def apply_translation(
 ) -> FockCoefficients:
     """Magnetic translation u(z) -> u(z+alpha) e^{(zbar*alpha - z*alphabar)/2},
     the displacement with beta = -conj(alpha); errors out when more than
-    `tail_tol` of the mass would leave the truncation."""
+    `tail_tol` of the mass would leave the truncation.
+
+    The catalog's `PhiNAlpha(n, alpha)` takes alpha as the displacement
+    itself, so it equals this translation of phi_n by -conj(alpha): the
+    magnetic momentum of `PhiNAlpha(0, 0.5)` is +0.5, that of phi_0
+    translated here by 0.5 is -0.5."""
     out, escaped = _displace(u.coeffs, -complex(alpha).conjugate())
     m_in = mass(u)
     if escaped > tail_tol * m_in:
@@ -381,7 +389,12 @@ class PhiN:
 
 @dataclass(frozen=True)
 class PhiNAlpha:
-    """Magnetically translated basis element."""
+    """Magnetically translated basis element: phi_n displaced by
+    beta = alpha, exp(alpha a^+ - conj(alpha) a) phi_n.
+
+    This is `apply_translation(phi_n, -conj(alpha))`, whose alpha is the
+    shift of the argument z, not the displacement.  Its magnetic momentum
+    is conj(alpha), since phi_n has none."""
 
     n: int
     alpha: complex

@@ -33,7 +33,6 @@ __all__ = [
     "MinimizationResult",
     "MinimizerClass",
     "Classification",
-    "wirtinger_gradient",
     "minimize_G",
     "classify",
     "count_zeros",
@@ -137,20 +136,10 @@ class MinimizationResult:
     n_zeros: int
     zero_radius: float = DEFAULT_ZERO_RADIUS
 
-    def zero_count_in_disk(self, radius: float) -> int:
-        return count_zeros(self.u, radius).count
-
 
 # ---------------------------------------------------------------------------
-# Gradient
+# Descent
 # ---------------------------------------------------------------------------
-
-
-def wirtinger_gradient(u: FockCoefficients, mu: float) -> np.ndarray:
-    """Gradient of G_mu in the convention dG/dRe(a_k) + i dG/dIm(a_k)
-    (twice the derivative in conj(a_k))."""
-    _, grad = energy_kernel(u.truncation).value_and_gradient(u.coeffs, mu)
-    return grad
 
 
 def _norm(x: np.ndarray) -> float:
@@ -253,13 +242,20 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     Re<tangent, direction> is not positive.  The first trial step is 1
     once a pair is stored (STEP_INIT before), and a nonmonotone Armijo
     test on the slope accepts it or backtracks.
+
+    Every trial costs one convolution.  The first trial is accepted in
+    nearly every iteration, so it is evaluated with its gradient in one
+    `value_and_gradient` call; a backtracked trial calls `value`, which
+    leaves its convolution in `cand_ct`, and only the accepted one then
+    reads its gradient from there.
     """
     kern = energy_kernel(config.truncation)
     weights_sq = kern.weights_sq
     mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
     a = a0 / _norm(a0)
     value, grad = kern.value_and_gradient(a, mu)
-    # each trial's convolution, reused for the gradient once it is accepted
+    # a backtracked trial's convolution, reused for the gradient once it is
+    # accepted
     cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
     recent = deque([value], maxlen=NONMONOTONE_MEMORY)
     pairs = deque(maxlen=LBFGS_MEMORY)
@@ -285,14 +281,19 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             direction = _metric_direction(a, tangent, metric)
             slope = _inner(tangent, direction)
         accepted = False
+        first = True
         reference = max(recent)
         while trial > 1e-18:
             cand = a - trial * direction
-            cand = cand / _norm(cand)
-            cand_value = kern.value(cand, mu, cand_ct)
+            cand /= _norm(cand)
+            if first:
+                cand_value, cand_grad = kern.value_and_gradient(cand, mu)
+            else:
+                cand_value = kern.value(cand, mu, cand_ct)
             if cand_value <= reference - ARMIJO * trial * slope:
                 accepted = True
                 break
+            first = False
             trial *= BACKTRACK
         if not accepted:
             stop = "stall"  # Armijo backtracking at floating-point resolution
@@ -300,7 +301,10 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         prev_a, prev_tangent = a, tangent
         a, value = cand, cand_value
         recent.append(value)
-        _, grad = kern.value_and_gradient(a, mu, cand_ct)
+        if first:
+            grad = cand_grad
+        else:
+            _, grad = kern.value_and_gradient(a, mu, cand_ct)
         # give up once the value sits at floating-point resolution for a while
         if landmark - value > 1e-14 * max(abs(value), 1.0):
             landmark = value
@@ -667,7 +671,6 @@ def estimate_mu0(
 class SemiclassicalReport:
     h: float
     Na: float
-    omega_sq: float
     mu_eff: float
     h_at_half: float
     h_at_532: float
@@ -710,7 +713,6 @@ def semiclassical(Na: float, h: float) -> SemiclassicalReport:
     return SemiclassicalReport(
         h=h,
         Na=Na,
-        omega_sq=omega_sq,
         mu_eff=mu_eff,
         h_at_half=_threshold_h(KAPPA_ZERO, Na),
         h_at_532=_threshold_h(KAPPA_INF, Na),

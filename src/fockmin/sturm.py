@@ -51,15 +51,6 @@ class SturmCertificate:
     transition_index: int | None
     root_window: tuple  # (root_minus, root_minus + 1) as floats
 
-    @property
-    def parity(self) -> str:
-        return "odd" if self.j % 2 else "even"
-
-    @property
-    def half_order(self) -> int:
-        """(j+1)//2: p = (j+1)/2 for odd j, q = j/2 for even j."""
-        return (self.j + 1) // 2
-
 
 def _check_index(j: int) -> None:
     if j < _FIRST_J:

@@ -7,7 +7,8 @@ package's tridiagonal-generator translation, whose columns
 entry-by-entry form the matrix is checked against.  Past size about 1030 the
 factorial ratio underflows while the Laguerre value overflows, so both hold
 only below that size.  Phase and rotation are the two other symmetries of
-the energy; the package itself never applies them.
+the energy; the package itself never applies them.  `wirtinger_gradient`
+is the energy kernel's gradient of G_mu at a state, for the gradient checks.
 """
 
 import math
@@ -16,6 +17,13 @@ import numpy as np
 from scipy.special import eval_genlaguerre
 
 from fockmin import fock
+
+
+def wirtinger_gradient(u, mu):
+    """Gradient of G_mu in the convention dG/dRe(a_k) + i dG/dIm(a_k)
+    (twice the derivative in conj(a_k))."""
+    _, grad = fock.energy_kernel(u.truncation).value_and_gradient(u.coeffs, mu)
+    return grad
 
 
 def apply_phase(u, gamma):

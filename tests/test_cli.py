@@ -632,3 +632,34 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("B^(1), order 2\n")
         assert "-1/8" in proc.stdout
+
+
+class TestParserReuse:
+    """One parser serves every `cli.run` of a process: each run, after
+    successes and errors of the parser or of a command, prints what the
+    same argv prints in a fresh process."""
+
+    SEQUENCE = (
+        ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3"],
+        ["certify", "--max-j", "5"],  # rejected by the command
+        ["certify", "--max-j"],  # rejected by the parser
+        ["certify", "--max-j", "12"],
+        ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3"],
+    )
+
+    def test_runs_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        # the usage line wraps at the terminal width: fix it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        assert cli.build_parser() is cli.build_parser()
+        for argv in self.SEQUENCE:
+            in_process = run_capture(capsys, argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "fockmin.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert cli.build_parser() is cli.build_parser()

@@ -241,6 +241,21 @@ class TestCatalog:
         u = fock.catalog_coefficients(fock.PhiNAlpha(2, 0.5 + 0.25j), 48)
         assert fock.mass(u) == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "n, alpha", [(0, 0.5), (1, 0.3 - 0.4j), (3, -1.2 + 0.7j), (5, 2j)]
+    )
+    def test_catalog_alpha_is_the_displacement(self, n, alpha):
+        # PhiNAlpha(n, alpha) displaces phi_n by beta = alpha, while
+        # apply_translation(u, alpha) displaces by beta = -conj(alpha); the
+        # image's magnetic momentum is conj(beta) since phi_n has none
+        phi = fock.catalog_coefficients(fock.PhiN(n), 64)
+        u = fock.catalog_coefficients(fock.PhiNAlpha(n, alpha), 64)
+        moved = fock.apply_translation(phi, -np.conj(alpha))
+        assert np.max(np.abs(u.coeffs - moved.coeffs)) <= 1e-13
+        assert abs(fock.magnetic_momentum(u) - np.conj(alpha)) <= 1e-13
+        shifted = fock.apply_translation(phi, alpha)
+        assert abs(fock.magnetic_momentum(shifted) + alpha) <= 1e-13
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameter):
             fock.catalog_coefficients(fock.PsiB(-0.5), 32)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bb_descent
-from fock_oracles import apply_phase, apply_rotation
+from fock_oracles import apply_phase, apply_rotation, wirtinger_gradient
 from fockmin import fock, minimize as mz
 from fockmin.errors import (
     DegenerateInput,
@@ -35,7 +35,7 @@ class TestGradient:
             a = random_unit(rng, n)
             mu = rng.uniform(0.05, 1.0)
             u = fock.FockCoefficients(n, a)
-            grad = mz.wirtinger_gradient(u, mu)
+            grad = wirtinger_gradient(u, mu)
             kern = fock.energy_kernel(n)
             fd = np.zeros(n + 1, dtype=complex)
             for k in range(n + 1):
@@ -51,7 +51,7 @@ class TestGradient:
     def test_stationary_at_basis_elements(self):
         for n, mu in ((0, 0.8), (1, 0.3)):
             u = fock.catalog_coefficients(fock.PhiN(n), 16)
-            grad = mz.wirtinger_gradient(u, mu)
+            grad = wirtinger_gradient(u, mu)
             lam = np.real(np.vdot(u.coeffs, grad))
             assert np.linalg.norm(grad - lam * u.coeffs) <= 1e-12
 
@@ -257,8 +257,10 @@ class TestPreconditionedDescent:
             monkeypatch.setattr(fock.EnergyKernel, name, counted)
         mz.scan_mu([0.1, 0.4, 0.7], mz.OptimizerConfig(truncation=48, seed=0))
         # the Barzilai-Borwein descent made 5,151 calls here, and the
-        # unpreconditioned one 15,565; L-BFGS makes 1,742
-        assert calls["n"] <= 1900
+        # unpreconditioned one 15,565; L-BFGS made 1,742 with a `value` and
+        # a gradient call per accepted step, and makes 918 now that a first
+        # trial takes its gradient with its value
+        assert calls["n"] <= 1000
 
     def test_large_truncation_iterations(self):
         res = mz.minimize_G(0.1, mz.OptimizerConfig(truncation=192, seed=0))
@@ -574,7 +576,7 @@ class TestTransitionBracket:
         res = mz.minimize_G(
             5.0 / 32.0 - 0.01, mz.OptimizerConfig(truncation=48, restarts=6, seed=0)
         )
-        assert res.zero_count_in_disk(6.0) > 3
+        assert mz.count_zeros(res.u, 6.0).count > 3
         assert res.label is mz.MinimizerClass.UNCLASSIFIED
 
 

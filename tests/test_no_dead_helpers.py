@@ -1,5 +1,6 @@
-"""Every module-level function and class of the coefficient core (`fock.py`)
-and of the certificate layer has a reader in the package.
+"""Every module-level function and class of the package's modules (the
+coefficient core, the minimizer, the certificate layer, the CLI and the
+error types) has a reader in the package.
 
 A name counts as read when some code under `src/fockmin` refers to it, by
 name or as a module attribute, outside its own definition and `__all__`.
@@ -13,7 +14,14 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fockmin"
-CHECKED = ("fock.py", "spectra.py", "sturm.py")
+CHECKED = (
+    "cli.py",
+    "errors.py",
+    "fock.py",
+    "minimize.py",
+    "spectra.py",
+    "sturm.py",
+)
 
 
 def _is_all(statement) -> bool:
@@ -95,3 +103,18 @@ def test_a_re_export_is_not_a_reader():
     )
     sources["__init__.py"] += "\nfrom .sturm import certificate_json\n"
     assert unread_names(sources, CHECKED) == ["sturm.py:certificate_json"]
+
+
+def test_a_restored_gradient_helper_fails():
+    # minimize.wirtinger_gradient as it stood before it moved to the tests,
+    # with its __all__ entry and its package re-export
+    sources = package_sources()
+    sources["minimize.py"] = sources["minimize.py"].replace(
+        '__all__ = [\n', '__all__ = [\n    "wirtinger_gradient",\n'
+    ) + (
+        "\n\ndef wirtinger_gradient(u, mu):\n"
+        "    _, grad = energy_kernel(u.truncation).value_and_gradient(u.coeffs, mu)\n"
+        "    return grad\n"
+    )
+    sources["__init__.py"] += "\nfrom .minimize import wirtinger_gradient\n"
+    assert unread_names(sources, CHECKED) == ["minimize.py:wirtinger_gradient"]

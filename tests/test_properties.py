@@ -1,13 +1,17 @@
-"""Property tests: the exact sign routines and the coefficient-file format."""
+"""Property tests: the exact sign routines, the coefficient-file format and
+the symmetry laws of the functionals."""
 
+import cmath
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fock_oracles import apply_phase, apply_rotation
 from fockmin import fock, sturm
 
 # a leading nonzero entry, then a tail in which zeros are common
@@ -64,3 +68,52 @@ def test_coefficient_file_round_trip(pairs):
         back = fock.load_coefficients(path)
     assert back.truncation == u.truncation
     assert back.coeffs.tobytes() == u.coeffs.tobytes()
+
+
+# States on modes 0..SYMMETRY_N/2 at truncation SYMMETRY_N: a translation by
+# |alpha| <= 1 moves less than 1e-19 of their mass past the truncation.
+SYMMETRY_N = 64
+unit_floats = st.floats(min_value=-1.0, max_value=1.0)
+half_supported = st.lists(
+    st.tuples(unit_floats, unit_floats),
+    min_size=SYMMETRY_N // 2 + 1,
+    max_size=SYMMETRY_N // 2 + 1,
+)
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+small_alphas = st.tuples(st.floats(min_value=0.0, max_value=1.0), angles).map(
+    lambda polar: cmath.rect(*polar)
+)
+
+
+def _unit_state(pairs):
+    a = np.zeros(SYMMETRY_N + 1, dtype=complex)
+    a[: len(pairs)] = [complex(re, im) for re, im in pairs]
+    norm = np.linalg.norm(a)
+    assume(norm > 1e-3)
+    return fock.FockCoefficients(SYMMETRY_N, a / norm)
+
+
+def _functionals(u):
+    """(M, H, MP - |Q|^2, P)."""
+    m, p = fock.mass(u), fock.angular_momentum(u)
+    return m, fock.hamiltonian(u), m * p - abs(fock.magnetic_momentum(u)) ** 2, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_supported, angles, angles, small_alphas)
+def test_symmetries_keep_the_invariant_functionals(pairs, gamma, theta, alpha):
+    u = _unit_state(pairs)
+    m, h, spread, p = _functionals(u)
+    images = (
+        (apply_phase(u, gamma), True),
+        (apply_rotation(u, theta), True),
+        (fock.apply_translation(u, alpha), False),
+    )
+    for image, keeps_p in images:
+        m2, h2, spread2, p2 = _functionals(image)
+        assert m2 == pytest.approx(m, rel=1e-13, abs=0)
+        assert h2 == pytest.approx(h, rel=1e-12, abs=0)
+        # M P and |Q|^2 reach about 33 here and cancel down to MP - |Q|^2
+        assert spread2 == pytest.approx(spread, rel=0, abs=1e-12)
+        if keeps_p:
+            assert p2 == pytest.approx(p, rel=1e-13, abs=0)

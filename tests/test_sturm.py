@@ -15,6 +15,15 @@ from certificate_oracles import (
 )
 
 
+def parity(cert):
+    return "odd" if cert.j % 2 else "even"
+
+
+def half_order(cert):
+    """(j+1)//2: p = (j+1)/2 for odd j, q = j/2 for even j."""
+    return (cert.j + 1) // 2
+
+
 class TestRecurrence:
     def test_hand_iterated_odd(self):
         # p = 4: u = (1, 3, 3*3 - 1*7*1, 3*2 - 2*6*3)
@@ -153,15 +162,16 @@ class TestCertificate:
 
     def test_parity_and_half_order_follow_j(self):
         cases = ((6, "even", 3), (7, "odd", 4), (8, "even", 4), (9, "odd", 5))
-        for j, parity, half in cases:
+        for j, expected, half in cases:
             cert = sturm.positivity_certificate(j)
-            assert cert.parity == parity
-            assert cert.half_order == half
+            assert parity(cert) == expected
+            assert half_order(cert) == half
+            # the j//2 + 1 minors: p of them for odd j, q + 1 for even j
+            assert len(cert.sequence) == half + (expected == "even")
 
     def test_certificate_fields(self):
         cert = sturm.positivity_certificate(8)
         assert cert.j == 8
-        assert cert.parity == "even"
         assert isinstance(cert.transition_index, int)
         assert cert.transition_index == expected_transition(8)
         assert all(isinstance(v, int) for v in cert.sequence)
