@@ -4,12 +4,16 @@ The energy G_mu = 8*pi*H + mu*P is minimized over unit-mass coefficient
 vectors by a Riemannian L-BFGS descent, seeded with the diagonal of the
 Riemannian Hessian and with renormalization as the retraction, restarted
 from the closed-form stationary waves and from seeded random states.
-Converged minimizers are classified against the catalog after quotienting
-out phase, rotation and translation.
+The restarts at one coupling, and every restart at every coupling of a
+scan, are descended in lock step as the rows of one stack, and each row
+ends with the bits of a descent run on its own.  Converged minimizers are
+classified against the catalog after quotienting out phase, rotation and
+translation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -142,182 +146,232 @@ class MinimizationResult:
 # ---------------------------------------------------------------------------
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a 1-D complex vector: the sum `np.linalg.norm`
-    forms, to the same bits, without its Python wrapper."""
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dots x_r . y_r of two (rows, k) float arrays, as a column:
+    `np.vecdot` calls per row the BLAS dot that `x[r].dot(y[r])` calls."""
+    return np.vecdot(x, y, keepdims=True)
+
+
+def _inners(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise Re<x_r, y_r> of two complex arrays with contiguous rows: the
+    dots of their interleaved (re, im) float views."""
+    return _dots(x.view(float), y.view(float))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norms of a complex array, as a column: the sums
+    `np.linalg.norm` forms, to the same bits."""
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(_dots(re, re) + _dots(im, im))
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Real inner product Re<x, y> of two contiguous complex vectors: the
-    dot product of their interleaved (re, im) float views."""
-    return float(x.view(float).dot(y.view(float)))
-
-
-def _tangent_and_metric(
-    a: np.ndarray, grad: np.ndarray, weights_sq: np.ndarray, mode_curvature: np.ndarray
-):
-    """(tangent, metric) at the unit vector a.
-
-    tangent = grad - lam a is the Riemannian gradient, with the Lagrange
-    multiplier lam = Re<a, grad>.  The metric is the diagonal of the
-    Riemannian Hessian on the unit sphere (Absil, Mahony and Sepulchre,
-    2008), m_k = 2 mu k + 8 sum_l c_kl |a_l|^2 - lam: the real Hessian of
-    G_mu averaged over the Re and Im directions of mode k, less lam,
-    floored at METRIC_FLOOR * lam (lam > 0 for every nonzero a, since G_mu
-    is a positive quartic plus a non-negative quadratic).
-    `weights_sq` holds c_kl = C(k+l, k)/2^(k+l), the energy kernel's
-    `weights_sq`, and `mode_curvature` holds 2 mu k.
-    """
-    lam = _inner(a, grad)
-    tangent = grad - lam * a
-    metric = weights_sq @ (a.real * a.real + a.imag * a.imag)
-    metric *= 8.0
-    metric += mode_curvature
-    metric -= lam
-    np.maximum(metric, METRIC_FLOOR * lam, out=metric)
-    return tangent, metric
-
-
-def _metric_direction(
-    a: np.ndarray, tangent: np.ndarray, metric: np.ndarray
-) -> np.ndarray:
-    """tangent / metric projected back onto the tangent space at a."""
-    direction = tangent / metric
-    direction -= _inner(a, direction) * a
-    return direction
-
-
-def _remember_pair(pairs: deque, s: np.ndarray, y: np.ndarray) -> None:
-    """Append the curvature pair (s, y, 1 / s^T y), as float views of the
-    complex vectors, unless s^T y <= 0, which would make the
-    inverse-Hessian estimate indefinite."""
-    sy = _inner(s, y)
-    if sy > 0:
+def _remember_pairs(pairs: deque, held, s: np.ndarray, y: np.ndarray):
+    """Store each row's curvature pair (s, y, 1 / s^T y), as float views of
+    its complex rows, as its newest entry of `pairs` (one (s, y, rho) stack
+    per age, oldest first), unless s^T y <= 0, which would make the
+    inverse-Hessian estimate indefinite; such a row keeps its pairs at
+    their ages.  `held` counts each row's pairs, its newest entries, and is
+    None while every row holds every entry.  Returns (pairs, held)."""
+    sy = _inners(s, y)
+    kept = sy > 0
+    if kept.all():
         pairs.append((s.view(float), y.view(float), 1.0 / sy))
+        if held is None:
+            return pairs, None
+    elif not kept.any():
+        return pairs, held
+    else:
+        if held is None:
+            held = np.full(len(sy), len(pairs))
+        new = (s.view(float), y.view(float), 1.0 / np.where(kept, sy, 1.0))
+        by_age = [new, *reversed(pairs)]
+        aged = [
+            tuple(map(np.where, (kept,) * 3, newer, older))
+            for newer, older in zip(by_age, by_age[1:])
+        ] + by_age[len(pairs) : LBFGS_MEMORY]
+        pairs = deque(reversed(aged), maxlen=LBFGS_MEMORY)
+    held = np.minimum(held + kept[:, 0], LBFGS_MEMORY)
+    return pairs, None if (held == len(pairs)).all() else held
 
 
-def _lbfgs_direction(
-    a: np.ndarray, tangent: np.ndarray, metric: np.ndarray, pairs: deque
-) -> np.ndarray:
+def _lbfgs_direction(a, tangent, metric, pairs) -> np.ndarray:
     """L-BFGS two-loop recursion (Liu and Nocedal, Math. Prog. 45 (1989))
-    applied to the tangent, seeded with gamma / metric, where
+    applied to each row's tangent, seeded with gamma / metric, where
     gamma = s^T y / y^T M^-1 y for the newest pair, and projected onto the
-    tangent space at a.  The stored pairs are used as they are, without
-    vector transport.  `pairs` must not be empty."""
+    tangent space at a.  `pairs` holds every row's pairs as (s, y, rho)
+    stacks, oldest first, and must not be empty.  The stored pairs are
+    used as they are, without vector transport."""
     q = tangent.copy()
     qf = q.view(float)
     alphas = []
     for s, y, rho in reversed(pairs):
-        alpha = rho * s.dot(qf)
+        alpha = rho * _dots(s, qf)
         qf -= alpha * y
         alphas.append(alpha)
     inv_metric = 1.0 / metric
     _, y, rho = pairs[-1]
     newest = y.view(complex)
-    gamma = 1.0 / (rho * _inner(newest, newest * inv_metric))
+    gamma = 1.0 / (rho * _inners(newest, newest * inv_metric))
     inv_metric *= gamma
     r = q * inv_metric
     rf = r.view(float)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        rf += (alpha - rho * y.dot(rf)) * s
-    r -= _inner(a, r) * a
+        rf += (alpha - rho * _dots(y, rf)) * s
+    r -= _inners(a, r) * a
     return r
 
 
-def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
-    """Riemannian L-BFGS descent from a0, in the diagonal metric.
+_STOPS = ("tolerance", "stall", "plateau")  # by precedence; "budget" otherwise
 
-    Returns (a, value, residual, iterations, stop), where stop says why
-    the descent ended: "tolerance" (|tangent| <= grad_tol, the Euclidean
-    test), "stall" (the Armijo backtracking reached float resolution),
-    "plateau" (no decrease above rounding for 200 steps) or "budget"
-    (max_iters steps taken).  A plateau or budget stop whose last point
-    meets the tolerance is reported as "tolerance".
 
-    Each iteration searches along `_lbfgs_direction` over the last
-    LBFGS_MEMORY pairs (s = a+ - a, y = tangent+ - tangent), or along
-    `_metric_direction` while no pair is stored or when the L-BFGS slope
-    Re<tangent, direction> is not positive.  The first trial step is 1
-    once a pair is stored (STEP_INIT before), and a nonmonotone Armijo
-    test on the slope accepts it or backtracks.
+def _descend(starts, mus, config: OptimizerConfig) -> list:
+    """Riemannian L-BFGS descents in the diagonal metric from each start at
+    its coupling, advanced in lock step.
 
-    Every trial costs one convolution.  The first trial is accepted in
-    nearly every iteration, so it is evaluated with its gradient in one
-    `value_and_gradient` call; a backtracked trial calls `value`, which
-    leaves its convolution in `cand_ct`, and only the accepted one then
-    reads its gradient from there.
+    Returns one (a, value, residual, iterations, stop) per start, in order,
+    where stop says why that descent ended: "tolerance" (|tangent| <=
+    grad_tol, the Euclidean test), "stall" (the Armijo backtracking reached
+    float resolution), "plateau" (no decrease above rounding for 200 steps)
+    or "budget" (max_iters steps taken).  A plateau or budget stop whose
+    last point meets the tolerance is reported as "tolerance".
+
+    Each iteration forms the tangent = grad - lam a, with the Lagrange
+    multiplier lam = Re<a, grad>, and the metric, the diagonal of the
+    Riemannian Hessian on the unit sphere (Absil, Mahony and Sepulchre,
+    2008), m_k = 2 mu k + 8 sum_l c_kl |a_l|^2 - lam, with c_kl the energy
+    kernel's `weights_sq`: the real Hessian of G_mu averaged over the Re
+    and Im directions of mode k, less lam, floored at METRIC_FLOOR * lam
+    (lam > 0 for every nonzero a, since G_mu is a positive quartic plus a
+    non-negative quadratic).  It searches along `_lbfgs_direction` over the
+    last LBFGS_MEMORY pairs (s = a+ - a, y = tangent+ - tangent), or along
+    tangent / metric, projected, while no pair is stored or when the
+    L-BFGS slope Re<tangent, direction> is not positive.  The first trial
+    step is 1 once a pair is stored (STEP_INIT before), and a nonmonotone
+    Armijo test on the slope accepts it or backtracks.
+
+    Each round advances every live row by one iteration with stacked numpy
+    calls; a row leaves the stack at the top of the round after its last
+    step.  Every product, dot and norm of a row is the elementwise
+    operation or BLAS call its descent alone would make, so each row ends
+    with the bits of a descent run on its own, whatever its stack mates.
+    Every trial costs one convolution, in one kernel call per row.  A first
+    trial, accepted in nearly every iteration, takes its gradient with its
+    value in one `value_and_gradient` call; a row whose first trial fails
+    backtracks alone, each trial calling `value`, which leaves its
+    convolution in `cand_ct`, and only the accepted one reads its gradient
+    from there.
     """
+    if not len(starts):
+        return []
     kern = energy_kernel(config.truncation)
-    weights_sq = kern.weights_sq
-    mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
-    a = a0 / _norm(a0)
-    value, grad = kern.value_and_gradient(a, mu)
-    # a backtracked trial's convolution, reused for the gradient once it is
-    # accepted
+    mus = np.array(mus, dtype=float)
+    curvature = (2.0 * mus)[:, None] * kern.mode_index
+    a = np.array(starts, dtype=complex)
+    a /= _norms(a)
+    value = np.empty(len(a))
+    grad = np.empty_like(a)
+    for r, mu in enumerate(mus.tolist()):
+        value[r], grad[r] = kern.value_and_gradient(a[r], mu)
     cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
-    recent = deque([value], maxlen=NONMONOTONE_MEMORY)
+    ids = np.arange(len(a))
+    recent = np.full((len(a), NONMONOTONE_MEMORY), -np.inf)
+    recent[:, 0] = value
     pairs = deque(maxlen=LBFGS_MEMORY)
-    prev_a = prev_tangent = None
-    landmark = value
-    since_progress = 0
-    iters = 0
-    stop = "budget"
-    for iters in range(1, config.max_iters + 1):
-        tangent, metric = _tangent_and_metric(a, grad, weights_sq, mode_curvature)
-        residual = _norm(tangent)
-        if residual <= config.grad_tol:
-            return a, value, residual, iters - 1, "tolerance"
-        if prev_a is not None:
-            _remember_pair(pairs, a - prev_a, tangent - prev_tangent)
-        trial = STEP_INIT
-        slope = 0.0
-        if pairs:
-            trial = 1.0
-            direction = _lbfgs_direction(a, tangent, metric, pairs)
-            slope = _inner(tangent, direction)
-        if not slope > 0:
-            direction = _metric_direction(a, tangent, metric)
-            slope = _inner(tangent, direction)
-        accepted = False
-        first = True
-        reference = max(recent)
-        while trial > 1e-18:
-            cand = a - trial * direction
-            cand /= _norm(cand)
-            if first:
-                cand_value, cand_grad = kern.value_and_gradient(cand, mu)
-            else:
-                cand_value = kern.value(cand, mu, cand_ct)
-            if cand_value <= reference - ARMIJO * trial * slope:
-                accepted = True
-                break
-            first = False
-            trial *= BACKTRACK
-        if not accepted:
-            stop = "stall"  # Armijo backtracking at floating-point resolution
-            break
-        prev_a, prev_tangent = a, tangent
-        a, value = cand, cand_value
-        recent.append(value)
-        if first:
-            grad = cand_grad
-        else:
-            _, grad = kern.value_and_gradient(a, mu, cand_ct)
+    held = None
+    prev_a = prev_tangent = a  # not read before the first step
+    landmark = value.copy()
+    last_progress = np.zeros(len(a), dtype=int)
+    stalled = np.zeros(len(a), dtype=bool)
+    results = [None] * len(a)
+    for step in itertools.count(1):
+        lam = _inners(a, grad)
+        tangent = grad - lam * a
+        residual = _norms(tangent)[:, 0]
+        converged = residual <= config.grad_tol
         # give up once the value sits at floating-point resolution for a while
-        if landmark - value > 1e-14 * max(abs(value), 1.0):
-            landmark = value
-            since_progress = 0
+        plateau = last_progress <= step - 201
+        stops = converged | stalled | plateau | (step > config.max_iters)
+        if stops.any():
+            why = np.select([converged, stalled, plateau], _STOPS, "budget")
+            for r in np.flatnonzero(stops):
+                last = (a[r].copy(), float(value[r]), float(residual[r]), step - 1)
+                results[ids[r]] = (*last, str(why[r]))
+            live = ~stops
+            if not live.any():
+                return results
+            (ids, mus, curvature, a, grad, value, lam, tangent, prev_a, prev_tangent,
+             recent, landmark, last_progress, stalled) = (
+                x[live]
+                for x in (ids, mus, curvature, a, grad, value, lam, tangent, prev_a,
+                          prev_tangent, recent, landmark, last_progress, stalled)
+            )
+            held = None if held is None else held[live]
+            pairs = deque(
+                ((s[live], y[live], rho[live]) for s, y, rho in pairs),
+                maxlen=LBFGS_MEMORY,
+            )
+        sq = a.real * a.real + a.imag * a.imag
+        metric = np.matmul(kern.weights_sq, sq[:, :, None])[:, :, 0]
+        metric *= 8.0
+        metric += curvature
+        metric -= lam
+        np.maximum(metric, METRIC_FLOOR * lam, out=metric)
+        if step > 1:
+            pairs, held = _remember_pairs(
+                pairs, held, a - prev_a, tangent - prev_tangent
+            )
+        if held is None and pairs:  # every row holds every pair
+            trial = np.ones((len(a), 1))
+            direction = _lbfgs_direction(a, tangent, metric, pairs)
+            slope = _inners(tangent, direction)
         else:
-            since_progress += 1
-            if since_progress >= 200:
-                stop = "plateau"
-                break
-    residual = _norm(grad - _inner(a, grad) * a)
-    if residual <= config.grad_tol:
-        stop = "tolerance"
-    return a, value, residual, iters, stop
+            count = np.full(len(a), len(pairs)) if held is None else held
+            trial = np.where(count > 0, 1.0, STEP_INIT)[:, None]
+            direction = np.empty_like(a)
+            slope = np.zeros((len(a), 1))  # a row without pairs falls back
+            for own in set(count.tolist()) - {0}:
+                rows = np.flatnonzero(count == own)
+                mem = [(s[rows], y[rows], rho[rows]) for s, y, rho in pairs]
+                direction[rows] = _lbfgs_direction(
+                    a[rows], tangent[rows], metric[rows], mem[-own:]
+                )
+                slope[rows] = _inners(tangent[rows], direction[rows])
+        fallback = np.flatnonzero(~(slope > 0))
+        if len(fallback):
+            d = tangent[fallback] / metric[fallback]
+            d -= _inners(a[fallback], d) * a[fallback]
+            direction[fallback] = d
+            slope[fallback] = _inners(tangent[fallback], d)
+        cand = a - trial * direction
+        cand /= _norms(cand)
+        cand_value = np.empty(len(a))
+        cand_grad = np.empty_like(a)
+        mu_list = mus.tolist()
+        for r, mu in enumerate(mu_list):
+            cand_value[r], cand_grad[r] = kern.value_and_gradient(cand[r], mu)
+        reference = recent.max(axis=1)[:, None]
+        accepted = cand_value[:, None] <= reference - ARMIJO * trial * slope
+        for r in np.flatnonzero(~accepted):  # backtrack this row alone
+            t, mu = float(trial[r, 0]), mu_list[r]
+            while True:
+                t *= BACKTRACK
+                if not t > 1e-18:  # Armijo backtracking at float resolution
+                    stalled[r] = True
+                    cand[r], cand_value[r], cand_grad[r] = a[r], value[r], grad[r]
+                    break
+                c = a[r] - t * direction[r]
+                c /= _norms(c[None])[0, 0]
+                v = kern.value(c, mu, cand_ct)
+                if v <= reference[r, 0] - ARMIJO * t * slope[r, 0]:
+                    cand[r], cand_value[r] = c, v
+                    _, cand_grad[r] = kern.value_and_gradient(c, mu, cand_ct)
+                    break
+        prev_a, prev_tangent = a, tangent
+        a, value, grad = cand, cand_value, cand_grad
+        recent[:, step % NONMONOTONE_MEMORY] = value
+        progress = landmark - value > 1e-14 * np.maximum(np.abs(value), 1.0)
+        np.copyto(landmark, value, where=progress)
+        last_progress[progress] = step
 
 
 # Catalog starts, in restart order; random states fill the remaining restarts.
@@ -338,50 +392,76 @@ def _starting_points(config: OptimizerConfig, rng: np.random.Generator):
     return points
 
 
-def _check_coupling(mu: float) -> None:
+def _check_coupling(mu: float, truncation: int) -> None:
     if not math.isfinite(mu):
         raise NonFiniteParameter(f"the coupling mu must be finite, got {mu}")
     if mu <= 0:
         raise MuNonPositive("the coupling mu must be strictly positive")
+    # the descent squares gradient terms up to 2 mu N in its norms and dots
+    top = 2.0 * mu * truncation
+    if not math.isfinite(top * top):
+        raise InvalidParameter(
+            f"the coupling mu {mu:.3e} is too large for truncation {truncation}: "
+            "(2 mu N)^2 overflows double precision"
+        )
+
+
+def _minimize_all(mus, config: OptimizerConfig) -> list:
+    """`minimize_G` at each coupling of `mus`, with every restart at every
+    coupling descended as one stack."""
+    starts = _starting_points(config, np.random.default_rng(config.seed))
+    rows = _descend(
+        [start for _ in mus for start in starts],
+        [mu for mu in mus for _ in starts],
+        config,
+    )
+    results = []
+    for i, mu in enumerate(mus):
+        mine = rows[i * len(starts) : (i + 1) * len(starts)]
+        idx = 0
+        for j, (_, value, *_) in enumerate(mine):
+            best = mine[idx][1]
+            if value < best - TIE_MARGIN * max(1.0, abs(best)):
+                idx = j
+        a, _, residual, iters, stop = mine[idx]
+        u = FockCoefficients(config.truncation, a)
+        rep = fock.functionals(u, mu)
+        cls = classify(u)
+        zeros = count_zeros(u, DEFAULT_ZERO_RADIUS)
+        results.append(
+            MinimizationResult(
+                mu=mu,
+                u=u,
+                G_value=rep.G,
+                P_value=rep.P,
+                Q_value=rep.Q,
+                H_value=rep.H,
+                lagrange_residual=residual,
+                converged=stop == "tolerance",
+                iterations=iters,
+                restart_index=idx,
+                label=cls.label,
+                overlap=cls.overlap,
+                b_fit=cls.b_fit,
+                n_zeros=zeros.count,
+            )
+        )
+    return results
 
 
 def minimize_G(mu: float, config: OptimizerConfig | None = None) -> MinimizationResult:
-    """Best sphere-constrained minimizer of G_mu across restarts.
+    """Best sphere-constrained minimizer of G_mu across restarts, which are
+    descended as one stack.
 
     Raises MuNonPositive for mu <= 0, where no global minimizer exists,
-    and NonFiniteParameter for a NaN or infinite mu.  A result whose
-    descent stopped short of the tolerance (Armijo stall, plateau or
-    budget) is returned with converged=False.
+    NonFiniteParameter for a NaN or infinite mu, and InvalidParameter for
+    a mu whose (2 mu N)^2 overflows.  A result whose descent stopped short
+    of the tolerance (Armijo stall, plateau or budget) is returned with
+    converged=False.
     """
-    _check_coupling(mu)
     config = config or OptimizerConfig()
-    rng = np.random.default_rng(config.seed)
-    best = None
-    for idx, start in enumerate(_starting_points(config, rng)):
-        a, value, residual, iters, stop = _descend(start, mu, config)
-        if best is None or value < best[0] - TIE_MARGIN * max(1.0, abs(best[0])):
-            best = (value, a, residual, iters, stop, idx)
-    _, a, residual, iters, stop, idx = best
-    u = FockCoefficients(config.truncation, a)
-    rep = fock.functionals(u, mu)
-    cls = classify(u)
-    zeros = count_zeros(u, DEFAULT_ZERO_RADIUS)
-    return MinimizationResult(
-        mu=mu,
-        u=u,
-        G_value=rep.G,
-        P_value=rep.P,
-        Q_value=rep.Q,
-        H_value=rep.H,
-        lagrange_residual=residual,
-        converged=stop == "tolerance",
-        iterations=iters,
-        restart_index=idx,
-        label=cls.label,
-        overlap=cls.overlap,
-        b_fit=cls.b_fit,
-        n_zeros=zeros.count,
-    )
+    _check_coupling(mu, config.truncation)
+    return _minimize_all([mu], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +636,18 @@ def closed_form_lines(mu: float):
 def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
     """Minimize across a grid of couplings; rows sorted by mu.
 
-    The whole grid is validated before the first minimization.
+    The whole grid is validated before the first descent.  Every restart
+    at every coupling is descended as one stack, and each coupling keeps
+    the restart `minimize_G` would pick.
     """
     config = config or OptimizerConfig()
     mus = [float(m) for m in grid]
     for mu in mus:
-        _check_coupling(mu)
+        _check_coupling(mu, config.truncation)
+    mus.sort()
     rows = []
-    for mu in sorted(mus):
-        res = minimize_G(mu, config)
+    for res in _minimize_all(mus, config):
+        mu = res.mu
         g0, g1, gb = closed_form_lines(mu)
         rows.append(
             ScanRow(

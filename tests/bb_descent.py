@@ -23,8 +23,8 @@ from fockmin.minimize import (
     NONMONOTONE_MEMORY,
     STEP_INIT,
     OptimizerConfig,
-    _norm,
 )
+from serial_descent import _norm
 
 
 def _search_direction(

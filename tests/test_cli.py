@@ -619,6 +619,85 @@ class TestErrorPaths:
         assert "Traceback" not in proc.stderr
 
 
+def largest_coupling(truncation):
+    """The largest mu whose (2 mu N)^2 is finite at truncation N."""
+    mu = math.sqrt(sys.float_info.max) / (2.0 * truncation)
+    while math.isfinite((2.0 * mu * truncation) * (2.0 * mu * truncation)):
+        mu = math.nextafter(mu, math.inf)
+    while not math.isfinite((2.0 * mu * truncation) * (2.0 * mu * truncation)):
+        mu = math.nextafter(mu, 0.0)
+    return mu
+
+
+class TestCouplingBound:
+    """A coupling whose (2 mu N)^2 overflows is one usage error before any
+    descent; the largest coupling below it runs without a numpy warning.
+    Every test turns every warning into an error."""
+
+    @staticmethod
+    def bound_message(mu, truncation):
+        return (
+            f"error: the coupling mu {mu:.3e} is too large for truncation "
+            f"{truncation}: (2 mu N)^2 overflows double precision\n"
+        )
+
+    @pytest.mark.parametrize("truncation", [48, 1536])
+    @pytest.mark.parametrize("command", ["minimize", "scan"])
+    def test_first_overflowing_coupling_is_one_error_line(
+        self, capsys, monkeypatch, truncation, command
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("descent reached with an overflowing coupling")
+
+        monkeypatch.setattr(minimize, "_descend", no_solve)
+        mu = math.nextafter(largest_coupling(truncation), math.inf)
+        if command == "minimize":
+            argv = ["minimize", "--mu", repr(mu)]
+        else:
+            argv = ["scan", "--from", repr(mu), "--to", repr(mu), "--step", repr(mu)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(capsys, [*argv, "--trunc", str(truncation)])
+        assert (code, out, err) == (1, "", self.bound_message(mu, truncation))
+
+    @pytest.mark.parametrize(
+        "argv, mu",
+        [
+            # these printed overflow warnings and exited 0, or, from 1e307,
+            # printed invalid-value warnings and exited 3
+            (["minimize", "--mu", "1e153"], 1e153),
+            (["minimize", "--mu", "1e306"], 1e306),
+            (["minimize", "--mu", "1e307"], 1e307),
+            (["scan", "--from", "1e200", "--to", "1e200", "--step", "1e200"], 1e200),
+            # the whole grid is checked before the first descent
+            (["scan", "--from", "0.1", "--to", "1e200", "--step", "5e199"], 5e199),
+        ],
+    )
+    def test_reported_overflows_are_usage_errors(self, capsys, argv, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(capsys, argv)
+        assert (code, out, err) == (1, "", self.bound_message(mu, 48))
+
+    @pytest.mark.parametrize(
+        "truncation, restarts", [(48, 8), (1536, 2)], ids=["48", "1536"]
+    )
+    def test_largest_coupling_runs_without_warnings(self, capsys, truncation, restarts):
+        mu = largest_coupling(truncation)
+        argv = ["minimize", "--mu", repr(mu), "--trunc", str(truncation)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_capture(
+                    capsys, [*argv, "--restarts", str(restarts), "--format", "json"]
+                )
+        finally:
+            fock.energy_kernel.cache_clear()  # N = 1536 holds ~250 MiB
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["mu"], data["class"], data["G"]) == (mu, "phi0", 1.0)
+
+
 class TestModuleEntryPoint:
     def test_python_m_runs_main(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -289,7 +289,7 @@ def test_descent_convolves_once_per_trial(monkeypatch):
             counts[name] = 0
         rng = np.random.default_rng(7)
         start = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        *_, iters, stop = minimize._descend(start, mu, config)
+        [(*_, iters, stop)] = minimize._descend([start], [mu], config)
         assert stop == "tolerance" and iters > 10
         # the start and each iteration's first trial take value and gradient
         # together; a backtracked trial calls `value`, and an accepted
@@ -335,7 +335,7 @@ def test_first_trial_gradient_has_the_bits_of_value_then_gradient(monkeypatch, s
     config = minimize.OptimizerConfig(truncation=48, restarts=1)
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(49) + 1j * rng.standard_normal(49)
-    fused = minimize._descend(start, 0.05, config)
+    [fused] = minimize._descend([start], [0.05], config)
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
     def split(self, a, mu, ct=None):
@@ -345,6 +345,6 @@ def test_first_trial_gradient_has_the_bits_of_value_then_gradient(monkeypatch, s
         return value_and_gradient(self, a, mu, ct)
 
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", split)
-    a, *rest = minimize._descend(start, 0.05, config)
+    [(a, *rest)] = minimize._descend([start], [0.05], config)
     assert a.tobytes() == fused[0].tobytes()
     assert rest == list(fused[1:])

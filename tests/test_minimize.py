@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bb_descent
+import serial_descent as sd
 from fock_oracles import apply_phase, apply_rotation, wirtinger_gradient
 from fockmin import fock, minimize as mz
 from fockmin.errors import (
@@ -19,6 +20,15 @@ from fockmin.errors import (
 )
 
 FAST = mz.OptimizerConfig(truncation=24, restarts=4, seed=0)
+
+
+def stack_pairs(row_pairs):
+    """The serial descents' pair deques of several rows, each of the same
+    length, as the stacked descent's (s, y, rho) stacks by age."""
+    return [
+        tuple(np.stack(parts) for parts in zip(*entries))
+        for entries in zip(*[[(s, y, [rho]) for s, y, rho in p] for p in row_pairs])
+    ]
 
 
 def random_unit(rng, truncation):
@@ -137,9 +147,9 @@ class TestMinimize:
     def test_descent_decreases_energy_and_keeps_mass(self):
         rng = np.random.default_rng(4)
         kern = fock.energy_kernel(FAST.truncation)
-        for _ in range(5):
-            start = random_unit(rng, FAST.truncation)
-            a, value, _, _, _ = mz._descend(start, 0.3, FAST)
+        starts = [random_unit(rng, FAST.truncation) for _ in range(5)]
+        rows = mz._descend(starts, [0.3] * len(starts), FAST)
+        for start, (a, value, _, _, _) in zip(starts, rows):
             assert value <= kern.value(start, 0.3) + 1e-15
             assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
@@ -201,10 +211,10 @@ class TestPreconditionedDescent:
         mode_curvature = 2.0 * mu * np.arange(self.N + 1, dtype=float)
         for a in self._states():
             _, grad = kern.value_and_gradient(a, mu)
-            tangent, metric = mz._tangent_and_metric(
+            tangent, metric = sd._tangent_and_metric(
                 a, grad, weights_sq, mode_curvature
             )
-            direction = mz._metric_direction(a, tangent, metric)
+            direction = sd._metric_direction(a, tangent, metric)
             assert np.all(metric > 0)
             assert abs(np.real(np.vdot(a, direction))) <= 1e-14
             slope = np.real(np.vdot(tangent, direction))
@@ -223,7 +233,7 @@ class TestPreconditionedDescent:
         _, grad = kern.value_and_gradient(a, mu)
         lam = np.real(np.vdot(a, grad))
         mode_curvature = 2.0 * mu * np.arange(n + 1, dtype=float)
-        _, metric = mz._tangent_and_metric(
+        _, metric = sd._tangent_and_metric(
             a, grad, kern.weights_sq, mode_curvature
         )
         averaged = np.zeros(n + 1)
@@ -240,10 +250,13 @@ class TestPreconditionedDescent:
 
     def test_norm_has_the_bits_of_linalg_norm(self):
         rng = np.random.default_rng(9)
-        for size in (1, 25, 49, 193):
-            x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            x *= 10.0 ** rng.uniform(-8, 8)
-            assert mz._norm(x) == np.linalg.norm(x)
+        for size in (1, 25, 49, 193, 1537):
+            rows = rng.standard_normal((5, size)) + 1j * rng.standard_normal((5, size))
+            rows *= 10.0 ** rng.uniform(-8, 8, (5, 1))
+            norms = mz._norms(rows)
+            assert norms.shape == (5, 1)
+            for x, norm in zip(rows, norms[:, 0]):
+                assert sd._norm(x) == np.linalg.norm(x) == norm
 
     def test_scan_kernel_calls(self, monkeypatch):
         calls = {"n": 0}
@@ -285,7 +298,7 @@ class TestLbfgsDescent:
             s = 0.1 * random_unit(rng, self.N)
             s -= np.real(np.vdot(a, s)) * a
             y = s * rng.uniform(0.2, 3.0, self.N + 1) + 0.01 * random_unit(rng, self.N)
-            mz._remember_pair(pairs, s, y)
+            sd._remember_pair(pairs, s, y)
         return pairs
 
     @pytest.mark.parametrize("mu", [0.02, 0.1, 0.4, 0.7])
@@ -298,13 +311,17 @@ class TestLbfgsDescent:
         states += [random_unit(rng, self.N) for _ in range(8)]
         for a in states:
             _, grad = kern.value_and_gradient(a, mu)
-            tangent, metric = mz._tangent_and_metric(
+            tangent, metric = sd._tangent_and_metric(
                 a, grad, weights_sq, mode_curvature
             )
             for count in (1, 3, mz.LBFGS_MEMORY + 2):
                 pairs = self._pairs(rng, a, count)
                 assert 0 < len(pairs) <= mz.LBFGS_MEMORY
-                direction = mz._lbfgs_direction(a, tangent, metric, pairs)
+                direction = sd._lbfgs_direction(a, tangent, metric, pairs)
+                stacked = mz._lbfgs_direction(
+                    a[None], tangent[None], metric[None], stack_pairs([pairs])
+                )
+                assert stacked[0].tobytes() == direction.tobytes()
                 scale = np.linalg.norm(direction)
                 assert abs(np.real(np.vdot(a, direction))) <= 1e-14 * max(scale, 1.0)
                 slope = np.real(np.vdot(tangent, direction))
@@ -332,7 +349,7 @@ class TestLbfgsDescent:
             h = v.T @ h @ v + rho * np.outer(s, s)
         expected = (h @ tangent.view(float)).view(complex)
         expected -= np.real(np.vdot(a, expected)) * a
-        direction = mz._lbfgs_direction(a, tangent, metric, pairs)
+        direction = sd._lbfgs_direction(a, tangent, metric, pairs)
         assert direction == pytest.approx(expected, rel=1e-12, abs=1e-14)
         # and the secant equation H y = s holds for the newest pair
         s_new = pairs[-1][0]
@@ -343,43 +360,46 @@ class TestLbfgsDescent:
         s = np.zeros(n, dtype=complex)
         s[1] = 1.0
         pairs = deque(maxlen=mz.LBFGS_MEMORY)
-        mz._remember_pair(pairs, s, -s)  # s^T y < 0
+        sd._remember_pair(pairs, s, -s)  # s^T y < 0
         orthogonal = np.zeros(n, dtype=complex)
         orthogonal[2] = 1j
-        mz._remember_pair(pairs, s, orthogonal)  # s^T y == 0
+        sd._remember_pair(pairs, s, orthogonal)  # s^T y == 0
         assert len(pairs) == 0
-        mz._remember_pair(pairs, s, 2.0 * s)
+        sd._remember_pair(pairs, s, 2.0 * s)
         assert len(pairs) == 1
         kept_s, kept_y, rho = pairs[0]
         assert np.array_equal(kept_s.view(complex), s)
         assert np.array_equal(kept_y.view(complex), 2.0 * s)
         assert rho == 0.5
         for _ in range(mz.LBFGS_MEMORY + 3):
-            mz._remember_pair(pairs, s, s)
+            sd._remember_pair(pairs, s, s)
         assert len(pairs) == mz.LBFGS_MEMORY
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_bench_restart_stops_on_tolerance(self, seed):
         config = mz.OptimizerConfig(truncation=self.N, seed=seed)
-        for mu in self.BENCH_GRID:
-            rng = np.random.default_rng(config.seed)
-            for start in mz._starting_points(config, rng):
-                *_, residual, _, stop = mz._descend(start, mu, config)
-                assert stop == "tolerance"
-                assert residual <= config.grad_tol
+        starts = mz._starting_points(config, np.random.default_rng(config.seed))
+        rows = mz._descend(
+            starts * len(self.BENCH_GRID),
+            [mu for mu in self.BENCH_GRID for _ in starts],
+            config,
+        )
+        for *_, residual, _, stop in rows:
+            assert stop == "tolerance"
+            assert residual <= config.grad_tol
 
     def test_budget_stop(self):
         rng = np.random.default_rng(3)
         start = random_unit(rng, self.N)
         for budget in (0, 3):
             config = mz.OptimizerConfig(truncation=self.N, max_iters=budget)
-            *_, residual, iters, stop = mz._descend(start, 0.3, config)
+            [(*_, residual, iters, stop)] = mz._descend([start], [0.3], config)
             assert (stop, iters) == ("budget", budget)
             assert residual > config.grad_tol
         # an exact critical point meets the tolerance without a step
         phi1 = fock.catalog_coefficients(fock.PhiN(1), self.N).coeffs
         config = mz.OptimizerConfig(truncation=self.N, max_iters=0)
-        *_, iters, stop = mz._descend(phi1, 0.3, config)
+        [(*_, iters, stop)] = mz._descend([phi1], [0.3], config)
         assert (stop, iters) == ("tolerance", 0)
 
     def test_ties_go_to_the_lower_restart_index(self, monkeypatch):
@@ -388,8 +408,11 @@ class TestLbfgsDescent:
         def run(values):
             queue = iter(values)
 
-            def fixed(a0, mu, cfg):
-                return a0 / np.linalg.norm(a0), next(queue), 0.0, 0, "tolerance"
+            def fixed(starts, mus, cfg):
+                return [
+                    (a0 / np.linalg.norm(a0), next(queue), 0.0, 0, "tolerance")
+                    for a0 in starts
+                ]
 
             monkeypatch.setattr(mz, "_descend", fixed)
             return mz.minimize_G(0.7, config).restart_index
@@ -404,9 +427,13 @@ class TestLbfgsDescent:
         config = mz.OptimizerConfig(truncation=self.N, seed=seed)
         rows = mz.scan_mu(self.BENCH_GRID, config)
 
-        def oracle(a0, mu, cfg):
-            a, value, residual, iters, converged = bb_descent._descend(a0, mu, cfg)
-            return a, value, residual, iters, "tolerance" if converged else "budget"
+        def oracle(starts, mus, cfg):
+            rows = []
+            for a0, mu in zip(starts, mus):
+                a, value, residual, iters, converged = bb_descent._descend(a0, mu, cfg)
+                stop = "tolerance" if converged else "budget"
+                rows.append((a, value, residual, iters, stop))
+            return rows
 
         monkeypatch.setattr(mz, "_descend", oracle)
         expected = mz.scan_mu(self.BENCH_GRID, config)
@@ -533,11 +560,19 @@ class TestScan:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_grid_before_solving(self, monkeypatch, bad):
         def no_solve(*args, **kwargs):
-            raise AssertionError("minimize_G reached with an invalid grid")
+            raise AssertionError("descent reached with an invalid grid")
 
-        monkeypatch.setattr(mz, "minimize_G", no_solve)
+        monkeypatch.setattr(mz, "_descend", no_solve)
         with pytest.raises(NonFiniteParameter):
             mz.scan_mu([0.3, bad], FAST)
+
+    def test_rejects_overflowing_grid_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("descent reached with an invalid grid")
+
+        monkeypatch.setattr(mz, "_descend", no_solve)
+        with pytest.raises(InvalidParameter, match=r"\(2 mu N\)\^2 overflows"):
+            mz.scan_mu([0.3, 1e200], FAST)
 
 
 class TestTransitionBracket:

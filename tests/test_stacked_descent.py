@@ -1,0 +1,200 @@
+"""The stacked descent against the serial descent it replaced.
+
+`fockmin.minimize._descend` advances every (start, coupling) row of a
+stack in lock step; `serial_descent._descend` is the earlier one-start
+descent, kept verbatim.  Every row must end with exactly the bits of the
+serial descent from its start: the same point, value, residual, iteration
+count and stop reason, whatever its stack mates.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+import serial_descent as sd
+from fockmin import fock, minimize as mz
+
+
+def serial(starts, mus, config):
+    return [sd._descend(start, mu, config) for start, mu in zip(starts, mus)]
+
+
+def assert_same_rows(rows, expected):
+    assert len(rows) == len(expected)
+    for (a, *rest), (ref_a, *ref_rest) in zip(rows, expected):
+        assert a.tobytes() == ref_a.tobytes()
+        assert rest == ref_rest
+        assert all(type(x) is type(y) for x, y in zip(rest, ref_rest))
+
+
+def restart_grid(config, mus):
+    """Every restart of `config` at every coupling, as stack rows."""
+    starts = mz._starting_points(config, np.random.default_rng(config.seed))
+    return [s for _ in mus for s in starts], [mu for mu in mus for _ in starts]
+
+
+@pytest.mark.parametrize(
+    "truncation, seed", [(48, 0), (48, 1), (48, 2), (96, 0), (96, 1)]
+)
+def test_every_row_has_the_bits_of_its_serial_descent(truncation, seed):
+    config = mz.OptimizerConfig(truncation=truncation, seed=seed)
+    starts, mus = restart_grid(config, (0.05, 0.1, 0.3, 0.5, 0.7))
+    assert_same_rows(mz._descend(starts, mus, config), serial(starts, mus, config))
+
+
+def test_a_row_does_not_depend_on_its_stack_mates():
+    config = mz.OptimizerConfig(truncation=48, restarts=8, seed=4)
+    starts, mus = restart_grid(config, (0.08, 0.5))
+    stacked = mz._descend(starts, mus, config)
+    alone = [mz._descend([s], [mu], config)[0] for s, mu in zip(starts, mus)]
+    assert_same_rows(stacked, alone)
+    order = np.random.default_rng(0).permutation(len(starts))
+    permuted = mz._descend([starts[i] for i in order], [mus[i] for i in order], config)
+    unpermuted = [None] * len(starts)
+    for row, i in zip(permuted, order):
+        unpermuted[i] = row
+    assert_same_rows(unpermuted, alone)
+
+
+class TestOneStackCoversEveryPath:
+    """One stack at N = 16, with a tolerance below rounding, in which rows
+    stop for each of the four reasons, skip a curvature pair while their
+    stack mates store one, hold no pair after the first step, and fall back
+    to the metric direction when the L-BFGS slope is not positive."""
+
+    CONFIG = mz.OptimizerConfig(truncation=16, seed=0, grad_tol=1e-15, max_iters=400)
+
+    def rows(self):
+        starts, mus = restart_grid(self.CONFIG, (0.01, 0.03, 0.1, 0.5, 2.0))
+        rng = np.random.default_rng(9)
+        starts.append(rng.standard_normal(17) + 1j * rng.standard_normal(17))
+        mus.append(0.6)
+        return starts, mus
+
+    def test_every_stop_reason_with_the_serial_bits(self, monkeypatch):
+        events = collections.Counter()
+        remember_pairs, lbfgs_direction = mz._remember_pairs, mz._lbfgs_direction
+
+        def counted_pairs(pairs, held, s, y):
+            kept = mz._inners(s, y) > 0
+            events["mixed pair rounds"] += bool(kept.any() and not kept.all())
+            return remember_pairs(pairs, held, s, y)
+
+        def counted_direction(a, tangent, metric, pairs):
+            direction = lbfgs_direction(a, tangent, metric, pairs)
+            events["fallbacks"] += int(np.sum(~(mz._inners(tangent, direction) > 0)))
+            return direction
+
+        monkeypatch.setattr(mz, "_remember_pairs", counted_pairs)
+        monkeypatch.setattr(mz, "_lbfgs_direction", counted_direction)
+        metric_direction = sd._metric_direction
+
+        def counted_metric_direction(a, tangent, metric):
+            events["serial metric directions"] += 1
+            return metric_direction(a, tangent, metric)
+
+        monkeypatch.setattr(sd, "_metric_direction", counted_metric_direction)
+        starts, mus = self.rows()
+        rows = mz._descend(starts, mus, self.CONFIG)
+        expected = serial(starts, mus, self.CONFIG)
+        assert_same_rows(rows, expected)
+        stops = collections.Counter(stop for *_, stop in rows)
+        assert set(stops) == {"tolerance", "stall", "plateau", "budget"}
+        assert ("tolerance", 0) in {(stop, iters) for *_, iters, stop in rows}
+        assert events["mixed pair rounds"] > 0
+        assert events["fallbacks"] > 0
+        # every row that steps takes one metric direction before its first
+        # pair; more mean a row without pairs after a skipped one, or a
+        # fallback
+        stepping = sum(iters > 0 for *_, iters, _ in rows)
+        assert events["serial metric directions"] > stepping + events["fallbacks"]
+
+    def test_no_budget(self):
+        config = mz.OptimizerConfig(truncation=16, grad_tol=1e-15, max_iters=0)
+        starts, mus = self.rows()
+        rows = mz._descend(starts, mus, config)
+        assert_same_rows(rows, serial(starts, mus, config))
+        assert {(stop, iters) for *_, iters, stop in rows} == {
+            ("tolerance", 0),
+            ("budget", 0),
+        }
+
+
+def test_ragged_pairs_keep_their_ages():
+    # three rows store pairs 1..3; then row 1 skips the fourth (s^T y < 0)
+    # and row 2 the fifth, and each row's newest pairs are its own
+    n = 4
+    rng = np.random.default_rng(2)
+    pairs, held = collections.deque(maxlen=mz.LBFGS_MEMORY), None
+    history = [[], [], []]
+    for round_ in range(5):
+        s = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        y = s * (1.0 + round_)
+        skipped = {3: 1, 4: 2}.get(round_)
+        if skipped is not None:
+            y[skipped] = -y[skipped]
+        pairs, held = mz._remember_pairs(pairs, held, s, y)
+        for r in range(3):
+            if r != skipped:
+                history[r].append((s[r], y[r]))
+        if round_ < 3:
+            assert held is None and len(pairs) == round_ + 1
+    assert len(pairs) == 5
+    assert held.tolist() == [5, 4, 4]
+    for r, own in enumerate(history):
+        for age, (s, y) in enumerate(reversed(own)):
+            stored_s, stored_y, rho = pairs[-1 - age]
+            assert np.array_equal(stored_s[r], s.view(float))
+            assert np.array_equal(stored_y[r], y.view(float))
+            assert rho[r, 0] == 1.0 / s.view(float).dot(y.view(float))
+
+
+def test_scan_rows_equal_minimize_G():
+    config = mz.OptimizerConfig(truncation=48, seed=1)
+    grid = (0.7, 0.1, 0.4, 0.15)
+    for row in mz.scan_mu(grid, config):
+        res = mz.minimize_G(row.mu, config)
+        assert (row.G_min, row.P, row.H, row.Qabs) == (
+            res.G_value,
+            res.P_value,
+            res.H_value,
+            abs(res.Q_value),
+        )
+        assert (row.label, row.b_fit) == (res.label, res.b_fit)
+        assert row.n_zeros == res.n_zeros
+
+
+def test_empty_grid_descends_nothing():
+    assert mz.scan_mu([], mz.OptimizerConfig(truncation=16)) == []
+    assert mz._descend([], [], mz.OptimizerConfig(truncation=16)) == []
+
+
+def test_minimize_G_descends_its_restarts_as_one_stack(monkeypatch):
+    calls = []
+    descend = mz._descend
+
+    def recorded(starts, mus, config):
+        calls.append(list(mus))
+        return descend(starts, mus, config)
+
+    monkeypatch.setattr(mz, "_descend", recorded)
+    config = mz.OptimizerConfig(truncation=24, restarts=5, seed=0)
+    mz.minimize_G(0.3, config)
+    mz.scan_mu([0.5, 0.2], config)
+    assert calls == [[0.3] * 5, [0.2] * 5 + [0.5] * 5]
+
+
+def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
+    # the kernel is called once per row and trial, on 1-D rows
+    shapes = set()
+    value_and_gradient = fock.EnergyKernel.value_and_gradient
+
+    def recorded(self, a, mu, ct=None):
+        shapes.add(a.shape)
+        return value_and_gradient(self, a, mu, ct)
+
+    monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", recorded)
+    config = mz.OptimizerConfig(truncation=24, restarts=4, seed=0)
+    mz.scan_mu([0.1, 0.6], config)
+    assert shapes == {(25,)}
