@@ -129,23 +129,39 @@ class EnergyKernel:
     `re + 1j * im` would be the identity.  Never replace these sums with
     `dot`/`vdot`: they add in a different order.
 
-    One convolution per trial point: the descent evaluates a line search's
-    first trial, which it nearly always accepts, with
-    `value_and_gradient(a, mu)`.  A backtracked trial calls
-    `value(a, mu, ct)`, which leaves ct of `a` in the caller's array `ct`
-    (length 2N + 1), and `value_and_gradient(a, mu, ct)` at the same `a`
-    copies it from there instead of convolving again.  Without `ct` both
-    methods convolve.  The energy and gradient are the same bits either
-    way.
+    One call per round: `value_and_gradient(a, mu)` takes a stack, `a` of
+    shape (R, N + 1) with `mu` of shape (R,), and returns an (R,) array of
+    energies and a fresh (R, N + 1) array of gradients; a 1-D `a` with a
+    scalar `mu` is a one-row view of the same code and returns a float and
+    a 1-D gradient.  The O(N^2) work runs row by row on the (n, 2n) and
+    (n, n) scratch: the convolution reduces into row r of an (R, 2N + 1)
+    ct array, and the Hankel product into row r of the gradient.  The O(N)
+    tails, sum_j |ct_j|^2, P = sum_k k |a_k|^2, the energy and the mode
+    term 2 mu k a_k, run once per call on the whole stack.  A stacked
+    reduction along a contiguous last axis runs each row's pairwise sum,
+    so every row has the bits of a one-row call, whatever its stack mates.
+    There is no (R, n, n) scratch: stacking the O(N^2) products would
+    multiply the kernel's largest arrays by R for no fewer operations, so
+    memory grows only by the O(R N) ct rows.
 
-    Every intermediate lives in scratch arrays built once here: the outer
-    product, the sheared rows, ct and its Hankel view, the (n, n) gradient
-    terms, conj(a) and the squared moduli.  The weight tables are also
-    kept as complex copies, so no product casts them per call (the cast
-    is exact).  Reductions call `np.add.reduce`, which is what `sum` runs
-    without its Python wrapper.  Every call overwrites the scratch, so one
-    kernel (and thus the `energy_kernel` cache) must not be shared across
-    threads.  Only the returned gradient is a fresh array.
+    One convolution per trial point: the descent evaluates each round's
+    first trials, which it nearly always accepts, with one stacked
+    `value_and_gradient` call.  A backtracked trial calls
+    `value(a, mu, ct)` on one row, which leaves ct of `a` in the caller's
+    array `ct` (length 2N + 1), and `value_and_gradient(a, mu, ct)` at the
+    same `a` copies it from there instead of convolving again.  Without
+    `ct` both methods convolve.  The energy and gradient are the same bits
+    either way.
+
+    Every O(N^2) intermediate lives in scratch arrays built once here: the
+    outer product, the sheared rows and the (n, n) gradient terms; the ct
+    rows and their Hankel views grow to the widest stack seen.  The weight
+    tables are also kept as complex copies, so no product casts them per
+    call (the cast is exact).  Reductions call `np.add.reduce`, which is
+    what `sum` runs without its Python wrapper.  Every call overwrites the
+    scratch, so one kernel (and thus the `energy_kernel` cache) must not
+    be shared across threads.  Only the returned energies and gradient are
+    fresh arrays.
     """
 
     def __init__(self, truncation: int):
@@ -168,67 +184,79 @@ class EnergyKernel:
         self._products = self._rows[:, :n]
         self._sheared = self._rows.reshape(-1)[: n * (2 * n - 1)].reshape(n, 2 * n - 1)
         self._outer = np.empty((n, n), dtype=complex)
-        self._ct = np.empty(2 * n - 1, dtype=complex)
-        step = self._ct.strides[0]
-        self._hankel = np.lib.stride_tricks.as_strided(
-            self._ct, shape=(n, n), strides=(step, step), writeable=False
-        )
         self._terms = np.empty((n, n), dtype=complex)
-        self._conj_a = np.empty((n, 1), dtype=complex)
-        self._mode_scale = np.empty(n)
-        self._mode_term = np.empty(n, dtype=complex)
-        self._ct_sq = np.empty(2 * n - 1)
-        self._ct_sq_im = np.empty(2 * n - 1)
-        self._a_sq = np.empty(n)
-        self._a_sq_im = np.empty(n)
+        self._ct = np.empty((0, 2 * n - 1), dtype=complex)
+        self._ct_rows(1)
+
+    def _ct_rows(self, rows: int) -> np.ndarray:
+        """The first `rows` rows of the ct scratch, each of length 2N + 1,
+        grown to `rows` rows if it holds fewer; `_hankel[r]` is row r read
+        as the Hankel matrix H[l, k] = ct_{k+l}."""
+        if rows > len(self._ct):
+            n = self.truncation + 1
+            self._ct = np.empty((rows, 2 * n - 1), dtype=complex)
+            row, step = self._ct.strides
+            self._hankel = np.lib.stride_tricks.as_strided(
+                self._ct, shape=(rows, n, n), strides=(row, step, step),
+                writeable=False,
+            )
+        return self._ct[:rows]
 
     def convolution(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The weighted self-convolution ct_j for all j, written to `out`
-        when given."""
+        """The weighted self-convolution ct_j for all j of one state,
+        written to `out` when given."""
         outer = np.multiply.outer(a, a, out=self._outer)
         np.multiply(self._weights_c, outer, out=self._products)
         return np.add.reduce(self._sheared, axis=0, initial=0.0, out=out)
 
-    def _squared_sum(self, ct: np.ndarray) -> float:
-        """sum_j |ct_j|^2, that is 8*pi*H for this ct."""
-        sq = np.multiply(ct.real, ct.real, out=self._ct_sq)
-        sq += np.multiply(ct.imag, ct.imag, out=self._ct_sq_im)
-        return float(np.add.reduce(sq))
+    @staticmethod
+    def _squared_sums(ct: np.ndarray) -> np.ndarray:
+        """sum_j |ct_j|^2, that is 8*pi*H, along the last axis."""
+        sq = ct.real * ct.real
+        sq += ct.imag * ct.imag
+        return np.add.reduce(sq, axis=-1)
 
-    def _angular_momentum(self, a: np.ndarray) -> float:
-        """sum_k k |a_k|^2."""
-        sq = np.multiply(a.real, a.real, out=self._a_sq)
-        sq += np.multiply(a.imag, a.imag, out=self._a_sq_im)
+    def _energies(self, ct: np.ndarray, a: np.ndarray, mu) -> np.ndarray:
+        """G_mu = sum_j |ct_j|^2 + mu sum_k k |a_k|^2 along the last axis."""
+        sq = a.real * a.real
+        sq += a.imag * a.imag
         sq *= self.mode_index
-        return float(np.add.reduce(sq))
+        return self._squared_sums(ct) + mu * np.add.reduce(sq, axis=-1)
 
     def interaction(self, a: np.ndarray) -> float:
         """8*pi*H: the quartic part of the energy."""
-        return self._squared_sum(self.convolution(a, self._ct))
+        return float(self._squared_sums(self.convolution(a, self._ct[0])))
 
     def value(self, a: np.ndarray, mu: float, ct: np.ndarray | None = None) -> float:
-        """G_mu at a; ct of a is left in `ct` when it is given."""
-        ct = self.convolution(a, self._ct if ct is None else ct)
-        return self._squared_sum(ct) + mu * self._angular_momentum(a)
+        """G_mu at one state a; ct of a is left in `ct` when it is given."""
+        ct = self.convolution(a, self._ct[0] if ct is None else ct)
+        return float(self._energies(ct, a, mu))
 
-    def value_and_gradient(
-        self, a: np.ndarray, mu: float, ct: np.ndarray | None = None
-    ):
-        """Energy and Wirtinger gradient d/dRe + i d/dIm at a.
+    def value_and_gradient(self, a: np.ndarray, mu, ct: np.ndarray | None = None):
+        """Energies and Wirtinger gradients d/dRe + i d/dIm at a stack of
+        states a, shape (R, N + 1), with couplings mu, shape (R,); a 1-D
+        state with a scalar mu gives a float and a 1-D gradient.
 
         `ct`, when given, must be the convolution of this `a` (as `value`
-        leaves it); it is read, not recomputed.
+        leaves it), of shape a.shape[:-1] + (2N + 1,); it is read, not
+        recomputed.
         """
-        if ct is None:
-            self.convolution(a, self._ct)
-        else:
-            np.copyto(self._ct, ct)
-        energy = self._squared_sum(self._ct) + mu * self._angular_momentum(a)
-        terms = np.multiply(self._weights4_c, self._hankel, out=self._terms)
-        terms *= np.conjugate(a[:, None], out=self._conj_a)
-        grad = np.add.reduce(terms, axis=0, initial=0.0)
-        scale = np.multiply(2.0 * mu, self.mode_index, out=self._mode_scale)
-        grad += np.multiply(scale, a, out=self._mode_term)
+        stack = a.reshape(-1, a.shape[-1])
+        cts = self._ct_rows(len(stack))
+        if ct is not None:
+            np.copyto(cts, ct.reshape(cts.shape))
+        conj = np.conjugate(stack)[:, :, None]
+        grad = np.empty(stack.shape, dtype=complex)
+        for r, row in enumerate(stack):
+            if ct is None:
+                self.convolution(row, cts[r])
+            terms = np.multiply(self._weights4_c, self._hankel[r], out=self._terms)
+            terms *= conj[r]
+            np.add.reduce(terms, axis=0, initial=0.0, out=grad[r])
+        energy = self._energies(cts, stack, mu)
+        grad += np.multiply.outer(2.0 * mu, self.mode_index) * stack
+        if a.ndim == 1:
+            return float(energy[0]), grad[0]
         return energy, grad
 
 

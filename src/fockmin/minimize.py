@@ -169,13 +169,17 @@ def _remember_pairs(pairs: deque, held, s: np.ndarray, y: np.ndarray):
     """Store each row's curvature pair (s, y, 1 / s^T y), as float views of
     its complex rows, as its newest entry of `pairs` (one (s, y, rho) stack
     per age, oldest first), unless s^T y <= 0, which would make the
-    inverse-Hessian estimate indefinite; such a row keeps its pairs at
-    their ages.  `held` counts each row's pairs, its newest entries, and is
-    None while every row holds every entry.  Returns (pairs, held)."""
+    inverse-Hessian estimate indefinite, or 1 / s^T y overflows, as it does
+    for a subnormal s^T y, which would turn the two-loop's inf * 0 into
+    nan; such a row keeps its pairs at their ages.  `held` counts each
+    row's pairs, its newest entries, and is None while every row holds
+    every entry.  Returns (pairs, held)."""
     sy = _inners(s, y)
-    kept = sy > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        rho = 1.0 / sy
+    kept = (sy > 0) & np.isfinite(rho)
     if kept.all():
-        pairs.append((s.view(float), y.view(float), 1.0 / sy))
+        pairs.append((s.view(float), y.view(float), rho))
         if held is None:
             return pairs, None
     elif not kept.any():
@@ -183,7 +187,7 @@ def _remember_pairs(pairs: deque, held, s: np.ndarray, y: np.ndarray):
     else:
         if held is None:
             held = np.full(len(sy), len(pairs))
-        new = (s.view(float), y.view(float), 1.0 / np.where(kept, sy, 1.0))
+        new = (s.view(float), y.view(float), np.where(kept, rho, 1.0))
         by_age = [new, *reversed(pairs)]
         aged = [
             tuple(map(np.where, (kept,) * 3, newer, older))
@@ -254,12 +258,13 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
     step.  Every product, dot and norm of a row is the elementwise
     operation or BLAS call its descent alone would make, so each row ends
     with the bits of a descent run on its own, whatever its stack mates.
-    Every trial costs one convolution, in one kernel call per row.  A first
-    trial, accepted in nearly every iteration, takes its gradient with its
-    value in one `value_and_gradient` call; a row whose first trial fails
-    backtracks alone, each trial calling `value`, which leaves its
-    convolution in `cand_ct`, and only the accepted one reads its gradient
-    from there.
+    Every trial costs one convolution.  The first trials of a round,
+    accepted in nearly every iteration, take their values and gradients in
+    one stacked `value_and_gradient` call, as the starts do; the kernel
+    convolves row by row inside it and gives each row the bits of a
+    one-row call.  A row whose first trial fails backtracks alone, each
+    trial calling `value`, which leaves its convolution in `cand_ct`, and
+    only the accepted one reads its gradient from there.
     """
     if not len(starts):
         return []
@@ -268,10 +273,7 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
     curvature = (2.0 * mus)[:, None] * kern.mode_index
     a = np.array(starts, dtype=complex)
     a /= _norms(a)
-    value = np.empty(len(a))
-    grad = np.empty_like(a)
-    for r, mu in enumerate(mus.tolist()):
-        value[r], grad[r] = kern.value_and_gradient(a[r], mu)
+    value, grad = kern.value_and_gradient(a, mus)
     cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
     ids = np.arange(len(a))
     recent = np.full((len(a), NONMONOTONE_MEMORY), -np.inf)
@@ -344,15 +346,11 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
             slope[fallback] = _inners(tangent[fallback], d)
         cand = a - trial * direction
         cand /= _norms(cand)
-        cand_value = np.empty(len(a))
-        cand_grad = np.empty_like(a)
-        mu_list = mus.tolist()
-        for r, mu in enumerate(mu_list):
-            cand_value[r], cand_grad[r] = kern.value_and_gradient(cand[r], mu)
+        cand_value, cand_grad = kern.value_and_gradient(cand, mus)
         reference = recent.max(axis=1)[:, None]
         accepted = cand_value[:, None] <= reference - ARMIJO * trial * slope
         for r in np.flatnonzero(~accepted):  # backtrack this row alone
-            t, mu = float(trial[r, 0]), mu_list[r]
+            t, mu = float(trial[r, 0]), float(mus[r])
             while True:
                 t *= BACKTRACK
                 if not t > 1e-18:  # Armijo backtracking at float resolution

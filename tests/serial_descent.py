@@ -2,9 +2,11 @@
 
 `fockmin.minimize._descend` once descended from one start at a time; it
 now advances a stack of (start, coupling) rows in lock step.  `_descend`
-and its helpers below are that earlier code, verbatim, so the tests can
-check that every row of a stack ends with exactly the bits of a descent run
-on its own.  `_descend(a0, mu, config)` returns
+and its helpers below are that earlier code, verbatim but for one guard
+that both forms share: a curvature pair whose 1 / s^T y overflows is
+skipped.  The tests check that every row of a stack ends with exactly the
+bits of a descent run on its own.  Its kernel calls are 1-D, one-row views
+of the stacked kernel.  `_descend(a0, mu, config)` returns
 (a, value, residual, iterations, stop).
 """
 
@@ -77,9 +79,9 @@ def _metric_direction(
 def _remember_pair(pairs: deque, s: np.ndarray, y: np.ndarray) -> None:
     """Append the curvature pair (s, y, 1 / s^T y), as float views of the
     complex vectors, unless s^T y <= 0, which would make the
-    inverse-Hessian estimate indefinite."""
+    inverse-Hessian estimate indefinite, or 1 / s^T y overflows."""
     sy = _inner(s, y)
-    if sy > 0:
+    if sy > 0 and math.isfinite(1.0 / sy):
         pairs.append((s.view(float), y.view(float), 1.0 / sy))
 
 

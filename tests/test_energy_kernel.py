@@ -2,9 +2,11 @@
 
 `BincountKernel` is the earlier `fock.EnergyKernel`, kept verbatim as the
 oracle, plus the squared-weight table that the descent reads from the
-kernel: every result of the current kernel must equal it bit for bit, on
-both the convolving path and the path that reuses a trial's ct, and the
-CLI must print the same bytes with either kernel in place.
+kernel and the stacked call signature, which it serves row by row with its
+own 1-D arithmetic: every result of the current kernel must equal it bit
+for bit, on the convolving path, the path that reuses a trial's ct and
+every row of a stack, and the CLI must print the same bytes with either
+kernel in place.
 """
 
 import math
@@ -72,8 +74,13 @@ class BincountKernel:
         p = float(np.sum(self.mode_index * (a.real**2 + a.imag**2)))
         return self.interaction(a) + mu * p
 
-    def value_and_gradient(self, a: np.ndarray, mu: float):
-        """Energy and Wirtinger gradient d/dRe + i d/dIm at a."""
+    def value_and_gradient(self, a: np.ndarray, mu):
+        """Energy and Wirtinger gradient d/dRe + i d/dIm at a, or the (R,)
+        energies and (R, N + 1) gradients of a stack a of shape (R, N + 1)
+        at couplings mu of shape (R,), one row at a time."""
+        if a.ndim == 2:
+            rows = [self.value_and_gradient(row, m) for row, m in zip(a, mu)]
+            return np.array([e for e, _ in rows]), np.array([g for _, g in rows])
         ct = self.convolution(a)
         energy = float(np.sum(ct.real**2 + ct.imag**2))
         p = float(np.sum(self.mode_index * (a.real**2 + a.imag**2)))
@@ -89,7 +96,13 @@ class BincountKernel:
 class CtReuseOracle(BincountKernel):
     """`BincountKernel` behind the ct-reuse signature: `value` fills the
     caller's ct from the oracle's convolution, and `value_and_gradient`
-    checks a passed ct against it before computing everything afresh."""
+    checks a passed ct, one row of it per row of a, against it before
+    computing everything afresh.  It counts the rows of each
+    `value_and_gradient` call in `stacks`."""
+
+    def __init__(self, truncation: int):
+        super().__init__(truncation)
+        self.stacks = []
 
     def value(self, a, mu, ct=None):
         if ct is not None:
@@ -97,8 +110,11 @@ class CtReuseOracle(BincountKernel):
         return super().value(a, mu)
 
     def value_and_gradient(self, a, mu, ct=None):
+        rows = a.reshape(-1, a.shape[-1])
+        self.stacks.append(len(rows) if a.ndim == 2 else None)
         if ct is not None:
-            assert _bits(ct) == _bits(self.convolution(a))
+            expected = np.array([self.convolution(row) for row in rows])
+            assert _bits(ct) == _bits(expected.reshape(ct.shape))
         return super().value_and_gradient(a, mu)
 
 
@@ -216,6 +232,87 @@ class TestBitIdentity:
         assert _bits(new.weights[old.k_ids, old.l_ids]) == _bits(old.weights)
 
 
+def _stack(truncation, seed, rows):
+    """`rows` states of `_states` as one complex stack, led by the
+    signed-zero state, a tail state and the float array, with couplings
+    cycling through 1/2 and four others."""
+    states = _states(truncation, seed)
+    signed, floats, tail = len(states) - 1, len(states) - 2, 2
+    order = [signed, tail, floats]
+    order += [i for i in range(len(states)) if i not in order]
+    stack = np.array([states[i] for i in order[:rows]], dtype=complex)
+    mus = np.resize([0.5, 0.05, 0.7, 0.5, 1.3, 0.21], rows)
+    return stack, mus
+
+
+class TestStackedCalls:
+    """`value_and_gradient` on a stack of R rows: each row has the bits of
+    the oracle's 1-D call, whatever its stack mates and their order."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 24])
+    def test_every_row_has_the_oracle_bits(self, kernels, rows):
+        n, new, old = kernels
+        stack, mus = _stack(n, 6000 + n, rows)
+        energy, grad = new.value_and_gradient(stack, mus)
+        assert energy.shape == (rows,) and energy.dtype == float
+        assert grad.shape == (rows, n + 1) and grad.dtype == complex
+        for a, mu, e_new, g_new in zip(stack, mus.tolist(), energy, grad):
+            e_old, g_old = old.value_and_gradient(a, mu)
+            assert _bits(e_new) == _bits(e_old)
+            assert _bits(g_new) == _bits(g_old)
+
+    def test_a_permuted_stack_changes_no_row(self, kernels):
+        n, new, _ = kernels
+        stack, mus = _stack(n, 7000 + n, 24)
+        energy, grad = new.value_and_gradient(stack, mus)
+        order = np.random.default_rng(n).permutation(24)
+        e_perm, g_perm = new.value_and_gradient(stack[order], mus[order])
+        assert _bits(e_perm) == _bits(energy[order])
+        assert _bits(g_perm) == _bits(grad[order])
+
+    def test_one_row_call_is_the_backtrack_path(self, kernels):
+        # a one-row stack, a 1-D call and `value` then a gradient from the
+        # ct it leaves all give the same bits
+        n, new, _ = kernels
+        ct = np.empty(2 * n + 1, dtype=complex)
+        stack, mus = _stack(n, 8000 + n, 24)
+        for a, mu in zip(stack, mus.tolist()):
+            [e_row], [g_row] = new.value_and_gradient(a[None], np.array([mu]))
+            e_flat, g_flat = new.value_and_gradient(a, mu)
+            assert type(e_flat) is float and g_flat.shape == (n + 1,)
+            value = new.value(a, mu, ct)
+            e_ct, g_ct = new.value_and_gradient(a, mu, ct)
+            for energy in (e_flat, value, e_ct):
+                assert _bits(energy) == _bits(e_row)
+            for grad in (g_flat, g_ct):
+                assert _bits(grad) == _bits(g_row)
+
+    def test_stacked_ct_is_read_not_recomputed(self, kernels):
+        n, new, _ = kernels
+        stack, mus = _stack(n, 9000 + n, 5)
+        cts = np.array([new.convolution(a) for a in stack])
+        kept = cts.copy()
+        e_ct, g_ct = new.value_and_gradient(stack, mus, cts)
+        energy, grad = new.value_and_gradient(stack, mus)
+        assert _bits(e_ct) == _bits(energy) and _bits(g_ct) == _bits(grad)
+        assert _bits(cts) == _bits(kept)
+
+    def test_a_wider_stack_leaves_nothing_behind(self, kernels):
+        # the ct rows grow to the widest stack; a narrower call after a
+        # wide one of large states must not see anything of it, and no
+        # result shares memory with the scratch
+        n, new, old = kernels
+        stack, mus = _stack(n, 10000 + n, 24)
+        e_wide, g_wide = new.value_and_gradient(1e3 * stack, mus)
+        energy, grad = new.value_and_gradient(stack[:3], mus[:3])
+        for a, mu, e_new, g_new in zip(stack[:3], mus.tolist(), energy, grad):
+            e_old, g_old = old.value_and_gradient(a, mu)
+            assert _bits(e_new) == _bits(e_old) and _bits(g_new) == _bits(g_old)
+        scratch = [v for v in vars(new).values() if isinstance(v, np.ndarray)]
+        for result in (e_wide, g_wide, energy, grad):
+            assert not any(np.shares_memory(result, v) for v in scratch)
+
+
 def test_weights_sq_is_the_comb_table():
     # every entry of the anti-diagonal recurrence equals its own
     # `math.comb` quotient bit for bit, and W is its IEEE square root
@@ -229,11 +326,14 @@ def test_weights_sq_is_the_comb_table():
 
 
 def _patched_run(monkeypatch, capsys, argv):
+    """The CLI's exit code and stdout with the oracle as the kernel, and the
+    row counts of the oracle's `value_and_gradient` calls."""
     monkeypatch.setattr(fock, "EnergyKernel", CtReuseOracle)
     fock.energy_kernel.cache_clear()
     try:
-        assert isinstance(fock.energy_kernel(16), CtReuseOracle)
-        return _cli_stdout(capsys, argv)
+        oracle = fock.energy_kernel(16)
+        assert isinstance(oracle, CtReuseOracle)
+        return _cli_stdout(capsys, argv), oracle.stacks
     finally:
         monkeypatch.undo()
         fock.energy_kernel.cache_clear()
@@ -255,51 +355,74 @@ def _cli_stdout(capsys, argv):
     ],
 )
 def test_cli_stdout_matches_oracle(monkeypatch, capsys, argv):
-    expected = _patched_run(monkeypatch, capsys, argv)
+    expected, stacks = _patched_run(monkeypatch, capsys, argv)
+    # the starts, 6 restarts at each coupling, reached the oracle as one
+    # stack, and only a backtracked trial as one 1-D row
+    assert stacks[0] == 6 * (2 if argv[0] == "scan" else 1)
+    assert None in stacks and len(stacks) > 10
     assert not isinstance(fock.energy_kernel(16), BincountKernel)
     assert _cli_stdout(capsys, argv) == expected
 
 
 def test_descent_convolves_once_per_trial(monkeypatch):
     counts = dict.fromkeys(
-        ("convolution", "_squared_sum", "value", "first_trial", "reused_ct"), 0
+        ("convolution", "energy_rows", "value", "stacks", "stacked_rows", "reused_ct"),
+        0,
+    )
+    convolution, energies, value = (
+        getattr(fock.EnergyKernel, name) for name in ("convolution", "_energies", "value")
     )
 
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
+    def counted_convolution(self, a, out=None):
+        assert a.ndim == 1  # the O(N^2) work runs row by row
+        counts["convolution"] += 1
+        return convolution(self, a, out)
 
-        return wrapper
+    def counted_energies(self, ct, a, mu):
+        counts["energy_rows"] += 1 if a.ndim == 1 else len(a)
+        return energies(self, ct, a, mu)
 
-    for name in ("convolution", "_squared_sum", "value"):
-        original = getattr(fock.EnergyKernel, name)
-        monkeypatch.setattr(fock.EnergyKernel, name, counting(name, original))
+    def counted_value(self, a, mu, ct=None):
+        counts["value"] += 1
+        return value(self, a, mu, ct)
+
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
     def counted_gradient(self, a, mu, ct=None):
-        counts["first_trial" if ct is None else "reused_ct"] += 1
+        if ct is None:
+            assert a.ndim == 2
+            counts["stacks"] += 1
+            counts["stacked_rows"] += len(a)
+        else:  # a backtracked trial, one row alone
+            assert a.ndim == 1
+            counts["reused_ct"] += 1
         return value_and_gradient(self, a, mu, ct)
 
+    monkeypatch.setattr(fock.EnergyKernel, "convolution", counted_convolution)
+    monkeypatch.setattr(fock.EnergyKernel, "_energies", counted_energies)
+    monkeypatch.setattr(fock.EnergyKernel, "value", counted_value)
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", counted_gradient)
     config = minimize.OptimizerConfig(truncation=24, restarts=1)
     # at mu = 0.3 every first trial is accepted; at mu = 0.1 some backtrack
     for mu, backtracks in ((0.3, False), (0.1, True)):
         for name in counts:
             counts[name] = 0
-        rng = np.random.default_rng(7)
-        start = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        [(*_, iters, stop)] = minimize._descend([start], [mu], config)
-        assert stop == "tolerance" and iters > 10
-        # the start and each iteration's first trial take value and gradient
-        # together; a backtracked trial calls `value`, and an accepted
-        # backtracked trial reads its gradient from that trial's ct
-        assert counts["first_trial"] == iters + 1
-        trials = counts["first_trial"] - 1 + counts["value"]
-        # one convolution for the start, then one per trial point
-        assert counts["convolution"] == trials + 1
+        rng = np.random.default_rng(0)
+        starts = rng.standard_normal((4, 25)) + 1j * rng.standard_normal((4, 25))
+        rows = minimize._descend(list(starts), [mu] * 4, config)
+        iters = [row[3] for row in rows]
+        assert {row[4] for row in rows} == {"tolerance"} and min(iters) > 10
+        # one stacked call for the starts and one per round for the live
+        # rows' first trials; a round's rows are those still descending
+        assert counts["stacks"] == max(iters) + 1
+        assert counts["stacked_rows"] == sum(iters) + len(rows)
+        # a backtracked trial calls `value`, and an accepted backtracked
+        # trial reads its gradient from that trial's ct
+        trials = counts["stacked_rows"] - len(rows) + counts["value"]
+        # one convolution per row for the starts, then one per trial point
+        assert counts["convolution"] == trials + len(rows)
         # one energy per convolution, and one more per accepted backtracked step
-        assert counts["_squared_sum"] == trials + 1 + counts["reused_ct"]
+        assert counts["energy_rows"] == counts["convolution"] + counts["reused_ct"]
         assert counts["reused_ct"] <= counts["value"]
         assert (counts["reused_ct"] > 0) is backtracks
 
@@ -331,20 +454,25 @@ def test_scan_stdout_golden_other_seeds(capsys, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_first_trial_gradient_has_the_bits_of_value_then_gradient(monkeypatch, seed):
     # the descent with every first trial split into `value` plus a gradient
-    # from its ct, the one path a trial took before they were fused
+    # from its ct, one row at a time, the one path a trial took before they
+    # were fused and stacked
     config = minimize.OptimizerConfig(truncation=48, restarts=1)
     rng = np.random.default_rng(seed)
-    start = rng.standard_normal(49) + 1j * rng.standard_normal(49)
-    [fused] = minimize._descend([start], [0.05], config)
+    starts = list(rng.standard_normal((3, 49)) + 1j * rng.standard_normal((3, 49)))
+    mus = [0.05, 0.1, 0.3]
+    fused = minimize._descend(starts, mus, config)
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
     def split(self, a, mu, ct=None):
+        if a.ndim == 2:  # a round's first trials, one row at a time
+            rows = [split(self, row, m) for row, m in zip(a, mu.tolist())]
+            return np.array([e for e, _ in rows]), np.array([g for _, g in rows])
         if ct is None:
             ct = np.empty(2 * self.truncation + 1, dtype=complex)
             self.value(a, mu, ct)
         return value_and_gradient(self, a, mu, ct)
 
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", split)
-    [(a, *rest)] = minimize._descend([start], [0.05], config)
-    assert a.tobytes() == fused[0].tobytes()
-    assert rest == list(fused[1:])
+    for (a, *rest), expected in zip(minimize._descend(starts, mus, config), fused):
+        assert a.tobytes() == expected[0].tobytes()
+        assert rest == list(expected[1:])

@@ -2,12 +2,14 @@
 
 `fockmin.minimize._descend` advances every (start, coupling) row of a
 stack in lock step; `serial_descent._descend` is the earlier one-start
-descent, kept verbatim.  Every row must end with exactly the bits of the
-serial descent from its start: the same point, value, residual, iteration
-count and stop reason, whatever its stack mates.
+descent, kept verbatim but for the curvature-pair guard both share.
+Every row must end with exactly the bits of the serial descent from its
+start: the same point, value, residual, iteration count and stop reason,
+whatever its stack mates.
 """
 
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -186,15 +188,61 @@ def test_minimize_G_descends_its_restarts_as_one_stack(monkeypatch):
 
 
 def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
-    # the kernel is called once per row and trial, on 1-D rows
-    shapes = set()
+    # the O(N^2) convolution runs on 1-D rows; `value_and_gradient` takes
+    # each round's live rows as one stack, and one 1-D row only to reuse a
+    # backtracked trial's ct
+    convolved, stacks, reused = set(), [], set()
+    convolution = fock.EnergyKernel.convolution
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
+    def recorded_convolution(self, a, out=None):
+        convolved.add(a.shape)
+        return convolution(self, a, out)
+
     def recorded(self, a, mu, ct=None):
-        shapes.add(a.shape)
+        if ct is None:
+            stacks.append(a.shape)
+        else:
+            reused.add(a.shape)
         return value_and_gradient(self, a, mu, ct)
 
+    monkeypatch.setattr(fock.EnergyKernel, "convolution", recorded_convolution)
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", recorded)
     config = mz.OptimizerConfig(truncation=24, restarts=4, seed=0)
     mz.scan_mu([0.1, 0.6], config)
-    assert shapes == {(25,)}
+    assert convolved == {(25,)}
+    assert stacks[0] == (8, 25)
+    assert all(len(shape) == 2 and shape[1] == 25 for shape in stacks)
+    # rows only leave the stack
+    widths = [shape[0] for shape in stacks]
+    assert widths == sorted(widths, reverse=True) and widths[-1] < 8
+    assert reused == {(25,)}
+
+
+def test_no_pair_whose_inverse_overflows(monkeypatch):
+    # random N = 16 starts at tolerance 1e-15 reach curvature pairs whose
+    # s^T y is positive but subnormal, so that 1 / s^T y overflows; the
+    # descent skips them without a numpy warning, and every row keeps the
+    # bits of its serial descent, which skips them too
+    guarded = collections.Counter()
+    remember_pairs = mz._remember_pairs
+
+    def counted_pairs(pairs, held, s, y):
+        sy = mz._inners(s, y)[:, 0]
+        with np.errstate(divide="ignore", over="ignore"):
+            guarded["rows"] += int(np.sum((sy > 0) & ~np.isfinite(1.0 / sy)))
+        return remember_pairs(pairs, held, s, y)
+
+    monkeypatch.setattr(mz, "_remember_pairs", counted_pairs)
+    config = mz.OptimizerConfig(truncation=16, grad_tol=1e-15)
+    rng = np.random.default_rng(0)
+    randoms = list(rng.standard_normal((40, 17)) + 1j * rng.standard_normal((40, 17)))
+    mus = (0.3, 0.5, 0.6, 1.0, 1.5)
+    starts = [a for _ in mus for a in randoms]
+    couplings = [mu for mu in mus for _ in randoms]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = mz._descend(starts, couplings, config)
+        expected = serial(starts, couplings, config)
+    assert guarded["rows"] > 0
+    assert_same_rows(rows, expected)
