@@ -38,7 +38,6 @@ from .minimize import (
     MinimizerClass,
     Mu0Interval,
     OptimizerConfig,
-    ScanRow,
     SemiclassicalReport,
     ZeroCount,
     classify,

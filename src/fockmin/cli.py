@@ -21,7 +21,6 @@ EXIT_USAGE = 1
 EXIT_CERTIFICATE = 2
 EXIT_NUMERICAL = 3
 
-_FIRST_CERTIFIED_J = 6  # the Sturm certificate starts here
 _MAX_SCAN_POINTS = 10**6  # far beyond any scan that can finish
 
 # Every token that float() reads with a leading minus sign: argparse's own
@@ -162,14 +161,14 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.max_j < _FIRST_CERTIFIED_J:
+    if args.max_j < sturm.FIRST_J:
         raise InvalidParameter(
-            f"--max-j must be at least {_FIRST_CERTIFIED_J}, the first "
+            f"--max-j must be at least {sturm.FIRST_J}, the first "
             f"certified block, got {args.max_j}"
         )
     lines = []
     failures = 0
-    for j in range(_FIRST_CERTIFIED_J, args.max_j + 1):
+    for j in range(sturm.FIRST_J, args.max_j + 1):
         try:
             cert = sturm.positivity_certificate(j)
             checks = [f"sturm transition={cert.transition_index}"]
@@ -315,8 +314,7 @@ def _cmd_scan(args) -> int:
     config = mz.OptimizerConfig(
         truncation=args.trunc, restarts=args.restarts, seed=args.seed
     )
-    rows = mz.scan_mu(grid, config)
-    _emit(mz.scan_to_csv(rows), args.out)
+    _emit(mz.scan_to_csv(mz.scan_mu(grid, config)), args.out)
     return EXIT_OK
 
 

@@ -84,14 +84,6 @@ class FockCoefficients:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
-    def padded(self, truncation: int) -> "FockCoefficients":
-        """Re-embed into a larger truncation (headroom for translations)."""
-        if truncation < self.truncation:
-            raise InvalidParameter("padding cannot shrink the truncation")
-        out = np.zeros(truncation + 1, dtype=complex)
-        out[: self.truncation + 1] = self.coeffs
-        return FockCoefficients(truncation, out)
-
 
 # ---------------------------------------------------------------------------
 # Quartic energy kernel
@@ -123,11 +115,11 @@ class EnergyKernel:
     4 w_{jk} ct_j conj(a_{j-k}) is formed on the Hankel view
     H[l, k] = ct_{k+l} and summed over l ascending.  Both orders, and the
     operand order of every product, are those of the index-table
-    `np.bincount` formulation this class replaced, so every result is the
-    same to the last bit.  Each sum starts from 0.0, as a bincount bin
-    does, so no component is ever -0.0 and the old recombination
-    `re + 1j * im` would be the identity.  Never replace these sums with
-    `dot`/`vdot`: they add in a different order.
+    (`np.bincount`) evaluation `BincountKernel` in
+    `tests/test_energy_kernel.py`, so every result matches it to the last
+    bit.  Each sum starts from 0.0, as a bincount bin does, so no
+    component is ever -0.0.  Never replace these sums with `dot`/`vdot`:
+    they add in a different order.
 
     One call per round: `value_and_gradient(a, mu)` takes a stack, `a` of
     shape (R, N + 1) with `mu` of shape (R,), and returns an (R,) array of

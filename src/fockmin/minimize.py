@@ -42,7 +42,6 @@ __all__ = [
     "count_zeros",
     "ZeroCount",
     "scan_mu",
-    "ScanRow",
     "scan_to_csv",
     "estimate_mu0",
     "Mu0Interval",
@@ -404,9 +403,20 @@ def _check_coupling(mu: float, truncation: int) -> None:
         )
 
 
-def _minimize_all(mus, config: OptimizerConfig) -> list:
-    """`minimize_G` at each coupling of `mus`, with every restart at every
-    coupling descended as one stack."""
+def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
+    """Best sphere-constrained minimizer of G_mu across restarts at each
+    coupling of the grid, one `MinimizationResult` per coupling, sorted by
+    mu.
+
+    The whole grid is validated, with the errors `minimize_G` documents,
+    before the first descent.  Every restart at every coupling is descended
+    as one stack, and each coupling keeps its best restart.
+    """
+    config = config or OptimizerConfig()
+    mus = [float(m) for m in grid]
+    for mu in mus:
+        _check_coupling(mu, config.truncation)
+    mus.sort()
     starts = _starting_points(config, np.random.default_rng(config.seed))
     rows = _descend(
         [start for _ in mus for start in starts],
@@ -457,9 +467,7 @@ def minimize_G(mu: float, config: OptimizerConfig | None = None) -> Minimization
     of the tolerance (Armijo stall, plateau or budget) is returned with
     converged=False.
     """
-    config = config or OptimizerConfig()
-    _check_coupling(mu, config.truncation)
-    return _minimize_all([mu], config)[0]
+    return scan_mu([mu], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -611,81 +619,30 @@ def count_zeros(u: FockCoefficients, radius: float = DEFAULT_ZERO_RADIUS) -> Zer
 SCAN_HEADER = "mu,G_min,P,H,Qabs,class,b_fit,n_zeros,G_phi0,G_phi1,G_psi1"
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    mu: float
-    G_min: float
-    P: float
-    H: float
-    Qabs: float
-    label: MinimizerClass
-    b_fit: float | None
-    n_zeros: int
-    G_phi0: float
-    G_phi1: float
-    G_psi1: float
-
-
 def closed_form_lines(mu: float):
     """The three catalog energy lines (psi line drawn at b = 1)."""
     return 1.0, 0.5 + mu, 1.0 + (mu - 0.5) / 4.0
-
-
-def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
-    """Minimize across a grid of couplings; rows sorted by mu.
-
-    The whole grid is validated before the first descent.  Every restart
-    at every coupling is descended as one stack, and each coupling keeps
-    the restart `minimize_G` would pick.
-    """
-    config = config or OptimizerConfig()
-    mus = [float(m) for m in grid]
-    for mu in mus:
-        _check_coupling(mu, config.truncation)
-    mus.sort()
-    rows = []
-    for res in _minimize_all(mus, config):
-        mu = res.mu
-        g0, g1, gb = closed_form_lines(mu)
-        rows.append(
-            ScanRow(
-                mu=mu,
-                G_min=res.G_value,
-                P=res.P_value,
-                H=res.H_value,
-                Qabs=abs(res.Q_value),
-                label=res.label,
-                b_fit=res.b_fit,
-                n_zeros=res.n_zeros,
-                G_phi0=g0,
-                G_phi1=g1,
-                G_psi1=gb,
-            )
-        )
-    return rows
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def scan_to_csv(rows) -> str:
+def scan_to_csv(results) -> str:
     lines = [SCAN_HEADER]
-    for r in rows:
+    for r in results:
         lines.append(
             ",".join(
                 [
                     _fmt(r.mu),
-                    _fmt(r.G_min),
-                    _fmt(r.P),
-                    _fmt(r.H),
-                    _fmt(r.Qabs),
+                    _fmt(r.G_value),
+                    _fmt(r.P_value),
+                    _fmt(r.H_value),
+                    _fmt(abs(r.Q_value)),
                     r.label.value,
                     _fmt(r.b_fit) if r.b_fit is not None else "",
                     str(r.n_zeros),
-                    _fmt(r.G_phi0),
-                    _fmt(r.G_phi1),
-                    _fmt(r.G_psi1),
+                    *map(_fmt, closed_form_lines(r.mu)),
                 ]
             )
         )

@@ -34,9 +34,10 @@ __all__ = [
     "sturm_sequence",
     "positivity_certificate",
     "recurrence_values",
+    "FIRST_J",
 ]
 
-_FIRST_J = 6  # the first block index the certificate covers
+FIRST_J = 6  # the first block index the certificate covers
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class SturmCertificate:
 
 
 def _check_index(j: int) -> None:
-    if j < _FIRST_J:
-        raise OutOfRange(f"the Sturm certificate needs j >= {_FIRST_J}, got {j}")
+    if j < FIRST_J:
+        raise OutOfRange(f"the Sturm certificate needs j >= {FIRST_J}, got {j}")
 
 
 def recurrence_values(j: int, count: int) -> tuple:

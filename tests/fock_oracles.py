@@ -8,7 +8,9 @@ entry-by-entry form the matrix is checked against.  Past size about 1030 the
 factorial ratio underflows while the Laguerre value overflows, so both hold
 only below that size.  Phase and rotation are the two other symmetries of
 the energy; the package itself never applies them.  `wirtinger_gradient`
-is the energy kernel's gradient of G_mu at a state, for the gradient checks.
+is the energy kernel's gradient of G_mu at a state, for the gradient checks,
+and `zero_padded` re-embeds a state at a larger truncation, which gives a
+translation headroom.
 """
 
 import math
@@ -24,6 +26,13 @@ def wirtinger_gradient(u, mu):
     (twice the derivative in conj(a_k))."""
     _, grad = fock.energy_kernel(u.truncation).value_and_gradient(u.coeffs, mu)
     return grad
+
+
+def zero_padded(u, truncation):
+    """The state u at `truncation` >= u.truncation, its extra modes zero."""
+    out = np.zeros(truncation + 1, dtype=complex)
+    out[: u.truncation + 1] = u.coeffs
+    return fock.FockCoefficients(truncation, out)
 
 
 def apply_phase(u, gamma):

@@ -319,13 +319,14 @@ def test_criterion_10_minimization():
 
 def test_criterion_11_momentum_monotonicity_on_scan():
     config = mz.OptimizerConfig(truncation=48, restarts=6, seed=0)
-    rows = mz.scan_mu([0.05 * k for k in range(1, 21)], config)
-    violations = [
+    results = mz.scan_mu([0.05 * k for k in range(1, 21)], config)
+    better = [
         r
-        for r in rows
-        if r.mu < 0.5 and r.G_min < r.G_phi1 - 1e-9 and r.P <= 1.0
+        for r in results
+        if r.mu < 0.5 and r.G_value < mz.closed_form_lines(r.mu)[1] - 1e-9
     ]
-    better_rows = sum(1 for r in rows if r.mu < 0.5 and r.G_min < r.G_phi1 - 1e-9)
+    violations = [r for r in better if r.P_value <= 1.0]
+    better_rows = len(better)
     assert not violations
     report(
         11,

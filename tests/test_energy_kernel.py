@@ -442,6 +442,44 @@ def test_scan_stdout_golden(capsys):
     assert _cli_stdout(capsys, argv) == (0, SCAN_GOLDEN)
 
 
+# stdout of README's `fockmin scan --from 0.05 --to 1.0 --step 0.05`: vortex
+# states below 5/32, phi_1 in the window below 1/2 and the Gaussian above it
+README_SCAN_GOLDEN = (
+    "mu,G_min,P,H,Qabs,class,b_fit,n_zeros,G_phi0,G_phi1,G_psi1\n"
+    "0.05,0.407034336916,3.49576228863,0.00924078358071,3.94852857355e-09,"
+    "unclassified,,10,1,0.55,0.8875\n"
+    "0.1,0.544724439227,2.3134015771,0.0124691643727,1.0057662407e-09,"
+    "unclassified,,6,1,0.6,0.9\n"
+    "0.15,0.645238736481,1.72892366753,0.0153544805495,4.93398593973e-09,"
+    "unclassified,,4,1,0.65,0.9125\n"
+    "0.2,0.7,1,0.0198943678865,0,phi1,,1,1,0.7,0.925\n"
+    "0.25,0.75,1,0.0198943678865,0,phi1,,1,1,0.75,0.9375\n"
+    "0.3,0.8,1,0.0198943678865,0,phi1,,1,1,0.8,0.95\n"
+    "0.35,0.85,1,0.0198943678865,0,phi1,,1,1,0.85,0.9625\n"
+    "0.4,0.9,1,0.0198943678865,0,phi1,,1,1,0.9,0.975\n"
+    "0.45,0.95,1,0.0198943678865,0,phi1,,1,1,0.95,0.9875\n"
+    "0.5,1,0,0.039788735773,0,phi0,,0,1,1,1\n"
+    "0.55,1,0,0.039788735773,0,phi0,,0,1,1.05,1.0125\n"
+    "0.6,1,0,0.039788735773,0,phi0,,0,1,1.1,1.025\n"
+    "0.65,1,0,0.039788735773,0,phi0,,0,1,1.15,1.0375\n"
+    "0.7,1,0,0.039788735773,0,phi0,,0,1,1.2,1.05\n"
+    "0.75,1,0,0.039788735773,0,phi0,,0,1,1.25,1.0625\n"
+    "0.8,1,0,0.039788735773,0,phi0,,0,1,1.3,1.075\n"
+    "0.85,1,0,0.039788735773,0,phi0,,0,1,1.35,1.0875\n"
+    "0.9,1,0,0.039788735773,0,phi0,,0,1,1.4,1.1\n"
+    "0.95,1,0,0.039788735773,0,phi0,,0,1,1.45,1.1125\n"
+    "1,1,0,0.039788735773,0,phi0,,0,1,1.5,1.125\n"
+)
+
+
+def test_readme_scan_stdout_golden(capsys):
+    argv = ["scan", "--from", "0.05", "--to", "1.0", "--step", "0.05"]
+    code, out = _cli_stdout(capsys, argv)
+    assert (code, out) == (0, README_SCAN_GOLDEN)
+    labels = [row.split(",")[5] for row in out.splitlines()[1:]]
+    assert labels == ["unclassified"] * 3 + ["phi1"] * 6 + ["phi0"] * 11
+
+
 # Seeds 1-3 printed SCAN_GOLDEN byte for byte as well when captured at
 # bd22cfb, before the first line-search trial took its gradient with its
 # value: the seed moves the random restarts, and none of them wins here.

@@ -16,6 +16,7 @@ from fock_oracles import (
     displacement_matrix,
     generator_columns,
     loop_displacement_matrix,
+    zero_padded,
 )
 from fockmin import fock
 from fockmin.errors import InvalidParameter, NonFiniteParameter, TruncationTooSmall
@@ -377,10 +378,8 @@ class TestSymmetries:
 
     def test_padding_restores_headroom(self):
         u = fock.catalog_coefficients(fock.PhiN(10), 12)
-        moved = fock.apply_translation(u.padded(64), 2.5)
+        moved = fock.apply_translation(zero_padded(u, 64), 2.5)
         assert fock.mass(moved) == pytest.approx(1.0, abs=1e-10)
-        with pytest.raises(InvalidParameter):
-            u.padded(4)
 
 
 class TestCarlen:

@@ -184,9 +184,8 @@ class TestNonmonotoneLineSearch:
             0.4: 0.9000000000000001,
             0.7: 0.9999999999999999,
         }
-        rows = mz.scan_mu(sorted(expected), self.SCAN)
-        for row in rows:
-            assert row.G_min == pytest.approx(expected[row.mu], abs=1e-12)
+        for res in mz.scan_mu(sorted(expected), self.SCAN):
+            assert res.G_value == pytest.approx(expected[res.mu], abs=1e-12)
 
     def test_large_truncation_converges(self):
         res = mz.minimize_G(0.1, mz.OptimizerConfig(truncation=128, seed=0))
@@ -428,7 +427,7 @@ class TestLbfgsDescent:
     @pytest.mark.parametrize("seed", range(10, 20))
     def test_same_minima_as_barzilai_borwein(self, monkeypatch, seed):
         config = mz.OptimizerConfig(truncation=self.N, seed=seed)
-        rows = mz.scan_mu(self.BENCH_GRID, config)
+        results = mz.scan_mu(self.BENCH_GRID, config)
 
         def oracle(starts, mus, cfg):
             rows = []
@@ -440,9 +439,9 @@ class TestLbfgsDescent:
 
         monkeypatch.setattr(mz, "_descend", oracle)
         expected = mz.scan_mu(self.BENCH_GRID, config)
-        for row, ref in zip(rows, expected):
-            assert row.label is ref.label
-            assert row.G_min == pytest.approx(ref.G_min, abs=1e-12)
+        for res, ref in zip(results, expected):
+            assert res.label is ref.label
+            assert res.G_value == pytest.approx(ref.G_value, abs=1e-12)
 
 
 class TestClassify:
@@ -532,25 +531,23 @@ class TestZeroCounting:
 
 class TestScan:
     def test_rows_and_closed_form_columns(self):
-        rows = mz.scan_mu([0.3, 0.7], FAST)
-        assert [r.mu for r in rows] == [0.3, 0.7]
-        r03 = rows[0]
-        assert r03.G_phi1 == pytest.approx(0.8, abs=1e-15)
-        assert r03.G_psi1 == pytest.approx(0.95, abs=1e-15)
-        assert r03.G_phi0 == 1.0
-        r07 = rows[1]
-        assert r07.G_min == pytest.approx(1.0, abs=1e-6)
+        results = mz.scan_mu([0.3, 0.7], FAST)
+        assert [r.mu for r in results] == [0.3, 0.7]
+        g_phi0, g_phi1, g_psi1 = mz.closed_form_lines(results[0].mu)
+        assert g_phi1 == pytest.approx(0.8, abs=1e-15)
+        assert g_psi1 == pytest.approx(0.95, abs=1e-15)
+        assert g_phi0 == 1.0
+        r07 = results[1]
+        assert r07.G_value == pytest.approx(1.0, abs=1e-6)
         assert r07.label is mz.MinimizerClass.PHI0
 
     def test_minimizer_beating_phi1_has_larger_momentum(self):
-        rows = mz.scan_mu([0.08, 0.12, 0.3, 0.45], FAST)
-        for r in rows:
-            if r.mu < 0.5 and r.G_min < r.G_phi1 - 1e-9:
-                assert r.P > 1.0
+        for r in mz.scan_mu([0.08, 0.12, 0.3, 0.45], FAST):
+            if r.mu < 0.5 and r.G_value < mz.closed_form_lines(r.mu)[1] - 1e-9:
+                assert r.P_value > 1.0
 
     def test_csv_format(self):
-        rows = mz.scan_mu([0.4], FAST)
-        text = mz.scan_to_csv(rows)
+        text = mz.scan_to_csv(mz.scan_mu([0.4], FAST))
         lines = text.strip().split("\n")
         assert lines[0] == mz.SCAN_HEADER
         assert len(lines) == 2

@@ -9,6 +9,7 @@ whatever its stack mates.
 """
 
 import collections
+import dataclasses
 import warnings
 
 import numpy as np
@@ -153,18 +154,18 @@ def test_ragged_pairs_keep_their_ages():
 
 
 def test_scan_rows_equal_minimize_G():
+    # an unsorted grid comes back in mu order, each coupling with every
+    # field of the result `minimize_G` gives at it alone
     config = mz.OptimizerConfig(truncation=48, seed=1)
     grid = (0.7, 0.1, 0.4, 0.15)
-    for row in mz.scan_mu(grid, config):
-        res = mz.minimize_G(row.mu, config)
-        assert (row.G_min, row.P, row.H, row.Qabs) == (
-            res.G_value,
-            res.P_value,
-            res.H_value,
-            abs(res.Q_value),
-        )
-        assert (row.label, row.b_fit) == (res.label, res.b_fit)
-        assert row.n_zeros == res.n_zeros
+    results = mz.scan_mu(grid, config)
+    assert [res.mu for res in results] == sorted(grid)
+    for res in results:
+        alone = mz.minimize_G(res.mu, config)
+        assert res.u.coeffs.tobytes() == alone.u.coeffs.tobytes()
+        for field in dataclasses.fields(mz.MinimizationResult):
+            if field.name != "u":
+                assert getattr(res, field.name) == getattr(alone, field.name), field.name
 
 
 def test_empty_grid_descends_nothing():
