@@ -313,6 +313,15 @@ def functionals(u: FockCoefficients, mu: float) -> FunctionalReport:
     e = b + 0.25 * q2
     g = 8.0 * math.pi * h + mu * p
     f = 8.0 * math.pi * h + m * (mu * p - m)
+    # the state's own checks keep M through E finite; mu P can still overflow
+    overflowed = [
+        name for name, value in (("G", g), ("F", f)) if not math.isfinite(value)
+    ]
+    if overflowed:
+        raise InvalidParameter(
+            f"the coupling mu {mu:.3e} is too large in magnitude for this state: "
+            f"{' and '.join(overflowed)} would not be finite in double precision"
+        )
     return FunctionalReport(mu=mu, M=m, P=p, Q=q, H=h, B=b, E=e, G=g, F=f)
 
 

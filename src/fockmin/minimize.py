@@ -682,6 +682,11 @@ def estimate_mu0(
             f"the bracket width must be positive and finite, got {width}"
         )
     config = config or OptimizerConfig()
+    if config.restarts < 2:
+        raise InvalidParameter(
+            f"the bracket needs at least 2 restarts, got {config.restarts}: "
+            "restart 1 is the phi_1 start whose minimality it tests"
+        )
     low, high = KAPPA_INF, 0.49
     if _phi1_is_global(low + 1e-4, config):
         raise InconsistentBracket(
@@ -742,6 +747,13 @@ def semiclassical(Na: float, h: float) -> SemiclassicalReport:
     mu_eff = 4.0 * math.pi * h * h / (Na * omega_sq)
     e0 = Na * omega_sq / (4.0 * math.pi * h) + h
     e1 = Na * omega_sq / (8.0 * math.pi * h) + 2.0 * h
+    values = (("mu_eff", mu_eff), ("E_phi0", e0), ("E_phi1", e1))
+    overflowed = [name for name, value in values if not math.isfinite(value)]
+    if overflowed:
+        raise InvalidParameter(
+            f"Na = {Na:.3e} and h = {h:.3e} are out of range: "
+            f"{' and '.join(overflowed)} would not be finite in double precision"
+        )
     if mu_eff > KAPPA_ZERO:
         regime = "gaussian-unique"
     elif mu_eff > KAPPA_INF:

@@ -107,10 +107,21 @@ def build_B_block(j: int, *, decoupled: bool = False) -> BlockMatrix:
 
 
 def _check_symmetric_centrosymmetric(rows) -> None:
+    """Raise `NotCentrosymmetric` unless `rows` is square, equal to its
+    transpose and equal to its 180-degree rotation.
+
+    The two comparisons of whole tuples read every entry, at C speed; the
+    entries are integers, whose equality is reflexive, so they decide
+    exactly what the walk over the upper triangle decides.  The walk runs
+    only after a failed comparison (or on rows that are not tuples), to name
+    the first failing (k, l) in row-major order.
+    """
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise NotCentrosymmetric("matrix is not square")
+    if tuple(zip(*rows)) == rows and tuple(row[::-1] for row in rows[::-1]) == rows:
+        return
     for k in range(n):
-        if len(rows[k]) != n:
-            raise NotCentrosymmetric("matrix is not square")
         for l in range(k, n):
             if rows[k][l] != rows[l][k]:
                 raise NotCentrosymmetric(f"not symmetric at ({k},{l})")
@@ -202,9 +213,11 @@ def scaled_block(block: BlockMatrix) -> np.ndarray:
     Entries become O(j)-bounded binomial ratios; the signature (hence
     positive semidefiniteness) is preserved.  |X_kl| may exceed float
     range, so each squared entry X_kl^2 / (w_k w_l) is formed as one exact
-    integer ratio, which int true division rounds once, correctly.  An
-    even-index reduction maps back from M to S: S_kl^2 = M_kl^2 e_k e_l / 4
-    with e = (1, ..., 1, 2), which undoes M = 2·D S D.
+    integer ratio, which int true division rounds once, correctly; its
+    square root is then the one float operation per entry.  An even-index
+    reduction maps back from M to S: S_kl^2 = M_kl^2 e_k e_l / 4 with
+    e = (1, ..., 1, 2), which undoes M = 2·D S D.  The upper triangle is
+    filled row by row into nested lists, mirrored, and converted once.
     """
     j, n = block.j, block.order
     weights = [math.factorial(k) * math.factorial(j - k) for k in range(n)]
@@ -213,29 +226,37 @@ def scaled_block(block: BlockMatrix) -> np.ndarray:
     if block.has_border:
         factors[-1] = 2
         denominator *= 4
-    out = np.empty((n, n))
-    for k in range(n):
+    out = [[0.0] * n for _ in range(n)]
+    for k, row in enumerate(block.rows):
+        row_denominator = denominator * weights[k]
+        factor = factors[k]
         for l in range(k, n):
-            entry = block.rows[k][l]
-            val = 0.0
+            entry = row[l]
             if entry:
-                ratio = (entry * entry * factors[k] * factors[l]) / (
-                    denominator * weights[k] * weights[l]
+                ratio = (entry * entry * factor * factors[l]) / (
+                    row_denominator * weights[l]
                 )
                 val = math.sqrt(ratio) if entry > 0 else -math.sqrt(ratio)
-            out[k, l] = val
-            out[l, k] = val
-    return out
+                out[k][l] = out[l][k] = val
+    return np.array(out)
 
 
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending (backward error
     bounded by machine epsilon times the norm; tolerance 1e-12*||A||
-    is safe for every check in this package)."""
+    is safe for every check in this package).
+
+    The input must be square and match its transpose to a relative 1e-12
+    entry by entry (`np.allclose` with atol 0); a NaN fails.  An exactly
+    symmetric input, such as every `scaled_block`, passes the cheaper
+    `np.array_equal` first, which accepts nothing that test would reject.
+    """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidParameter("eigenvalue input must be square")
-    if not np.allclose(arr, arr.T, rtol=1e-12, atol=0.0):
+    if not np.array_equal(arr, arr.T) and not np.allclose(
+        arr, arr.T, rtol=1e-12, atol=0.0
+    ):
         raise InvalidParameter("eigenvalue input must be symmetric")
     try:
         return np.linalg.eigvalsh(arr)

@@ -551,6 +551,49 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "radius" in err
 
+    def test_functionals_overflowing_coupling_is_usage_error(self, capsys, tmp_path):
+        # mu P overflows: G and F would print as inf
+        path = str(tmp_path / "phi3.json")
+        fock.save_coefficients(fock.catalog_coefficients(fock.PhiN(3), 8), path)
+        argv = ["functionals", "--in", path, "--mu", "1e308"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: the coupling mu 1.000e+308 is too large in magnitude for this "
+            "state: G and F would not be finite in double precision\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, overflowed",
+        [
+            pytest.param(["--Na", "1", "--h", "1e-320"], "E_phi0 and E_phi1", id="h"),
+            pytest.param(["--Na", "1e-320", "--h", "0.5"], "mu_eff", id="Na"),
+        ],
+    )
+    def test_semiclassical_non_finite_report_is_usage_error(
+        self, capsys, argv, overflowed
+    ):
+        code, out, err = run_capture(capsys, ["semiclassical", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Na = ")
+        assert err.endswith(f"{overflowed} would not be finite in double precision\n")
+        assert err.count("\n") == 1
+
+    def test_mu0_single_restart_is_usage_error(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimization reached with one restart")
+
+        monkeypatch.setattr(minimize, "_phi1_is_global", no_solve)
+        code, out, err = run_capture(capsys, ["mu0", "--restarts", "1"])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: the bracket needs at least 2 restarts, got 1: "
+            "restart 1 is the phi_1 start whose minimality it tests\n"
+        )
+
     @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
     def test_functionals_non_finite_mu_is_usage_error(self, capsys, tmp_path, mu):
         path = str(tmp_path / "phi1.json")

@@ -586,6 +586,15 @@ class TestTransitionBracket:
         with pytest.raises(InvalidParameter):
             mz.estimate_mu0(FAST, width=width)
 
+    def test_rejects_single_restart_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("minimization reached without the phi_1 start")
+
+        monkeypatch.setattr(mz, "_phi1_is_global", no_solve)
+        config = mz.OptimizerConfig(truncation=24, restarts=1, seed=0)
+        with pytest.raises(InvalidParameter, match="at least 2 restarts"):
+            mz.estimate_mu0(config)
+
     def test_width_below_float_resolution_terminates(self, monkeypatch):
         calls = []
 

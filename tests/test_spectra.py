@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fockmin import fock, spectra
-from fockmin.errors import NotCentrosymmetric, OutOfRange
+from fockmin.errors import InvalidParameter, NotCentrosymmetric, OutOfRange
 from fockmin.spectra import BlockKind
 
 import rt2_spectra as oracle
@@ -184,6 +184,115 @@ class TestCentroDecomposition:
             spectra.centro_decompose(bad)
 
 
+class TestSymmetryChecks:
+    """The exact layer's symmetry checks on real blocks with one defect: the
+    reduction rejects what the Rt2 build's entry walk rejects, naming the
+    same first failing (k, l), and `symmetric_eigenvalues` keeps its
+    relative 1e-12 tolerance."""
+
+    @staticmethod
+    def walk_message(rows):
+        try:
+            oracle._check_symmetric_centrosymmetric(rows)
+        except NotCentrosymmetric as exc:
+            return str(exc)
+        return None
+
+    @staticmethod
+    def reduce_message(block, rows):
+        broken = dataclasses.replace(block, rows=tuple(map(tuple, rows)))
+        try:
+            spectra.centro_decompose(broken)
+        except NotCentrosymmetric as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("j", [9, 10, 31])
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["entry", "pair"])
+    def test_every_changed_entry_named_as_by_the_walk(self, j, mirrored):
+        # one entry changed breaks symmetry; an entry changed with its
+        # transpose breaks centrosymmetry alone
+        block = spectra.build_B_block(j)
+        n = block.order
+        for k in range(n):
+            for l in range(n):
+                rows = [list(row) for row in block.rows]
+                rows[k][l] += 1
+                if mirrored and l != k:
+                    rows[l][k] += 1
+                expect = self.walk_message(rows)
+                assert self.reduce_message(block, rows) == expect, (k, l)
+                centre = k == l == n - 1 - k
+                assert (expect is None) == (centre or (mirrored and k + l == n - 1))
+
+    @pytest.mark.parametrize("j", [9, 10, 31])
+    def test_named_first_failures(self, j):
+        block = spectra.build_B_block(j)
+        n = block.order
+        rows = [list(row) for row in block.rows]
+        rows[n - 2][1] -= 1
+        assert self.reduce_message(block, rows) == f"not symmetric at (1,{n - 2})"
+        rows = [list(row) for row in block.rows]
+        rows[2][5] += 1
+        rows[5][2] += 1
+        assert self.reduce_message(block, rows) == "not centrosymmetric at (2,5)"
+        rows = [list(row) for row in block.rows]
+        rows[0][0] += 1
+        assert self.reduce_message(block, rows) == "not centrosymmetric at (0,0)"
+
+    @pytest.mark.parametrize("j", [9, 10, 31])
+    @pytest.mark.parametrize("ragged", ["longer", "shorter", "extra-row"])
+    def test_ragged_row_is_not_square(self, j, ragged):
+        block = spectra.build_B_block(j)
+        rows = [list(row) for row in block.rows]
+        middle = len(rows) // 2
+        if ragged == "longer":
+            rows[middle].append(rows[middle][-1])
+        elif ragged == "shorter":
+            rows[middle].pop()
+        else:
+            rows.append(list(rows[-1]))
+        assert self.walk_message(rows) == "matrix is not square"
+        assert self.reduce_message(block, rows) == "matrix is not square"
+
+    @pytest.mark.parametrize("j", [9, 10, 31])
+    def test_rows_as_lists_reduce_as_tuples(self, j):
+        block = spectra.build_B_block(j)
+        as_lists = dataclasses.replace(block, rows=[list(row) for row in block.rows])
+        assert spectra.centro_decompose(as_lists) == spectra.centro_decompose(block)
+
+    @staticmethod
+    def scaled_with_defect(scale):
+        arr = spectra.scaled_block(spectra.centro_decompose(spectra.build_B_block(31)))
+        off = np.abs(arr - np.diag(np.diag(arr)))
+        k, l = np.unravel_index(np.argmax(off), arr.shape)
+        arr[k, l] = scale(arr[k, l])
+        return arr
+
+    def test_eigenvalues_accept_relative_asymmetry_1e_13(self):
+        arr = self.scaled_with_defect(lambda x: x * (1.0 + 1e-13))
+        assert not np.array_equal(arr, arr.T)
+        exact = 0.5 * (arr + arr.T)
+        got = spectra.symmetric_eigenvalues(arr)
+        expect = spectra.symmetric_eigenvalues(exact)
+        assert np.allclose(got, expect, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [lambda x: x * (1.0 + 1e-11), lambda x: math.nan],
+        ids=["relative-1e-11", "nan"],
+    )
+    def test_eigenvalues_reject_asymmetry(self, scale):
+        with pytest.raises(InvalidParameter, match="symmetric"):
+            spectra.symmetric_eigenvalues(self.scaled_with_defect(scale))
+
+    def test_eigenvalues_reject_nan_on_the_diagonal(self):
+        arr = np.eye(3)
+        arr[1, 1] = math.nan
+        with pytest.raises(InvalidParameter, match="symmetric"):
+            spectra.symmetric_eigenvalues(arr)
+
+
 class TestRankOneSplit:
     def test_even_reassembly_printed(self):
         reduced = spectra.centro_decompose(spectra.build_B_block(4))
@@ -247,7 +356,7 @@ class TestNullVectors:
 class TestIntegerReduction:
     """The integer blocks against the Rt2 build they replaced."""
 
-    @pytest.mark.parametrize("j", range(81))
+    @pytest.mark.parametrize("j", [*range(81), 97, 150, 200])
     def test_matches_rt2_oracle(self, j):
         reduction = spectra.centro_decompose(spectra.build_B_block(j))
         decomp = oracle.centro_decompose(oracle.build_B_block(j))
