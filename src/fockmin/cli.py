@@ -23,6 +23,10 @@ EXIT_NUMERICAL = 3
 
 _MAX_SCAN_POINTS = 10**6  # far beyond any scan that can finish
 
+# The top of `certify`'s default exact range: it keeps a `block` dump, about
+# 2 j^3 bytes (see --j's help), near 15 MB and the process below 100 MiB.
+_MAX_BLOCK_J = 200
+
 # Every token that float() reads with a leading minus sign: argparse's own
 # matcher misses exponents and the special values, so "--mu -1e-3" would
 # reach the parser as a missing argument instead of a bad coupling.
@@ -54,7 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("block", help="dump an exact coefficient block")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument(
+        "--j",
+        type=int,
+        required=True,
+        help=f"block index, at most {_MAX_BLOCK_J}: the dump holds (j+1)^2 "
+        "fractions, each padded to the widest, of about 2j characters, about "
+        "2 j^3 bytes (15 MB at j = 200, 141 MB at j = 400, 1.3 GB at j = 800)",
+    )
     p.add_argument("--E", action="store_true", help="dump the decoupled block")
     p.add_argument("--reduced", action="store_true", help="dump the reduced block")
     p.add_argument("--out")
@@ -142,7 +153,19 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _record(data: dict, fmt: str) -> str:
+    """`data` as one JSON line, or as one `key = value` line per entry."""
+    if fmt == "json":
+        return json.dumps(data) + "\n"
+    return "".join(f"{k} = {v}\n" for k, v in data.items())
+
+
 def _cmd_block(args) -> int:
+    if args.j > _MAX_BLOCK_J:
+        raise InvalidParameter(
+            f"--j must be at most {_MAX_BLOCK_J}, got {args.j}: the dump "
+            "grows as about 2 j^3 bytes"
+        )
     block = spectra.build_B_block(args.j, decoupled=args.E)
     if args.reduced:
         block = spectra.centro_decompose(block)
@@ -214,12 +237,7 @@ def _report_dict(rep: fock.FunctionalReport) -> dict:
 def _cmd_functionals(args) -> int:
     u = fock.load_coefficients(args.infile)
     rep = fock.functionals(u, args.mu)
-    data = _report_dict(rep)
-    if args.format == "json":
-        text = json.dumps(data) + "\n"
-    else:
-        text = "".join(f"{k} = {v}\n" for k, v in data.items())
-    sys.stdout.write(text)
+    sys.stdout.write(_record(_report_dict(rep), args.format))
     return EXIT_OK
 
 
@@ -271,12 +289,7 @@ def _cmd_minimize(args) -> int:
         seed=args.seed,
     )
     res = mz.minimize_G(args.mu, config)
-    data = _result_dict(res)
-    if args.format == "json":
-        text = json.dumps(data) + "\n"
-    else:
-        text = "".join(f"{k} = {v}\n" for k, v in data.items())
-    _emit(text, args.out)
+    _emit(_record(_result_dict(res), args.format), args.out)
     if args.out:
         fock.save_coefficients(res.u, args.out + ".coeffs.json")
     return EXIT_OK if res.converged else EXIT_NUMERICAL
@@ -342,11 +355,7 @@ def _cmd_semiclassical(args) -> int:
         "E_phi1": rep.energy_phi1,
         "regime": rep.regime,
     }
-    if args.format == "json":
-        print(json.dumps(data))
-    else:
-        for k, v in data.items():
-            print(f"{k} = {v}")
+    sys.stdout.write(_record(data, args.format))
     return EXIT_OK
 
 

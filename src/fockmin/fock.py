@@ -136,15 +136,6 @@ class EnergyKernel:
     multiply the kernel's largest arrays by R for no fewer operations, so
     memory grows only by the O(R N) ct rows.
 
-    One convolution per trial point: the descent evaluates each round's
-    first trials, which it nearly always accepts, with one stacked
-    `value_and_gradient` call.  A backtracked trial calls
-    `value(a, mu, ct)` on one row, which leaves ct of `a` in the caller's
-    array `ct` (length 2N + 1), and `value_and_gradient(a, mu, ct)` at the
-    same `a` copies it from there instead of convolving again.  Without
-    `ct` both methods convolve.  The energy and gradient are the same bits
-    either way.
-
     Every O(N^2) intermediate lives in scratch arrays built once here: the
     outer product, the sheared rows and the (n, n) gradient terms; the ct
     rows and their Hankel views grow to the widest stack seen.  The weight
@@ -219,29 +210,20 @@ class EnergyKernel:
         """8*pi*H: the quartic part of the energy."""
         return float(self._squared_sums(self.convolution(a, self._ct[0])))
 
-    def value(self, a: np.ndarray, mu: float, ct: np.ndarray | None = None) -> float:
-        """G_mu at one state a; ct of a is left in `ct` when it is given."""
-        ct = self.convolution(a, self._ct[0] if ct is None else ct)
-        return float(self._energies(ct, a, mu))
+    def value(self, a: np.ndarray, mu: float) -> float:
+        """G_mu at one state a."""
+        return float(self._energies(self.convolution(a, self._ct[0]), a, mu))
 
-    def value_and_gradient(self, a: np.ndarray, mu, ct: np.ndarray | None = None):
+    def value_and_gradient(self, a: np.ndarray, mu):
         """Energies and Wirtinger gradients d/dRe + i d/dIm at a stack of
         states a, shape (R, N + 1), with couplings mu, shape (R,); a 1-D
-        state with a scalar mu gives a float and a 1-D gradient.
-
-        `ct`, when given, must be the convolution of this `a` (as `value`
-        leaves it), of shape a.shape[:-1] + (2N + 1,); it is read, not
-        recomputed.
-        """
+        state with a scalar mu gives a float and a 1-D gradient."""
         stack = a.reshape(-1, a.shape[-1])
         cts = self._ct_rows(len(stack))
-        if ct is not None:
-            np.copyto(cts, ct.reshape(cts.shape))
         conj = np.conjugate(stack)[:, :, None]
         grad = np.empty(stack.shape, dtype=complex)
         for r, row in enumerate(stack):
-            if ct is None:
-                self.convolution(row, cts[r])
+            self.convolution(row, cts[r])
             terms = np.multiply(self._weights4_c, self._hankel[r], out=self._terms)
             terms *= conj[r]
             np.add.reduce(terms, axis=0, initial=0.0, out=grad[r])

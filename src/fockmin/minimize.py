@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -164,37 +165,33 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(re, re) + _dots(im, im))
 
 
-def _remember_pairs(pairs: deque, held, s: np.ndarray, y: np.ndarray):
+# The (s, y, rho) a row holds at an age it has no curvature pair for: both
+# loops of `_lbfgs_direction` leave every row unchanged, bit for bit, over it.
+_PAD = (-0.0, 0.0, 0.0)
+
+
+def _remember_pairs(pairs: deque, s: np.ndarray, y: np.ndarray):
     """Store each row's curvature pair (s, y, 1 / s^T y), as float views of
     its complex rows, as its newest entry of `pairs` (one (s, y, rho) stack
     per age, oldest first), unless s^T y <= 0, which would make the
     inverse-Hessian estimate indefinite, or 1 / s^T y overflows, as it does
     for a subnormal s^T y, which would turn the two-loop's inf * 0 into
-    nan; such a row keeps its pairs at their ages.  `held` counts each
-    row's pairs, its newest entries, and is None while every row holds
-    every entry.  Returns (pairs, held)."""
+    nan; such a row keeps its pairs at their ages and holds `_PAD` at an
+    age it has no pair for.  Returns (pairs, the rows that stored one)."""
     sy = _inners(s, y)
     with np.errstate(divide="ignore", over="ignore"):
         rho = 1.0 / sy
     kept = (sy > 0) & np.isfinite(rho)
     if kept.all():
         pairs.append((s.view(float), y.view(float), rho))
-        if held is None:
-            return pairs, None
-    elif not kept.any():
-        return pairs, held
-    else:
-        if held is None:
-            held = np.full(len(sy), len(pairs))
-        new = (s.view(float), y.view(float), np.where(kept, rho, 1.0))
-        by_age = [new, *reversed(pairs)]
+    elif kept.any():
+        by_age = [(s.view(float), y.view(float), rho), *reversed(pairs), _PAD]
         aged = [
             tuple(map(np.where, (kept,) * 3, newer, older))
             for newer, older in zip(by_age, by_age[1:])
-        ] + by_age[len(pairs) : LBFGS_MEMORY]
-        pairs = deque(reversed(aged), maxlen=LBFGS_MEMORY)
-    held = np.minimum(held + kept[:, 0], LBFGS_MEMORY)
-    return pairs, None if (held == len(pairs)).all() else held
+        ]
+        pairs = deque(reversed(aged[:LBFGS_MEMORY]), maxlen=LBFGS_MEMORY)
+    return pairs, kept[:, 0]
 
 
 def _lbfgs_direction(a, tangent, metric, pairs) -> np.ndarray:
@@ -202,8 +199,9 @@ def _lbfgs_direction(a, tangent, metric, pairs) -> np.ndarray:
     applied to each row's tangent, seeded with gamma / metric, where
     gamma = s^T y / y^T M^-1 y for the newest pair, and projected onto the
     tangent space at a.  `pairs` holds every row's pairs as (s, y, rho)
-    stacks, oldest first, and must not be empty.  The stored pairs are
-    used as they are, without vector transport."""
+    stacks, oldest first, and must not be empty; a row's newest entry must
+    be a pair, and `_PAD` at its older entries stands for no pair.  The
+    stored pairs are used as they are, without vector transport."""
     q = tangent.copy()
     qf = q.view(float)
     alphas = []
@@ -257,13 +255,14 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
     step.  Every product, dot and norm of a row is the elementwise
     operation or BLAS call its descent alone would make, so each row ends
     with the bits of a descent run on its own, whatever its stack mates.
-    Every trial costs one convolution.  The first trials of a round,
-    accepted in nearly every iteration, take their values and gradients in
-    one stacked `value_and_gradient` call, as the starts do; the kernel
-    convolves row by row inside it and gives each row the bits of a
-    one-row call.  A row whose first trial fails backtracks alone, each
-    trial calling `value`, which leaves its convolution in `cand_ct`, and
-    only the accepted one reads its gradient from there.
+    A row that skips a pair keeps its own pairs at their ages, with `_PAD`
+    at the ages it has none for, so one two-loop covers every row that
+    holds a pair; `has_pair` marks those rows.  The first trials of a
+    round, accepted in nearly every iteration, take their values and
+    gradients in one stacked `value_and_gradient` call, as the starts do;
+    the kernel convolves row by row inside it and gives each row the bits
+    of a one-row call.  A row whose first trial fails backtracks alone:
+    each trial calls `value`, and the accepted one `value_and_gradient`.
     """
     if not len(starts):
         return []
@@ -273,12 +272,11 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
     a = np.array(starts, dtype=complex)
     a /= _norms(a)
     value, grad = kern.value_and_gradient(a, mus)
-    cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
     ids = np.arange(len(a))
     recent = np.full((len(a), NONMONOTONE_MEMORY), -np.inf)
     recent[:, 0] = value
     pairs = deque(maxlen=LBFGS_MEMORY)
-    held = None
+    has_pair = np.zeros(len(a), dtype=bool)
     prev_a = prev_tangent = a  # not read before the first step
     landmark = value.copy()
     last_progress = np.zeros(len(a), dtype=int)
@@ -301,12 +299,12 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
             if not live.any():
                 return results
             (ids, mus, curvature, a, grad, value, lam, tangent, prev_a, prev_tangent,
-             recent, landmark, last_progress, stalled) = (
+             recent, landmark, last_progress, stalled, has_pair) = (
                 x[live]
                 for x in (ids, mus, curvature, a, grad, value, lam, tangent, prev_a,
-                          prev_tangent, recent, landmark, last_progress, stalled)
+                          prev_tangent, recent, landmark, last_progress, stalled,
+                          has_pair)
             )
-            held = None if held is None else held[live]
             pairs = deque(
                 ((s[live], y[live], rho[live]) for s, y, rho in pairs),
                 maxlen=LBFGS_MEMORY,
@@ -318,25 +316,16 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
         metric -= lam
         np.maximum(metric, METRIC_FLOOR * lam, out=metric)
         if step > 1:
-            pairs, held = _remember_pairs(
-                pairs, held, a - prev_a, tangent - prev_tangent
-            )
-        if held is None and pairs:  # every row holds every pair
-            trial = np.ones((len(a), 1))
-            direction = _lbfgs_direction(a, tangent, metric, pairs)
-            slope = _inners(tangent, direction)
-        else:
-            count = np.full(len(a), len(pairs)) if held is None else held
-            trial = np.where(count > 0, 1.0, STEP_INIT)[:, None]
-            direction = np.empty_like(a)
-            slope = np.zeros((len(a), 1))  # a row without pairs falls back
-            for own in set(count.tolist()) - {0}:
-                rows = np.flatnonzero(count == own)
-                mem = [(s[rows], y[rows], rho[rows]) for s, y, rho in pairs]
-                direction[rows] = _lbfgs_direction(
-                    a[rows], tangent[rows], metric[rows], mem[-own:]
-                )
-                slope[rows] = _inners(tangent[rows], direction[rows])
+            pairs, kept = _remember_pairs(pairs, a - prev_a, tangent - prev_tangent)
+            has_pair |= kept
+        trial = np.where(has_pair, 1.0, STEP_INIT)[:, None]
+        direction = np.empty_like(a)
+        slope = np.zeros((len(a), 1))  # a row without pairs falls back
+        if pairs:
+            own = slice(None) if has_pair.all() else np.flatnonzero(has_pair)
+            mem = [(s[own], y[own], rho[own]) for s, y, rho in pairs]
+            direction[own] = _lbfgs_direction(a[own], tangent[own], metric[own], mem)
+            slope[own] = _inners(tangent[own], direction[own])
         fallback = np.flatnonzero(~(slope > 0))
         if len(fallback):
             d = tangent[fallback] / metric[fallback]
@@ -358,10 +347,10 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
                     break
                 c = a[r] - t * direction[r]
                 c /= _norms(c[None])[0, 0]
-                v = kern.value(c, mu, cand_ct)
+                v = kern.value(c, mu)
                 if v <= reference[r, 0] - ARMIJO * t * slope[r, 0]:
                     cand[r], cand_value[r] = c, v
-                    _, cand_grad[r] = kern.value_and_gradient(c, mu, cand_ct)
+                    _, cand_grad[r] = kern.value_and_gradient(c, mu)
                     break
         prev_a, prev_tangent = a, tangent
         a, value, grad = cand, cand_value, cand_grad
@@ -735,6 +724,8 @@ def semiclassical(Na: float, h: float) -> SemiclassicalReport:
     Omega_h^2 = 1 - h^2; the regime labels flip exactly at mu_eff = 1/2 and
     5/32, and the two closed-form energies are
     E(phi_0,h) = Na*Omega^2/(4 pi h) + h,  E(phi_1,h) = Na*Omega^2/(8 pi h) + 2h.
+    A report with a number that would not be finite, or with a mu_eff
+    below the smallest normal double, raises InvalidParameter.
     """
     for name, value in (("Na", Na), ("h", h)):
         if not math.isfinite(value):
@@ -749,10 +740,16 @@ def semiclassical(Na: float, h: float) -> SemiclassicalReport:
     e1 = Na * omega_sq / (8.0 * math.pi * h) + 2.0 * h
     values = (("mu_eff", mu_eff), ("E_phi0", e0), ("E_phi1", e1))
     overflowed = [name for name, value in values if not math.isfinite(value)]
+    out_of_range = f"Na = {Na:.3e} and h = {h:.3e} are out of range: "
     if overflowed:
         raise InvalidParameter(
-            f"Na = {Na:.3e} and h = {h:.3e} are out of range: "
-            f"{' and '.join(overflowed)} would not be finite in double precision"
+            out_of_range
+            + f"{' and '.join(overflowed)} would not be finite in double precision"
+        )
+    if mu_eff < sys.float_info.min:  # h^2 underflowed
+        raise InvalidParameter(
+            out_of_range + "mu_eff would be below the smallest normal double "
+            f"({sys.float_info.min:.3e})"
         )
     if mu_eff > KAPPA_ZERO:
         regime = "gaussian-unique"

@@ -4,8 +4,9 @@
 diagonal-metric direction; it now takes L-BFGS steps.  `_search_direction`
 and `_descend` below are that earlier code, verbatim except that the
 squared weights come from the energy kernel and the line-search
-constants from the module, where the current descent reads them, so the
-tests can check that both descents reach the same minima.  `_descend` returns
+constants from the module, where the current descent reads them, and
+that the accepted trial's gradient convolves again, to the bits its
+`value` call had, so the tests can check that both descents reach the same minima.  `_descend` returns
 (a, value, residual, iterations, converged).
 """
 
@@ -67,8 +68,6 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
     a = a0 / _norm(a0)
     value, grad = kern.value_and_gradient(a, mu)
-    # each trial's convolution, reused for the gradient once it is accepted
-    cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
     step = STEP_INIT
     recent = deque([value], maxlen=NONMONOTONE_MEMORY)
     prev_a = prev_tangent = None
@@ -98,7 +97,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         while trial > 1e-18:
             cand = a - trial * direction
             cand = cand / _norm(cand)
-            cand_value = kern.value(cand, mu, cand_ct)
+            cand_value = kern.value(cand, mu)
             if cand_value <= reference - ARMIJO * trial * slope:
                 accepted = True
                 break
@@ -108,7 +107,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         prev_a, prev_tangent = a, tangent
         a, value = cand, cand_value
         recent.append(value)
-        _, grad = kern.value_and_gradient(a, mu, cand_ct)
+        _, grad = kern.value_and_gradient(a, mu)
         # give up once the value sits at floating-point resolution for a while
         if landmark - value > 1e-14 * max(abs(value), 1.0):
             landmark = value

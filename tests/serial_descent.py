@@ -2,9 +2,10 @@
 
 `fockmin.minimize._descend` once descended from one start at a time; it
 now advances a stack of (start, coupling) rows in lock step.  `_descend`
-and its helpers below are that earlier code, verbatim but for one guard
-that both forms share: a curvature pair whose 1 / s^T y overflows is
-skipped.  The tests check that every row of a stack ends with exactly the
+and its helpers below are that earlier code, verbatim but for what both
+forms share: a curvature pair whose 1 / s^T y overflows is skipped, and
+an accepted backtracked trial convolves again for its gradient, to the
+bits its `value` call had.  The tests check that every row of a stack ends with exactly the
 bits of a descent run on its own.  Its kernel calls are 1-D, one-row views
 of the stacked kernel.  `_descend(a0, mu, config)` returns
 (a, value, residual, iterations, stop).
@@ -130,20 +131,16 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     once a pair is stored (STEP_INIT before), and a nonmonotone Armijo
     test on the slope accepts it or backtracks.
 
-    Every trial costs one convolution.  The first trial is accepted in
-    nearly every iteration, so it is evaluated with its gradient in one
-    `value_and_gradient` call; a backtracked trial calls `value`, which
-    leaves its convolution in `cand_ct`, and only the accepted one then
-    reads its gradient from there.
+    The first trial is accepted in nearly every iteration, so it is
+    evaluated with its gradient in one `value_and_gradient` call; a
+    backtracked trial calls `value`, and only the accepted one then calls
+    `value_and_gradient`.
     """
     kern = energy_kernel(config.truncation)
     weights_sq = kern.weights_sq
     mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
     a = a0 / _norm(a0)
     value, grad = kern.value_and_gradient(a, mu)
-    # a backtracked trial's convolution, reused for the gradient once it is
-    # accepted
-    cand_ct = np.empty(2 * config.truncation + 1, dtype=complex)
     recent = deque([value], maxlen=NONMONOTONE_MEMORY)
     pairs = deque(maxlen=LBFGS_MEMORY)
     prev_a = prev_tangent = None
@@ -176,7 +173,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             if first:
                 cand_value, cand_grad = kern.value_and_gradient(cand, mu)
             else:
-                cand_value = kern.value(cand, mu, cand_ct)
+                cand_value = kern.value(cand, mu)
             if cand_value <= reference - ARMIJO * trial * slope:
                 accepted = True
                 break
@@ -191,7 +188,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         if first:
             grad = cand_grad
         else:
-            _, grad = kern.value_and_gradient(a, mu, cand_ct)
+            _, grad = kern.value_and_gradient(a, mu)
         # give up once the value sits at floating-point resolution for a while
         if landmark - value > 1e-14 * max(abs(value), 1.0):
             landmark = value

@@ -259,6 +259,68 @@ class TestMinimizeCommand:
         assert "regime" in out
 
 
+MINIMIZE_RECORD = {
+    "mu": "0.8", "G": "1.0", "P": "0.0", "Qabs": "0.0", "H": "0.039788735772973836",
+    "lagrange_residual": "0.0", "converged": ("true", "True"), "iterations": "0",
+    "restart_index": "0", "class": ('"phi0"', "phi0"), "overlap": "1.0",
+    "b_fit": ("null", "None"), "n_zeros": "0", "zero_radius": "6.0",
+}
+FUNCTIONALS_RECORD = {
+    "mu": "0.3", "M": "1.0", "P": "3.0", "Q": "[0.0, 0.0]",
+    "H": "0.012433979929054326", "B": "0.40625", "E": "0.40625", "G": "1.2125",
+    "F": "0.21249999999999997",
+}
+SEMICLASSICAL_RECORD = {
+    "h": "0.4", "Na": "12.5", "mu_eff": "0.19148755221880645",
+    "h_at_half": "0.5763311315694174", "h_at_5_32": "0.3667661568615707",
+    "E_phi0": "2.488908628081126", "E_phi1": "1.8444543140405631",
+    "regime": ('"first-excited-window"', "first-excited-window"),
+}
+
+
+def _golden(record, fmt):
+    """The stdout of a record: a (json, pretty) pair spells a value that
+    the two formats print differently."""
+    def spell(value):
+        return value if isinstance(value, str) else value[fmt == "pretty"]
+
+    if fmt == "json":
+        return "{" + ", ".join(f'"{k}": {spell(v)}' for k, v in record.items()) + "}\n"
+    return "".join(f"{k} = {spell(v)}\n" for k, v in record.items())
+
+
+class TestRecordOutput:
+    """`functionals`, `minimize` and `semiclassical` print one record, as a
+    JSON line or as `key = value` lines, byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_functionals(self, capsys, tmp_path, fmt):
+        path = str(tmp_path / "phi3.json")
+        fock.save_coefficients(fock.catalog_coefficients(fock.PhiN(3), 8), path)
+        argv = ["functionals", "--in", path, "--mu", "0.3", "--format", fmt]
+        assert run_capture(capsys, argv) == (0, _golden(FUNCTIONALS_RECORD, fmt), "")
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_minimize(self, capsys, fmt):
+        argv = ["minimize", "--mu", "0.8", "--trunc", "24", "--restarts", "3"]
+        golden = _golden(MINIMIZE_RECORD, fmt)
+        assert run_capture(capsys, [*argv, "--format", fmt]) == (0, golden, "")
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_minimize_out_file(self, capsys, tmp_path, fmt):
+        out = tmp_path / "min.txt"
+        argv = ["minimize", "--mu", "0.8", "--trunc", "24", "--restarts", "3"]
+        assert run_capture(capsys, [*argv, "--format", fmt, "--out", str(out)]) == (
+            0, "", "",
+        )
+        assert out.read_text() == _golden(MINIMIZE_RECORD, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_semiclassical(self, capsys, fmt):
+        argv = ["semiclassical", "--Na", "12.5", "--h", "0.4", "--format", fmt]
+        assert run_capture(capsys, argv) == (0, _golden(SEMICLASSICAL_RECORD, fmt), "")
+
+
 class TestErrorPaths:
     def test_usage_error_exits_one(self, capsys):
         assert cli.run(["block"]) == 1
@@ -565,21 +627,58 @@ class TestErrorPaths:
         )
 
     @pytest.mark.parametrize(
-        "argv, overflowed",
+        "argv, problem",
         [
-            pytest.param(["--Na", "1", "--h", "1e-320"], "E_phi0 and E_phi1", id="h"),
-            pytest.param(["--Na", "1e-320", "--h", "0.5"], "mu_eff", id="Na"),
+            pytest.param(
+                ["--Na", "1", "--h", "1e-320"],
+                "E_phi0 and E_phi1 would not be finite in double precision",
+                id="h",
+            ),
+            pytest.param(
+                ["--Na", "1e-320", "--h", "0.5"],
+                "mu_eff would not be finite in double precision",
+                id="Na",
+            ),
+            # h^2 underflows: mu_eff, about 1.3e-339, would print as 0.0
+            pytest.param(
+                ["--Na", "1", "--h", "1e-170"],
+                "mu_eff would be below the smallest normal double (2.225e-308)",
+                id="h-underflow",
+            ),
         ],
     )
-    def test_semiclassical_non_finite_report_is_usage_error(
-        self, capsys, argv, overflowed
-    ):
+    def test_semiclassical_non_finite_report_is_usage_error(self, capsys, argv, problem):
         code, out, err = run_capture(capsys, ["semiclassical", *argv])
         assert code == 1
         assert out == ""
         assert err.startswith("error: Na = ")
-        assert err.endswith(f"{overflowed} would not be finite in double precision\n")
+        assert err.endswith(f" are out of range: {problem}\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("j", [201, 100000])
+    def test_block_index_above_the_cap_is_usage_error(self, capsys, monkeypatch, j):
+        def no_build(*args, **kwargs):
+            raise AssertionError("block built past the cap")
+
+        monkeypatch.setattr(spectra, "build_B_block", no_build)
+        code, out, err = run_capture(capsys, ["block", "--j", str(j)])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --j must be at most 200, got {j}: the dump grows as about "
+            "2 j^3 bytes\n"
+        )
+
+    def test_block_index_at_the_cap_is_built(self, capsys, monkeypatch):
+        built = []
+
+        def no_build(j, decoupled=False):
+            built.append(j)
+            raise AssertionError("stop before the dump")
+
+        monkeypatch.setattr(spectra, "build_B_block", no_build)
+        with pytest.raises(AssertionError, match="stop before the dump"):
+            cli.run(["block", "--j", "200"])
+        assert built == [200]
 
     def test_mu0_single_restart_is_usage_error(self, capsys, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -4,9 +4,8 @@
 oracle, plus the squared-weight table that the descent reads from the
 kernel and the stacked call signature, which it serves row by row with its
 own 1-D arithmetic: every result of the current kernel must equal it bit
-for bit, on the convolving path, the path that reuses a trial's ct and
-every row of a stack, and the CLI must print the same bytes with either
-kernel in place.
+for bit, on a 1-D state and on every row of a stack, and the CLI must
+print the same bytes with either kernel in place.
 """
 
 import math
@@ -93,31 +92,6 @@ class BincountKernel:
         return energy, grad
 
 
-class CtReuseOracle(BincountKernel):
-    """`BincountKernel` behind the ct-reuse signature: `value` fills the
-    caller's ct from the oracle's convolution, and `value_and_gradient`
-    checks a passed ct, one row of it per row of a, against it before
-    computing everything afresh.  It counts the rows of each
-    `value_and_gradient` call in `stacks`."""
-
-    def __init__(self, truncation: int):
-        super().__init__(truncation)
-        self.stacks = []
-
-    def value(self, a, mu, ct=None):
-        if ct is not None:
-            ct[...] = self.convolution(a)
-        return super().value(a, mu)
-
-    def value_and_gradient(self, a, mu, ct=None):
-        rows = a.reshape(-1, a.shape[-1])
-        self.stacks.append(len(rows) if a.ndim == 2 else None)
-        if ct is not None:
-            expected = np.array([self.convolution(row) for row in rows])
-            assert _bits(ct) == _bits(expected.reshape(ct.shape))
-        return super().value_and_gradient(a, mu)
-
-
 TRUNCATIONS = (8, 9, 48, 96, 192)
 
 
@@ -185,22 +159,6 @@ class TestBitIdentity:
         new.value_and_gradient(big, 0.5)
         assert _bits(new.convolution(small)) == _bits(old.convolution(small))
 
-    def test_reused_ct_path(self, kernels):
-        # value leaves ct in the caller's array; value_and_gradient reads it
-        # instead of convolving, with the same bits as the oracle
-        n, new, old = kernels
-        rng = np.random.default_rng(3000 + n)
-        ct = np.empty(2 * n + 1, dtype=complex)
-        for a in _states(n, seed=4000 + n):
-            mu = float(rng.uniform(0.01, 1.0))
-            assert _bits(new.value(a, mu, ct)) == _bits(old.value(a, mu))
-            assert _bits(ct) == _bits(old.convolution(a))
-            e_new, g_new = new.value_and_gradient(a, mu, ct)
-            e_old, g_old = old.value_and_gradient(a, mu)
-            assert _bits(e_new) == _bits(e_old)
-            assert _bits(g_new) == _bits(g_old)
-            assert _bits(ct) == _bits(old.convolution(a))  # read, not written
-
     def test_interleaved_states_share_nothing(self, kernels):
         n, new, old = kernels
         rng = np.random.default_rng(5000 + n)
@@ -208,14 +166,12 @@ class TestBitIdentity:
             s * (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
             for s in (1e3, 1e-3)
         )
-        ct_a = np.empty(2 * n + 1, dtype=complex)
-        ct_b = np.empty(2 * n + 1, dtype=complex)
-        new.value(a, 0.3, ct_a)
-        new.value(b, 0.7, ct_b)
-        e_a, g_a = new.value_and_gradient(a, 0.3, ct_a)
+        new.value(a, 0.3)
+        new.value(b, 0.7)
+        e_a, g_a = new.value_and_gradient(a, 0.3)
         kept = g_a.copy()
-        new.value(b, 0.7, ct_b)
-        e_b, g_b = new.value_and_gradient(b, 0.7, ct_b)
+        new.value(b, 0.7)
+        e_b, g_b = new.value_and_gradient(b, 0.7)
         new.value_and_gradient(a, 0.1)
         assert _bits(g_a) == _bits(kept)
         for state, mu, energy, grad in ((a, 0.3, e_a, g_a), (b, 0.7, e_b, g_b)):
@@ -271,31 +227,17 @@ class TestStackedCalls:
         assert _bits(g_perm) == _bits(grad[order])
 
     def test_one_row_call_is_the_backtrack_path(self, kernels):
-        # a one-row stack, a 1-D call and `value` then a gradient from the
-        # ct it leaves all give the same bits
+        # a one-row stack, a 1-D call and `value`, which a backtracked
+        # trial calls before its 1-D gradient, all give the same bits
         n, new, _ = kernels
-        ct = np.empty(2 * n + 1, dtype=complex)
         stack, mus = _stack(n, 8000 + n, 24)
         for a, mu in zip(stack, mus.tolist()):
             [e_row], [g_row] = new.value_and_gradient(a[None], np.array([mu]))
             e_flat, g_flat = new.value_and_gradient(a, mu)
             assert type(e_flat) is float and g_flat.shape == (n + 1,)
-            value = new.value(a, mu, ct)
-            e_ct, g_ct = new.value_and_gradient(a, mu, ct)
-            for energy in (e_flat, value, e_ct):
+            for energy in (e_flat, new.value(a, mu)):
                 assert _bits(energy) == _bits(e_row)
-            for grad in (g_flat, g_ct):
-                assert _bits(grad) == _bits(g_row)
-
-    def test_stacked_ct_is_read_not_recomputed(self, kernels):
-        n, new, _ = kernels
-        stack, mus = _stack(n, 9000 + n, 5)
-        cts = np.array([new.convolution(a) for a in stack])
-        kept = cts.copy()
-        e_ct, g_ct = new.value_and_gradient(stack, mus, cts)
-        energy, grad = new.value_and_gradient(stack, mus)
-        assert _bits(e_ct) == _bits(energy) and _bits(g_ct) == _bits(grad)
-        assert _bits(cts) == _bits(kept)
+            assert _bits(g_flat) == _bits(g_row)
 
     def test_a_wider_stack_leaves_nothing_behind(self, kernels):
         # the ct rows grow to the widest stack; a narrower call after a
@@ -327,13 +269,22 @@ def test_weights_sq_is_the_comb_table():
 
 def _patched_run(monkeypatch, capsys, argv):
     """The CLI's exit code and stdout with the oracle as the kernel, and the
-    row counts of the oracle's `value_and_gradient` calls."""
-    monkeypatch.setattr(fock, "EnergyKernel", CtReuseOracle)
+    (method, shape of a) of every call the oracle took, its own per-row
+    calls of a stack included."""
+    calls = []
+    for name in ("value", "value_and_gradient"):
+        method = getattr(BincountKernel, name)
+
+        def recorded(self, a, mu, name=name, method=method):
+            calls.append((name, a.shape))
+            return method(self, a, mu)
+
+        monkeypatch.setattr(BincountKernel, name, recorded)
+    monkeypatch.setattr(fock, "EnergyKernel", BincountKernel)
     fock.energy_kernel.cache_clear()
     try:
-        oracle = fock.energy_kernel(16)
-        assert isinstance(oracle, CtReuseOracle)
-        return _cli_stdout(capsys, argv), oracle.stacks
+        assert isinstance(fock.energy_kernel(16), BincountKernel)
+        return _cli_stdout(capsys, argv), calls
     finally:
         monkeypatch.undo()
         fock.energy_kernel.cache_clear()
@@ -355,20 +306,24 @@ def _cli_stdout(capsys, argv):
     ],
 )
 def test_cli_stdout_matches_oracle(monkeypatch, capsys, argv):
-    expected, stacks = _patched_run(monkeypatch, capsys, argv)
+    expected, calls = _patched_run(monkeypatch, capsys, argv)
     # the starts, 6 restarts at each coupling, reached the oracle as one
-    # stack, and only a backtracked trial as one 1-D row
-    assert stacks[0] == 6 * (2 if argv[0] == "scan" else 1)
-    assert None in stacks and len(stacks) > 10
+    # stack, and backtracked trials called its `value`
+    assert calls[0] == ("value_and_gradient", (6 * (2 if argv[0] == "scan" else 1), 17))
+    assert ("value", (17,)) in calls and len(calls) > 10
     assert not isinstance(fock.energy_kernel(16), BincountKernel)
     assert _cli_stdout(capsys, argv) == expected
 
 
 def test_descent_convolves_once_per_trial(monkeypatch):
+    # every trial convolves once, and an accepted backtracked trial once
+    # more for its gradient, which is formed at the state of the `value`
+    # call just before it
     counts = dict.fromkeys(
-        ("convolution", "energy_rows", "value", "stacks", "stacked_rows", "reused_ct"),
+        ("convolution", "energy_rows", "value", "stacks", "stacked_rows", "accepted"),
         0,
     )
+    valued = []
     convolution, energies, value = (
         getattr(fock.EnergyKernel, name) for name in ("convolution", "_energies", "value")
     )
@@ -382,21 +337,21 @@ def test_descent_convolves_once_per_trial(monkeypatch):
         counts["energy_rows"] += 1 if a.ndim == 1 else len(a)
         return energies(self, ct, a, mu)
 
-    def counted_value(self, a, mu, ct=None):
+    def counted_value(self, a, mu):
         counts["value"] += 1
-        return value(self, a, mu, ct)
+        valued.append(a.tobytes())
+        return value(self, a, mu)
 
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
-    def counted_gradient(self, a, mu, ct=None):
-        if ct is None:
-            assert a.ndim == 2
+    def counted_gradient(self, a, mu):
+        if a.ndim == 2:
             counts["stacks"] += 1
             counts["stacked_rows"] += len(a)
-        else:  # a backtracked trial, one row alone
-            assert a.ndim == 1
-            counts["reused_ct"] += 1
-        return value_and_gradient(self, a, mu, ct)
+        else:  # an accepted backtracked trial, one row alone
+            assert valued and a.tobytes() == valued[-1]
+            counts["accepted"] += 1
+        return value_and_gradient(self, a, mu)
 
     monkeypatch.setattr(fock.EnergyKernel, "convolution", counted_convolution)
     monkeypatch.setattr(fock.EnergyKernel, "_energies", counted_energies)
@@ -416,15 +371,16 @@ def test_descent_convolves_once_per_trial(monkeypatch):
         # rows' first trials; a round's rows are those still descending
         assert counts["stacks"] == max(iters) + 1
         assert counts["stacked_rows"] == sum(iters) + len(rows)
-        # a backtracked trial calls `value`, and an accepted backtracked
-        # trial reads its gradient from that trial's ct
+        # a backtracked trial calls `value`; no row stalled, so each row
+        # whose first trial failed accepted one backtracked trial
         trials = counts["stacked_rows"] - len(rows) + counts["value"]
+        assert (counts["value"] > 0) is backtracks
+        assert (counts["accepted"] > 0) is backtracks
+        assert counts["accepted"] <= counts["value"]
         # one convolution per row for the starts, then one per trial point
-        assert counts["convolution"] == trials + len(rows)
-        # one energy per convolution, and one more per accepted backtracked step
-        assert counts["energy_rows"] == counts["convolution"] + counts["reused_ct"]
-        assert counts["reused_ct"] <= counts["value"]
-        assert (counts["reused_ct"] > 0) is backtracks
+        # and one more per accepted backtracked trial
+        assert counts["convolution"] == len(rows) + trials + counts["accepted"]
+        assert counts["energy_rows"] == counts["convolution"]
 
 
 # stdout of `fockmin scan --from 0.1 --to 0.7 --step 0.3` at the default seed
@@ -491,8 +447,8 @@ def test_scan_stdout_golden_other_seeds(capsys, seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_first_trial_gradient_has_the_bits_of_value_then_gradient(monkeypatch, seed):
-    # the descent with every first trial split into `value` plus a gradient
-    # from its ct, one row at a time, the one path a trial took before they
+    # the descent with every first trial split into `value` plus a 1-D
+    # gradient, one row at a time, the one path a trial took before they
     # were fused and stacked
     config = minimize.OptimizerConfig(truncation=48, restarts=1)
     rng = np.random.default_rng(seed)
@@ -501,14 +457,11 @@ def test_first_trial_gradient_has_the_bits_of_value_then_gradient(monkeypatch, s
     fused = minimize._descend(starts, mus, config)
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
-    def split(self, a, mu, ct=None):
+    def split(self, a, mu):
         if a.ndim == 2:  # a round's first trials, one row at a time
             rows = [split(self, row, m) for row, m in zip(a, mu.tolist())]
             return np.array([e for e, _ in rows]), np.array([g for _, g in rows])
-        if ct is None:
-            ct = np.empty(2 * self.truncation + 1, dtype=complex)
-            self.value(a, mu, ct)
-        return value_and_gradient(self, a, mu, ct)
+        return self.value(a, mu), value_and_gradient(self, a, mu)[1]
 
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", split)
     for (a, *rest), expected in zip(minimize._descend(starts, mus, config), fused):

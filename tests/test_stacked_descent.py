@@ -2,7 +2,8 @@
 
 `fockmin.minimize._descend` advances every (start, coupling) row of a
 stack in lock step; `serial_descent._descend` is the earlier one-start
-descent, kept verbatim but for the curvature-pair guard both share.
+descent, kept verbatim but for what both share: the curvature-pair guard
+and a fresh convolution for an accepted backtracked trial's gradient.
 Every row must end with exactly the bits of the serial descent from its
 start: the same point, value, residual, iteration count and stop reason,
 whatever its stack mates.
@@ -79,10 +80,10 @@ class TestOneStackCoversEveryPath:
         events = collections.Counter()
         remember_pairs, lbfgs_direction = mz._remember_pairs, mz._lbfgs_direction
 
-        def counted_pairs(pairs, held, s, y):
+        def counted_pairs(pairs, s, y):
             kept = mz._inners(s, y) > 0
             events["mixed pair rounds"] += bool(kept.any() and not kept.all())
-            return remember_pairs(pairs, held, s, y)
+            return remember_pairs(pairs, s, y)
 
         def counted_direction(a, tangent, metric, pairs):
             direction = lbfgs_direction(a, tangent, metric, pairs)
@@ -124,33 +125,128 @@ class TestOneStackCoversEveryPath:
         }
 
 
+def _is_pad(s, y, rho):
+    """Whether one row's (s, y, rho) is the pad (-0.0, +0.0, +0.0), signs
+    included."""
+    return (
+        not s.any() and np.signbit(s).all()
+        and not y.any() and not np.signbit(y).any()
+        and rho == 0.0 and not np.signbit(rho)
+    )
+
+
 def test_ragged_pairs_keep_their_ages():
-    # three rows store pairs 1..3; then row 1 skips the fourth (s^T y < 0)
-    # and row 2 the fifth, and each row's newest pairs are its own
-    n = 4
+    # four rows over nine rounds: row 3 skips the first pair, row 1 the
+    # fourth, row 2 the fifth and row 0 the eighth (s^T y < 0); after every
+    # round each row's newest pairs are its own, at their ages, the memory
+    # holds at most LBFGS_MEMORY, and an age a row has no pair for holds
+    # the pad
+    n, rows = 4, 4
     rng = np.random.default_rng(2)
-    pairs, held = collections.deque(maxlen=mz.LBFGS_MEMORY), None
-    history = [[], [], []]
-    for round_ in range(5):
-        s = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    pairs = collections.deque(maxlen=mz.LBFGS_MEMORY)
+    history = [[] for _ in range(rows)]
+    pads = 0
+    for round_ in range(9):
+        s = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
         y = s * (1.0 + round_)
-        skipped = {3: 1, 4: 2}.get(round_)
+        skipped = {0: 3, 3: 1, 4: 2, 7: 0}.get(round_)
         if skipped is not None:
             y[skipped] = -y[skipped]
-        pairs, held = mz._remember_pairs(pairs, held, s, y)
-        for r in range(3):
+        pairs, kept = mz._remember_pairs(pairs, s, y)
+        assert kept.tolist() == [r != skipped for r in range(rows)]
+        for r in range(rows):
             if r != skipped:
                 history[r].append((s[r], y[r]))
-        if round_ < 3:
-            assert held is None and len(pairs) == round_ + 1
-    assert len(pairs) == 5
-    assert held.tolist() == [5, 4, 4]
-    for r, own in enumerate(history):
-        for age, (s, y) in enumerate(reversed(own)):
-            stored_s, stored_y, rho = pairs[-1 - age]
-            assert np.array_equal(stored_s[r], s.view(float))
-            assert np.array_equal(stored_y[r], y.view(float))
-            assert rho[r, 0] == 1.0 / s.view(float).dot(y.view(float))
+        mine = [h[-mz.LBFGS_MEMORY :] for h in history]
+        assert len(pairs) == max(map(len, mine))
+        for r in range(rows):
+            for age in range(len(pairs)):
+                stored_s, stored_y, rho = (x[r] for x in pairs[-1 - age])
+                if age >= len(mine[r]):
+                    assert _is_pad(stored_s, stored_y, rho[0])
+                    pads += 1
+                    continue
+                s_r, y_r = mine[r][-1 - age]
+                assert np.array_equal(stored_s, s_r.view(float))
+                assert np.array_equal(stored_y, y_r.view(float))
+                assert rho[0] == 1.0 / s_r.view(float).dot(y_r.view(float))
+    assert pads > 0 and len(pairs) == mz.LBFGS_MEMORY
+
+
+def test_a_row_without_pairs_holds_only_pads():
+    # a row that skips every pair while its stack mates store theirs holds
+    # the pad at every age, and a row that skips after storing keeps its
+    # pair as its newest, with the pad below it
+    rng = np.random.default_rng(3)
+    pairs = collections.deque(maxlen=mz.LBFGS_MEMORY)
+    for round_ in range(3):
+        s = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        y = s.copy()
+        y[0] = -y[0]
+        if round_:
+            y[1] = -y[1]
+        pairs, kept = mz._remember_pairs(pairs, s, y)
+        assert kept.tolist() == [False, round_ == 0, True]
+    assert len(pairs) == 3
+    assert all(_is_pad(s[0], y[0], rho[0, 0]) for s, y, rho in pairs)
+    assert [_is_pad(s[1], y[1], rho[1, 0]) for s, y, rho in pairs] == [
+        True, True, False,
+    ]
+
+
+def _plant_zeros(rng, x, share):
+    """x with about `share` of its entries set to +0.0 or -0.0."""
+    x = x.copy()
+    hit = rng.random(x.shape) < share
+    x[hit] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[hit]
+    return x
+
+
+def test_padded_two_loop_has_the_bits_of_the_rows_own_pairs():
+    # a stack whose rows hold 1 .. 6 pairs, padded to the longest memory,
+    # with +0.0 and -0.0 planted in the states, the tangents, s and y (the
+    # catalog starts have exact zeros, and only a zero in the state keeps
+    # the sign of a zero through the final projection): every row of the
+    # padded two-loop equals a two-loop over that row's real pairs alone,
+    # and the serial one, bit for bit
+    rng = np.random.default_rng(11)
+    rows, n = 6, 9
+    for share in np.resize([0.25, 0.5, 0.8], 300):
+        counts = rng.integers(1, mz.LBFGS_MEMORY + 1, size=rows)
+        a = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        a.view(float)[:] = _plant_zeros(rng, a.view(float), share)
+        a[:, 0] = 1.0  # no row is zero
+        a /= mz._norms(a)
+        tangent = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        tangent.view(float)[:] = _plant_zeros(rng, tangent.view(float), share)
+        metric = rng.uniform(0.5, 3.0, (rows, n))
+        own = []
+        for count in counts:
+            mine = []
+            while len(mine) < count:
+                s = _plant_zeros(rng, rng.standard_normal(2 * n), share)
+                y = s * rng.uniform(0.5, 2.0) + 0.1 * rng.standard_normal(2 * n)
+                y = _plant_zeros(rng, y, share)
+                if s.dot(y) > 0:
+                    mine.append((s, y, 1.0 / s.dot(y)))
+            own.append(mine)
+        padded = collections.deque(maxlen=mz.LBFGS_MEMORY)
+        for age in range(counts.max() - 1, -1, -1):
+            entry = [mine[-1 - age] if age < len(mine) else mz._PAD for mine in own]
+            padded.append(
+                (
+                    np.array([np.broadcast_to(e[0], 2 * n) for e in entry]),
+                    np.array([np.broadcast_to(e[1], 2 * n) for e in entry]),
+                    np.array([[e[2]] for e in entry]),
+                )
+            )
+        stacked = mz._lbfgs_direction(a, tangent, metric, padded)
+        for r, mine in enumerate(own):
+            alone = [(s[None], y[None], np.array([[rho]])) for s, y, rho in mine]
+            one = mz._lbfgs_direction(a[r : r + 1], tangent[r : r + 1], metric[r : r + 1], alone)
+            assert stacked[r].tobytes() == one[0].tobytes()
+            serial = sd._lbfgs_direction(a[r], tangent[r], metric[r], collections.deque(mine))
+            assert stacked[r].tobytes() == serial.tobytes()
 
 
 def test_scan_rows_equal_minimize_G():
@@ -190,24 +286,27 @@ def test_minimize_G_descends_its_restarts_as_one_stack(monkeypatch):
 
 def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
     # the O(N^2) convolution runs on 1-D rows; `value_and_gradient` takes
-    # each round's live rows as one stack, and one 1-D row only to reuse a
-    # backtracked trial's ct
-    convolved, stacks, reused = set(), [], set()
+    # each round's live rows as one stack, and one 1-D row only for an
+    # accepted backtracked trial, after that trial's `value`
+    convolved, stacks, rows, valued = set(), [], set(), set()
     convolution = fock.EnergyKernel.convolution
+    value = fock.EnergyKernel.value
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
     def recorded_convolution(self, a, out=None):
         convolved.add(a.shape)
         return convolution(self, a, out)
 
-    def recorded(self, a, mu, ct=None):
-        if ct is None:
-            stacks.append(a.shape)
-        else:
-            reused.add(a.shape)
-        return value_and_gradient(self, a, mu, ct)
+    def recorded_value(self, a, mu):
+        valued.add(a.shape)
+        return value(self, a, mu)
+
+    def recorded(self, a, mu):
+        (stacks.append if a.ndim == 2 else rows.add)(a.shape)
+        return value_and_gradient(self, a, mu)
 
     monkeypatch.setattr(fock.EnergyKernel, "convolution", recorded_convolution)
+    monkeypatch.setattr(fock.EnergyKernel, "value", recorded_value)
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", recorded)
     config = mz.OptimizerConfig(truncation=24, restarts=4, seed=0)
     mz.scan_mu([0.1, 0.6], config)
@@ -217,7 +316,7 @@ def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
     # rows only leave the stack
     widths = [shape[0] for shape in stacks]
     assert widths == sorted(widths, reverse=True) and widths[-1] < 8
-    assert reused == {(25,)}
+    assert rows == valued == {(25,)}
 
 
 def test_no_pair_whose_inverse_overflows(monkeypatch):
@@ -228,11 +327,11 @@ def test_no_pair_whose_inverse_overflows(monkeypatch):
     guarded = collections.Counter()
     remember_pairs = mz._remember_pairs
 
-    def counted_pairs(pairs, held, s, y):
+    def counted_pairs(pairs, s, y):
         sy = mz._inners(s, y)[:, 0]
         with np.errstate(divide="ignore", over="ignore"):
             guarded["rows"] += int(np.sum((sy > 0) & ~np.isfinite(1.0 / sy)))
-        return remember_pairs(pairs, held, s, y)
+        return remember_pairs(pairs, s, y)
 
     monkeypatch.setattr(mz, "_remember_pairs", counted_pairs)
     config = mz.OptimizerConfig(truncation=16, grad_tol=1e-15)
