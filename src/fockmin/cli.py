@@ -14,7 +14,13 @@ import sys
 from functools import lru_cache
 
 from . import fock, minimize as mz, spectra, sturm
-from .errors import CertificateFailed, FockminError, InvalidParameter, NoConvergence
+from .errors import (
+    CertificateFailed,
+    FockminError,
+    InvalidParameter,
+    NoConvergence,
+    NotCentrosymmetric,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,6 +32,12 @@ _MAX_SCAN_POINTS = 10**6  # far beyond any scan that can finish
 # The top of `certify`'s default exact range: it keeps a `block` dump, about
 # 2 j^3 bytes (see --j's help), near 15 MB and the process below 100 MiB.
 _MAX_BLOCK_J = 200
+
+# The top of `catalog --trunc`: the file holds N+1 pairs of floats, at most
+# 54 bytes each as JSON, and the pairs pass through Python lists on the way,
+# about 200 bytes per coefficient; at the cap that is 13.5 MB of file and
+# about 70 MiB of process, the same scale as `block --j`'s cap.
+_MAX_CATALOG_TRUNC = 250_000
 
 # Every token that float() reads with a leading minus sign: argparse's own
 # matcher misses exponents and the special values, so "--mu -1e-3" would
@@ -104,7 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-re", type=float, default=0.0)
     p.add_argument("--c-im", type=float, default=0.0)
     p.add_argument("--h", type=float, default=0.5)
-    p.add_argument("--trunc", type=int, default=64)
+    p.add_argument(
+        "--trunc",
+        type=int,
+        default=64,
+        help=f"truncation N, at most {_MAX_CATALOG_TRUNC}: the file holds N+1 "
+        "pairs of floats, at most 54 bytes each (13.5 MB at the cap), and "
+        "writing them takes about 200 bytes of memory per coefficient "
+        "(default 64)",
+    )
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("minimize", help="minimize the energy at one coupling")
@@ -196,7 +216,10 @@ def _cmd_certify(args) -> int:
             cert = sturm.positivity_certificate(j)
             checks = [f"sturm transition={cert.transition_index}"]
             if j <= args.exact_max_j:
-                reduced = spectra.centro_decompose(spectra.build_B_block(j))
+                try:
+                    reduced = spectra.fold_band(spectra.block_band(j))
+                except NotCentrosymmetric as exc:
+                    raise CertificateFailed(str(exc)) from exc
                 exact_ok = spectra.kernel_annihilated(reduced)
                 checks.append("kernel=exact" if exact_ok else "kernel=FAIL")
                 if not exact_ok:
@@ -242,6 +265,11 @@ def _cmd_functionals(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if args.trunc > _MAX_CATALOG_TRUNC:
+        raise InvalidParameter(
+            f"--trunc must be at most {_MAX_CATALOG_TRUNC}, got {args.trunc}: "
+            "the file holds up to 54 bytes per coefficient"
+        )
     if args.wave == "phi_n":
         spec = fock.PhiN(args.n)
     elif args.wave == "phi_n_alpha":

@@ -12,12 +12,18 @@ import cmath
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteParameter, TruncationTooSmall
+from .errors import (
+    DegenerateInput,
+    InvalidParameter,
+    NonFiniteParameter,
+    TruncationTooSmall,
+)
 
 __all__ = [
     "FockCoefficients",
@@ -287,6 +293,11 @@ def functionals(u: FockCoefficients, mu: float) -> FunctionalReport:
     if not math.isfinite(mu):
         raise NonFiniteParameter(f"the coupling mu must be finite, got {mu}")
     m = mass(u)
+    if m < sys.float_info.min:
+        raise DegenerateInput(
+            f"the state's mass {m:.3e} is below the smallest normal double "
+            f"({sys.float_info.min:.3e}): its functionals would print as zero"
+        )
     p = angular_momentum(u)
     q = magnetic_momentum(u)
     h = hamiltonian(u)

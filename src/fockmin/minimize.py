@@ -19,6 +19,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -724,8 +725,11 @@ def semiclassical(Na: float, h: float) -> SemiclassicalReport:
     Omega_h^2 = 1 - h^2; the regime labels flip exactly at mu_eff = 1/2 and
     5/32, and the two closed-form energies are
     E(phi_0,h) = Na*Omega^2/(4 pi h) + h,  E(phi_1,h) = Na*Omega^2/(8 pi h) + 2h.
-    A report with a number that would not be finite, or with a mu_eff
-    below the smallest normal double, raises InvalidParameter.
+    Omega_h^2 is rounded once from its exact value, and mu_eff is formed
+    on the mantissas of h and Na, so neither a subnormal h^2 nor a
+    subnormal Na * Omega_h^2 costs digits.  A report with a number that
+    would not be finite, or with a mu_eff below the smallest normal
+    double, raises InvalidParameter.
     """
     for name, value in (("Na", Na), ("h", h)):
         if not math.isfinite(value):
@@ -734,8 +738,21 @@ def semiclassical(Na: float, h: float) -> SemiclassicalReport:
         raise InvalidParameter("h must lie in (0, 1)")
     if Na <= 0:
         raise InvalidParameter("Na must be positive")
-    omega_sq = 1.0 - h * h
-    mu_eff = 4.0 * math.pi * h * h / (Na * omega_sq)
+    # rounded once from its exact value: 1 - h * h cancels as h nears 1
+    # (a relative 1e-11 at h = 0.999999)
+    omega_sq = float(1 - Fraction(h) ** 2)
+    # mu_eff from the mantissas of h and Na, scaled back by one power of
+    # two: h * h is subnormal below h = 1.5e-154 and Na * omega_sq below
+    # Na = 2.2e-308, and either would cost digits.  Scaling by a power of
+    # two is exact, so where nothing is subnormal or overflows midway this
+    # is the plain quotient to the bit.
+    h_frac, h_exp = math.frexp(h)
+    na_frac, na_exp = math.frexp(Na)
+    quotient = 4.0 * math.pi * h_frac * h_frac / (na_frac * omega_sq)
+    try:
+        mu_eff = math.ldexp(quotient, 2 * h_exp - na_exp)
+    except OverflowError:
+        mu_eff = math.inf
     e0 = Na * omega_sq / (4.0 * math.pi * h) + h
     e1 = Na * omega_sq / (8.0 * math.pi * h) + 2.0 * h
     values = (("mu_eff", mu_eff), ("E_phi0", e0), ("E_phi1", e1))

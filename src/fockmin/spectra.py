@@ -2,17 +2,21 @@
 
 For each degree j the quartic energy couples the products a_k a_{j-k}
 through a symmetric centrosymmetric matrix of order j+1.  Every entry of
-2^s B^(j), s = max(j+1, 3), is an integer, so a block is held as integer
-numerators over 2^s (`BlockMatrix`) and every exact step is integer
-arithmetic: this module builds the blocks, reduces them to their
-symmetric-sector half (the anti-diagonal flip splits the spectrum), checks
-the two exact kernel vectors, and provides congruence-scaled
-floating-point views for eigenvalue checks and exact strings for
-printing.  The sqrt2 on the border of an even-index reduction is carried
-by a congruence (see `centro_decompose`), never stored.  The
-tridiagonal + rank-one split of a reduced block and the interlacing of
-their spectra are cross-checks that no verdict reads; they live with the
-tests, as oracles.
+2^s B^(j), s = max(j+1, 3), is an integer, so every exact step is integer
+arithmetic on numerators over 2^s.  A block is described once, by its band
+(`BlockBand`): the all-ones numerator, the diagonal and the first
+off-diagonal, both palindromes.  `build_B_block` expands the band into the
+dense `BlockMatrix` that `block` prints, and `centro_decompose` reduces
+that to its symmetric-sector half (the anti-diagonal flip splits the
+spectrum).  `fold_band` gives the same reduced block straight from the
+band, in O(j) arithmetic after an O(j) palindrome check; `certify` reads
+that one.  The module then checks the two exact kernel vectors, and
+provides congruence-scaled floating-point views for eigenvalue checks and
+exact strings for printing.  The sqrt2 on the border of an even-index
+reduction is carried by a congruence (see `centro_decompose`), never
+stored.  The tridiagonal + rank-one split of a reduced block and the
+interlacing of their spectra are cross-checks that no verdict reads; they
+live with the tests, as oracles.
 
 Public indexing is 0-based throughout; the usual 1-based entry formulas
 are shifted here, in one place.
@@ -20,6 +24,7 @@ are shifted here, in one place.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,9 +37,12 @@ from .errors import InvalidParameter, NoConvergence, NotCentrosymmetric, OutOfRa
 
 __all__ = [
     "BlockKind",
+    "BlockBand",
     "BlockMatrix",
+    "block_band",
     "build_B_block",
     "centro_decompose",
+    "fold_band",
     "mat_vec",
     "kernel_annihilated",
     "null_vectors",
@@ -75,30 +83,58 @@ def _freeze(rows) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def build_B_block(j: int, *, decoupled: bool = False) -> BlockMatrix:
-    """Full quartic-form block of order j+1, over 2^s with s = max(j+1, 3).
+@dataclass(frozen=True)
+class BlockBand:
+    """One block of order j+1 as its band, over 2**shift: every entry is
+    ``base``, plus ``diagonal[k]`` at (k, k) and ``off_diagonal[k]`` at
+    (k, k+1) and (k+1, k)."""
 
-    Diagonal j!/2^{j+1} + (j-4) k!(j-k)!/8, first off-diagonal
-    j!/2^{j+1} - (k+1)!(j-k)!/8, every other entry j!/2^{j+1}.  The
-    decoupled block E leaves out the momentum coupling, the off-diagonal
-    correction.
+    j: int
+    shift: int
+    base: int
+    diagonal: tuple
+    off_diagonal: tuple
+
+
+def block_band(j: int, *, decoupled: bool = False) -> BlockBand:
+    """The band of the quartic-form block j, over 2^s with s = max(j+1, 3).
+
+    Every entry holds j!/2^{j+1}; the diagonal adds (j-4) k!(j-k)!/8 and
+    the first off-diagonal subtracts (k+1)!(j-k)!/8.  The decoupled block E
+    leaves out the momentum coupling, the off-diagonal correction, so its
+    off-diagonal is zero.
     """
     if j < 0:
         raise OutOfRange("block index must be non-negative")
     shift = max(j + 1, 3)
-    n = j + 1
-    fact = [math.factorial(k) for k in range(n)]
+    fact = list(itertools.accumulate(range(1, j + 1), operator.mul, initial=1))
     base = fact[j] << (shift - j - 1)
-    rows = [[base] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = base + ((j - 4) * fact[k] * fact[j - k] << (shift - 3))
-    if not decoupled:
-        for k in range(n - 1):
-            off = base - (fact[k + 1] * fact[j - k] << (shift - 3))
-            rows[k][k + 1] = off
-            rows[k + 1][k] = off
+    weights = list(map(operator.mul, fact, reversed(fact)))  # k!(j-k)!
+    diagonal = tuple((j - 4) * w << (shift - 3) for w in weights)
+    if decoupled:
+        off_diagonal = (0,) * j
+    else:
+        # (k+1)!(j-k)! = (k+1)·k!(j-k)!
+        off_diagonal = tuple(-(k + 1) * weights[k] << (shift - 3) for k in range(j))
+    return BlockBand(j, shift, base, diagonal, off_diagonal)
+
+
+def build_B_block(j: int, *, decoupled: bool = False) -> BlockMatrix:
+    """Full quartic-form block of order j+1: `block_band` expanded densely.
+
+    Diagonal j!/2^{j+1} + (j-4) k!(j-k)!/8, first off-diagonal
+    j!/2^{j+1} - (k+1)!(j-k)!/8, every other entry j!/2^{j+1}.
+    """
+    band = block_band(j, decoupled=decoupled)
+    n = j + 1
+    rows = [[band.base] * n for _ in range(n)]
+    for k, entry in enumerate(band.diagonal):
+        rows[k][k] += entry
+    for k, entry in enumerate(band.off_diagonal):
+        rows[k][k + 1] += entry
+        rows[k + 1][k] += entry
     kind = BlockKind.FULL_E if decoupled else BlockKind.FULL_B
-    return BlockMatrix(j, kind, shift, _freeze(rows))
+    return BlockMatrix(j, kind, band.shift, _freeze(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +198,60 @@ def centro_decompose(block: BlockMatrix) -> BlockMatrix:
         )
         reduced += ((*border, rows[m][m]),)
     return BlockMatrix(block.j, BlockKind.REDUCED_S, block.shift, reduced)
+
+
+def _check_palindromes(band: BlockBand) -> None:
+    """Raise `NotCentrosymmetric` unless the band's diagonal and
+    off-diagonal read the same backwards, naming the first entry that does
+    not.  The band is symmetric by construction, so this is the whole of
+    the expanded block's centrosymmetry, read in O(j)."""
+    for name, entries in (
+        ("diagonal", band.diagonal),
+        ("off-diagonal", band.off_diagonal),
+    ):
+        if entries != entries[::-1]:
+            last = len(entries) - 1
+            k = next(k for k in range(last + 1) if entries[k] != entries[last - k])
+            raise NotCentrosymmetric(
+                f"{name} entry {k} of block {band.j} differs from its mirror {last - k}"
+            )
+
+
+def fold_band(band: BlockBand) -> BlockMatrix:
+    """The reduced block of `centro_decompose`, folded from the band in
+    O(j) arithmetic, with no dense block built.
+
+    With m = (j+1)//2 leading rows: for odd j, S = A + JC is 2·base·11^T
+    plus the tridiagonal (diagonal[i], off_diagonal[i]) of its m rows, and
+    JC adds off_diagonal[m-1] at the centre (m-1, m-1), the one band entry
+    that folds onto the half block.  For even j, M = [[2R, 2x], [2x^T, q]]
+    is base·e e^T with e = (2, ..., 2, 1), plus twice the band inside,
+    2·off_diagonal[m-1] on the border next to the centre and diagonal[m]
+    at the corner.
+    """
+    _check_palindromes(band)
+    base, diagonal, off = band.base, band.diagonal, band.off_diagonal
+    m = (band.j + 1) // 2
+    odd = band.j % 2
+    if odd:
+        rows = [[2 * base] * m for _ in range(m)]
+        scale = 1
+    else:
+        rows = [[4 * base] * m + [2 * base] for _ in range(m)]
+        rows.append([2 * base] * m + [base + diagonal[m]])
+        scale = 2
+    for i in range(m):
+        row = rows[i]
+        row[i] += scale * diagonal[i]
+        if i:
+            row[i - 1] += scale * off[i - 1]
+        if i + 1 < len(row):  # on even j, i = m-1 reaches the border
+            row[i + 1] += scale * off[i]
+    if odd:
+        rows[m - 1][m - 1] += off[m - 1]
+    elif m:
+        rows[m][m - 1] += 2 * off[m - 1]
+    return BlockMatrix(band.j, BlockKind.REDUCED_S, band.shift, _freeze(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -115,6 +116,56 @@ class TestBlockMatchesOracle:
                     code, out, _ = run_capture(capsys, argv)
                     assert code == 0
                     assert out == oracle.block_stdout(j, decoupled, reduced, fmt), argv
+
+
+class TestCertifyBandMutation:
+    """One band entry changed at one block fails that block's certificate:
+    a palindromic change through the kernel check, any other through the
+    fold's centrosymmetry check."""
+
+    KERNEL = "kernel vectors not annihilated at j={}"
+    MIRROR = "{} entry {} of block {} differs from its mirror {}"
+
+    @pytest.mark.parametrize(
+        "j, field, k, mirrored, reason",
+        [
+            # odd j: the diagonal has no centre, the off-diagonal's is entry 4
+            (9, "diagonal", 2, False, MIRROR.format("diagonal", 2, 9, 7)),
+            (9, "diagonal", 2, True, KERNEL.format(9)),
+            (9, "off_diagonal", 4, False, KERNEL.format(9)),
+            (9, "off_diagonal", 1, False, MIRROR.format("off-diagonal", 1, 9, 7)),
+            # even j: the diagonal's centre is entry 5, the off-diagonal has none
+            (10, "diagonal", 5, False, KERNEL.format(10)),
+            (10, "diagonal", 0, False, MIRROR.format("diagonal", 0, 10, 10)),
+            (10, "off_diagonal", 3, False, MIRROR.format("off-diagonal", 3, 10, 6)),
+            (10, "off_diagonal", 3, True, KERNEL.format(10)),
+        ],
+    )
+    def test_one_changed_entry_fails(
+        self, capsys, monkeypatch, j, field, k, mirrored, reason
+    ):
+        band_of = spectra.block_band
+
+        def mutated_band(index, **kwargs):
+            band = band_of(index, **kwargs)
+            if index != j:
+                return band
+            entries = list(getattr(band, field))
+            entries[k] += 1
+            if mirrored:
+                entries[len(entries) - 1 - k] += 1
+            return dataclasses.replace(band, **{field: tuple(entries)})
+
+        monkeypatch.setattr(spectra, "block_band", mutated_band)
+        code, out, err = run_capture(capsys, ["certify", "--max-j", "12"])
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert len(lines) == 7  # j = 6 .. 12
+        for line in lines:
+            if line.startswith(f"j={j} "):
+                assert line == f"j={j} FAIL ({reason}) "
+            else:
+                assert " pass " in line and "kernel=exact" in line
 
 
 class TestUnwritableOut:
@@ -626,6 +677,39 @@ class TestErrorPaths:
             "state: G and F would not be finite in double precision\n"
         )
 
+    def test_functionals_underflowing_mass_is_usage_error(self, capsys, tmp_path):
+        # every coefficient is 1e-320, so each |a_k|^2 underflows and the
+        # report would read M = 0.0 ... G = 0.0; both commands refuse it
+        path = str(tmp_path / "tiny.json")
+        argv = ["catalog", "--wave", "equality", "--a0-re", "1e-320"]
+        argv += ["--a1-re", "1e-320", "--c-re", "1e-320", "--out", path]
+        assert cli.run(argv) == 0
+        assert any(c != 0 for c in fock.load_coefficients(path).coeffs)
+        argv = ["functionals", "--in", path, "--mu", "0.3"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the state's mass 0.000e+00 is below the smallest normal "
+            "double (2.225e-308): its functionals would print as zero\n"
+        )
+        code, out, err = run_capture(capsys, ["zeros", "--in", path])
+        assert (code, out) == (1, "")
+        assert err == "error: all coefficients are numerically zero\n"
+
+    @pytest.mark.parametrize(
+        "argv, mu_eff",
+        [
+            # h^2 = 1e-320 is subnormal, with about ten significant bits
+            (["--Na", "1e-20", "--h", "1e-160"], "1.2566370614359174e-299"),
+            # Na is subnormal and mu_eff is near the top of the range
+            (["--Na", "1e-320", "--h", "1e-10"], "1.256651051502505e+301"),
+        ],
+    )
+    def test_semiclassical_mu_eff_at_the_ends_of_the_range(self, capsys, argv, mu_eff):
+        code, out, err = run_capture(capsys, ["semiclassical", *argv])
+        assert (code, err) == (0, "")
+        assert f"\nmu_eff = {mu_eff}\n" in out
+
     @pytest.mark.parametrize(
         "argv, problem",
         [
@@ -667,6 +751,39 @@ class TestErrorPaths:
             f"error: --j must be at most 200, got {j}: the dump grows as about "
             "2 j^3 bytes\n"
         )
+
+    @pytest.mark.parametrize("trunc", [250001, 100000000])
+    def test_catalog_truncation_above_the_cap_is_usage_error(
+        self, capsys, monkeypatch, tmp_path, trunc
+    ):
+        def no_expand(*args, **kwargs):
+            raise AssertionError("catalog expanded past the cap")
+
+        monkeypatch.setattr(fock, "catalog_coefficients", no_expand)
+        out_path = tmp_path / "x.json"
+        argv = ["catalog", "--wave", "phi_n", "--n", "0", "--trunc", str(trunc)]
+        start = time.perf_counter()
+        code, out, err = run_capture(capsys, [*argv, "--out", str(out_path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --trunc must be at most 250000, got {trunc}: the file "
+            "holds up to 54 bytes per coefficient\n"
+        )
+        assert not out_path.exists()
+
+    def test_catalog_truncation_at_the_cap_is_expanded(self, monkeypatch, tmp_path):
+        expanded = []
+
+        def no_expand(spec, truncation):
+            expanded.append(truncation)
+            raise AssertionError("stop before the expansion")
+
+        monkeypatch.setattr(fock, "catalog_coefficients", no_expand)
+        argv = ["catalog", "--wave", "phi_n", "--trunc", "250000"]
+        with pytest.raises(AssertionError, match="stop before the expansion"):
+            cli.run([*argv, "--out", str(tmp_path / "x.json")])
+        assert expanded == [250000]
 
     def test_block_index_at_the_cap_is_built(self, capsys, monkeypatch):
         built = []

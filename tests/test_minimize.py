@@ -1,8 +1,10 @@
 """Gradient checks, sphere-constrained descent, classification, scans."""
 
 import math
+import sys
 import warnings
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -656,6 +658,33 @@ class TestSemiclassical:
             assert rep.energy_phi1 == pytest.approx(
                 na * om2 / (8 * math.pi * h) + 2 * h, rel=1e-14
             )
+
+    @staticmethod
+    def exact_mu_eff(na, h):
+        """4 pi h^2 / (Na (1 - h^2)) in exact rationals, with the float pi."""
+        h = Fraction(h)
+        return 4 * Fraction(math.pi) * h * h / (Fraction(na) * (1 - h * h))
+
+    @pytest.mark.parametrize("na, h", [(1e-20, 1e-160), (1e-320, 1e-10)])
+    def test_mu_eff_without_subnormal_intermediates(self, na, h):
+        # h^2, or Na itself, is subnormal; mu_eff is not
+        expect = self.exact_mu_eff(na, h)
+        got = mz.semiclassical(na, h).mu_eff
+        assert abs(Fraction(got) / expect - 1) < Fraction(1, 10**15)
+
+    def test_mu_eff_on_a_grid(self):
+        checked = 0
+        for na in (1e-320, 1e-310, 1e-250, 1e-20, 1.0, 12.5, 1e100):
+            for h in (1e-160, 1e-155, 1e-100, 1e-3, 0.4, 0.9, 0.999999):
+                expect = self.exact_mu_eff(na, h)
+                if not sys.float_info.min <= expect <= sys.float_info.max:
+                    with pytest.raises(InvalidParameter, match="mu_eff"):
+                        mz.semiclassical(na, h)
+                    continue
+                got = mz.semiclassical(na, h).mu_eff
+                assert abs(Fraction(got) / expect - 1) < Fraction(1, 10**15), (na, h)
+                checked += 1
+        assert checked >= 35
 
     def test_threshold_self_consistency(self):
         rep = mz.semiclassical(10.0, 0.4)

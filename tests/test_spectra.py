@@ -417,6 +417,66 @@ class TestIntegerReduction:
         ]
 
 
+class TestBandFold:
+    """The O(j) fold of a block's band against the dense build and
+    `centro_decompose`, which `block --reduced` still prints."""
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["B", "E"])
+    def test_fold_equals_dense_reduction(self, decoupled):
+        nonzero = 0
+        for j in range(201):
+            band = spectra.block_band(j, decoupled=decoupled)
+            folded = spectra.fold_band(band)
+            block = spectra.build_B_block(j, decoupled=decoupled)
+            dense = spectra.centro_decompose(block)
+            assert folded == dense, j
+            assert folded.kind is BlockKind.REDUCED_S
+            assert folded.order == j // 2 + 1
+            nonzero += any(map(any, folded.rows))
+        # only the reductions of the smallest blocks vanish
+        assert nonzero >= 195
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 9, 10])
+    def test_band_is_the_dense_block(self, j):
+        # every entry off the band is base; the band adds to it
+        band = spectra.block_band(j)
+        rows = spectra.build_B_block(j).rows
+        for k in range(j + 1):
+            for l in range(j + 1):
+                extra = 0
+                if k == l:
+                    extra = band.diagonal[k]
+                elif abs(k - l) == 1:
+                    extra = band.off_diagonal[min(k, l)]
+                assert rows[k][l] == band.base + extra, (k, l)
+        assert any(band.off_diagonal) == (j > 0)
+        assert not any(spectra.block_band(j, decoupled=True).off_diagonal)
+
+    @pytest.mark.parametrize("j", [9, 10, 31, 40])
+    @pytest.mark.parametrize("field", ["diagonal", "off_diagonal"])
+    def test_broken_palindrome_named(self, j, field):
+        band = spectra.block_band(j)
+        entries = getattr(band, field)
+        last = len(entries) - 1
+        name = "diagonal" if field == "diagonal" else "off-diagonal"
+        for k in range(last + 1):
+            broken = list(entries)
+            broken[k] += 1
+            mutated = dataclasses.replace(band, **{field: tuple(broken)})
+            if k == last - k:
+                # the centre is its own mirror: the fold runs, on a block
+                # whose kernel is gone
+                assert not spectra.kernel_annihilated(spectra.fold_band(mutated))
+                continue
+            first = min(k, last - k)
+            with pytest.raises(NotCentrosymmetric) as info:
+                spectra.fold_band(mutated)
+            assert str(info.value) == (
+                f"{name} entry {first} of block {j} differs from its mirror "
+                f"{last - first}"
+            )
+
+
 class TestScaledBlocks:
     def test_unit_weights_small_index(self):
         scaled = spectra.scaled_block(spectra.build_B_block(1))
