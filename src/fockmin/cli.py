@@ -39,6 +39,11 @@ _MAX_BLOCK_J = 200
 # about 70 MiB of process, the same scale as `block --j`'s cap.
 _MAX_CATALOG_TRUNC = 250_000
 
+_RESTARTS_HELP = (
+    "restarts per coupling (default %(default)s); couplings x restarts x "
+    f"(trunc + 1) may be at most {mz.MAX_DESCENT_ENTRIES}"
+)
+
 # Every token that float() reads with a leading minus sign: argparse's own
 # matcher misses exponents and the special values, so "--mu -1e-3" would
 # reach the parser as a missing argument instead of a bad coupling.
@@ -130,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", help="minimize the energy at one coupling")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--trunc", type=int, default=48)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=8, help=_RESTARTS_HELP)
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--grad-tol", type=float, default=1e-8)
     p.add_argument("--format", choices=["json", "pretty"], default="pretty")
@@ -141,12 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--trunc", type=int, default=48)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=8, help=_RESTARTS_HELP)
     p.add_argument("--out")
 
     p = sub.add_parser("mu0", help="bracket the lower transition coupling")
     p.add_argument("--trunc", type=int, default=48)
-    p.add_argument("--restarts", type=int, default=6)
+    p.add_argument("--restarts", type=int, default=6, help=_RESTARTS_HELP)
     p.add_argument("--width", type=float, default=1e-3)
 
     p = sub.add_parser("semiclassical", help="regime report in trap coordinates")

@@ -76,6 +76,12 @@ ARMIJO = 1e-4
 # (2015), for the Riemannian form), seeded with the diagonal metric below.
 LBFGS_MEMORY = 6
 
+# The lock-step descent holds about this many bytes per entry of its
+# rows x (N + 1) stack (tracemalloc read 600-607 at N = 48, 96 and 192:
+# states, gradients, directions and stored pairs); 1 GiB of them is the cap.
+DESCENT_BYTES_PER_ENTRY = 640
+MAX_DESCENT_ENTRIES = 2**30 // DESCENT_BYTES_PER_ENTRY
+
 # A later restart replaces the best one so far only when its G is lower by
 # more than TIE_MARGIN * max(1, |G|), so ties go to the lower restart index
 # and an exact catalog critical point is not displaced by a random restart
@@ -404,6 +410,14 @@ def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
     """
     config = config or OptimizerConfig()
     mus = [float(m) for m in grid]
+    entries = len(mus) * config.restarts * (config.truncation + 1)
+    if entries > MAX_DESCENT_ENTRIES:
+        raise InvalidParameter(
+            f"{len(mus)} coupling(s) x {config.restarts} restart(s) x "
+            f"{config.truncation + 1} modes is {entries} descent entries, above "
+            f"the cap of {MAX_DESCENT_ENTRIES} (about "
+            f"{DESCENT_BYTES_PER_ENTRY} bytes each)"
+        )
     for mu in mus:
         _check_coupling(mu, config.truncation)
     mus.sort()
@@ -453,7 +467,8 @@ def minimize_G(mu: float, config: OptimizerConfig | None = None) -> Minimization
 
     Raises MuNonPositive for mu <= 0, where no global minimizer exists,
     NonFiniteParameter for a NaN or infinite mu, and InvalidParameter for
-    a mu whose (2 mu N)^2 overflows.  A result whose descent stopped short
+    a mu whose (2 mu N)^2 overflows or for restarts x (N + 1) above
+    MAX_DESCENT_ENTRIES.  A result whose descent stopped short
     of the tolerance (Armijo stall, plateau or budget) is returned with
     converged=False.
     """

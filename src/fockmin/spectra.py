@@ -1,22 +1,28 @@
 """Exact construction and reduction of the quartic-form coefficient blocks.
 
 For each degree j the quartic energy couples the products a_k a_{j-k}
-through a symmetric centrosymmetric matrix of order j+1.  Every entry of
+through a symmetric centrosymmetric matrix B of order j+1.  Every entry of
 2^s B^(j), s = max(j+1, 3), is an integer, so every exact step is integer
 arithmetic on numerators over 2^s.  A block is described once, by its band
 (`BlockBand`): the all-ones numerator, the diagonal and the first
 off-diagonal, both palindromes.  `build_B_block` expands the band into the
-dense `BlockMatrix` that `block` prints, and `centro_decompose` reduces
-that to its symmetric-sector half (the anti-diagonal flip splits the
-spectrum).  `fold_band` gives the same reduced block straight from the
-band, in O(j) arithmetic after an O(j) palindrome check; `certify` reads
-that one.  The module then checks the two exact kernel vectors, and
-provides congruence-scaled floating-point views for eigenvalue checks and
-exact strings for printing.  The sqrt2 on the border of an even-index
-reduction is carried by a congruence (see `centro_decompose`), never
-stored.  The tridiagonal + rank-one split of a reduced block and the
-interlacing of their spectra are cross-checks that no verdict reads; they
-live with the tests, as oracles.
+dense `BlockMatrix` that `block` prints.
+
+The flip k -> j-k splits the spectrum into a symmetric and a skew sector.
+For every j the symmetric sector is one reduced block M = P^T B P, where
+P embeds x (length j//2 + 1) as the symmetric vector v_k = x_{r(k)},
+r(k) = min(k, j-k): index i stands for the orbit {i, j-i}, of size e_i,
+2 or 1 (the centre of an even j).  P^T P = E = diag(e), so the sector's
+own matrix is S = E^-1/2 M E^-1/2, with sqrt2 between a pair and the
+centre; M has integer numerators, the inertia of S (Sylvester) and its
+kernel up to E^1/2.  `centro_decompose` forms M from the dense block and
+`fold_band` straight from the band, in O(j) arithmetic after an O(j)
+palindrome check; `certify` reads that one.  The module then checks the
+two exact kernel vectors, and reads the orbit sizes to give
+congruence-scaled floating-point views for eigenvalue checks and exact
+strings of S for printing.  The tridiagonal + rank-one split of a reduced
+block and the interlacing of their spectra are cross-checks that no
+verdict reads; they live with the tests, as oracles.
 
 Public indexing is 0-based throughout; the usual 1-based entry formulas
 are shifted here, in one place.
@@ -61,8 +67,8 @@ class BlockKind(Enum):
 @dataclass(frozen=True)
 class BlockMatrix:
     """Dense exact matrix attached to one block index: the entry (k, l) is
-    ``rows[k][l] / 2**shift``, except on an even-index reduced block, which
-    holds M = 2·D S D in place of S (see `centro_decompose`)."""
+    ``rows[k][l] / 2**shift``.  A reduced block holds M = P^T B P, whose
+    index i stands for ``orbits[i]`` indices of the full block."""
 
     j: int
     kind: BlockKind
@@ -74,9 +80,17 @@ class BlockMatrix:
         return len(self.rows)
 
     @property
-    def has_border(self) -> bool:
-        """True when the last row and column stand for sqrt2 times a rational."""
-        return self.kind is BlockKind.REDUCED_S and self.j % 2 == 0
+    def orbits(self) -> tuple:
+        """The orbit size e_i of each index: 1 on a full block, where P is
+        the identity, and the size of {i, j-i} on a reduced block."""
+        if self.kind is not BlockKind.REDUCED_S:
+            return (1,) * self.order
+        return tuple(map(len, _orbits(self.j)))
+
+
+def _orbits(j: int) -> list:
+    """The orbits {i, j-i} of the flip k -> j-k, for i = 0 .. j//2."""
+    return [{i, j - i} for i in range(j // 2 + 1)]
 
 
 def _freeze(rows) -> tuple:
@@ -126,15 +140,23 @@ def build_B_block(j: int, *, decoupled: bool = False) -> BlockMatrix:
     j!/2^{j+1} - (k+1)!(j-k)!/8, every other entry j!/2^{j+1}.
     """
     band = block_band(j, decoupled=decoupled)
-    n = j + 1
-    rows = [[band.base] * n for _ in range(n)]
-    for k, entry in enumerate(band.diagonal):
-        rows[k][k] += entry
-    for k, entry in enumerate(band.off_diagonal):
-        rows[k][k + 1] += entry
-        rows[k + 1][k] += entry
     kind = BlockKind.FULL_E if decoupled else BlockKind.FULL_B
-    return BlockMatrix(j, kind, band.shift, _freeze(rows))
+    return _expand(band, list(range(j + 1)), [1] * (j + 1), kind)
+
+
+def _expand(band: BlockBand, r: list, sizes: list, kind: BlockKind) -> BlockMatrix:
+    """P^T B P for the P that sends index k of B to index r[k]: the
+    all-ones part becomes base·e e^T, with e = P^T 1 = `sizes`, and each
+    band entry at (k, l) adds at (r[k], r[l]).  P = I expands the band."""
+    base = band.base
+    outer = {e: [base * e * f for f in sizes] for e in set(sizes)}
+    rows = [outer[e][:] for e in sizes]
+    for i, entry in zip(r, band.diagonal):
+        rows[i][i] += entry
+    for i, l, entry in zip(r, r[1:], band.off_diagonal):
+        rows[i][l] += entry
+        rows[l][i] += entry
+    return BlockMatrix(band.j, kind, band.shift, _freeze(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -166,37 +188,23 @@ def _check_symmetric_centrosymmetric(rows) -> None:
 
 
 def centro_decompose(block: BlockMatrix) -> BlockMatrix:
-    """Reduce a symmetric centrosymmetric block to its symmetric sector.
+    """Reduce a symmetric centrosymmetric block to its symmetric sector,
+    M = P^T B P (see the module docstring).
 
-    With A and C the upper-left and lower-left half blocks and J the flip,
-    even order (j odd) gives S = A + JC, of order (j+1)/2.  Odd order
-    (j even) gives S = [[R, sqrt2 x], [sqrt2 x^T, q]], of order j/2 + 1,
-    with R = A + JC, x the middle column above the centre and q the centre.
-    The skew sector A - JC holds the rest of the spectrum.
-
-    S carries sqrt2 on its border, so the even reduction holds
-    M = 2·D S D = [[2R, 2x], [2x^T, q]] with D = diag(1, ..., 1, 1/sqrt2),
-    whose numerators are integers.  D is invertible, so S v = 0 exactly
-    when M (D^-1 v) = 0 and the kernels correspond one to one; by
-    Sylvester's law of inertia M and S also have the same inertia.
-    `scaled_block` and `dump_entries` map M back to S.
+    Rows i and j-i are added for every orbit (P^T B), then the columns
+    are folded the same way, as the rows of the transpose.  The skew sector
+    holds the rest of the spectrum.
     """
     if block.kind not in (BlockKind.FULL_B, BlockKind.FULL_E):
         raise InvalidParameter(f"cannot reduce a {block.kind.value} block")
     rows = block.rows
     _check_symmetric_centrosymmetric(rows)
-    n = len(rows)
-    m = n // 2
-    # row i of A + JC: the leading halves of rows i and n-1-i, added
-    folded = [map(operator.add, rows[i][:m], rows[n - 1 - i][:m]) for i in range(m)]
-    if n % 2 == 0:
-        reduced = tuple(map(tuple, folded))
-    else:
-        border = tuple(2 * rows[i][m] for i in range(m))
-        reduced = tuple(
-            (*(2 * entry for entry in row), border[i]) for i, row in enumerate(folded)
-        )
-        reduced += ((*border, rows[m][m]),)
+    orbits = _orbits(len(rows) - 1)
+
+    def fold(x):  # P^T x
+        return [tuple(map(sum, zip(*(x[k] for k in orbit)))) for orbit in orbits]
+
+    reduced = tuple(fold(tuple(zip(*fold(rows)))))
     return BlockMatrix(block.j, BlockKind.REDUCED_S, block.shift, reduced)
 
 
@@ -218,40 +226,14 @@ def _check_palindromes(band: BlockBand) -> None:
 
 
 def fold_band(band: BlockBand) -> BlockMatrix:
-    """The reduced block of `centro_decompose`, folded from the band in
-    O(j) arithmetic, with no dense block built.
-
-    With m = (j+1)//2 leading rows: for odd j, S = A + JC is 2·base·11^T
-    plus the tridiagonal (diagonal[i], off_diagonal[i]) of its m rows, and
-    JC adds off_diagonal[m-1] at the centre (m-1, m-1), the one band entry
-    that folds onto the half block.  For even j, M = [[2R, 2x], [2x^T, q]]
-    is base·e e^T with e = (2, ..., 2, 1), plus twice the band inside,
-    2·off_diagonal[m-1] on the border next to the centre and diagonal[m]
-    at the corner.
-    """
+    """The reduced block M = P^T B P of `centro_decompose`, folded from the
+    band in O(j) arithmetic with r(k) = min(k, j-k), and no dense block
+    built."""
     _check_palindromes(band)
-    base, diagonal, off = band.base, band.diagonal, band.off_diagonal
-    m = (band.j + 1) // 2
-    odd = band.j % 2
-    if odd:
-        rows = [[2 * base] * m for _ in range(m)]
-        scale = 1
-    else:
-        rows = [[4 * base] * m + [2 * base] for _ in range(m)]
-        rows.append([2 * base] * m + [base + diagonal[m]])
-        scale = 2
-    for i in range(m):
-        row = rows[i]
-        row[i] += scale * diagonal[i]
-        if i:
-            row[i - 1] += scale * off[i - 1]
-        if i + 1 < len(row):  # on even j, i = m-1 reaches the border
-            row[i + 1] += scale * off[i]
-    if odd:
-        rows[m - 1][m - 1] += off[m - 1]
-    elif m:
-        rows[m][m - 1] += 2 * off[m - 1]
-    return BlockMatrix(band.j, BlockKind.REDUCED_S, band.shift, _freeze(rows))
+    j = band.j
+    r = [min(k, j - k) for k in range(j + 1)]
+    sizes = [len(orbit) for orbit in _orbits(j)]
+    return _expand(band, r, sizes, BlockKind.REDUCED_S)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +245,11 @@ def null_vectors(j: int):
     """The two exact kernel vectors of the reduced block, as integers:
     C(j, i) and i(j-i)·C(j, i), for i below the reduced order j//2 + 1.
 
-    These are j! times the kernel vectors 1/(i!(j-i)!) and
-    i(j-i)/(i!(j-i)!) of S, mapped by D^-1 for even j, where the reduced
-    block holds M = 2·D S D.  Valid for odd j >= 5 and even j >= 4 (below
-    that the reduced block is zero and the two-dimensional kernel
-    statement is vacuous).
+    These are j! times the kernel vectors 1/(k!(j-k)!) and
+    k(j-k)/(k!(j-k)!) of the full block, read at the representatives
+    k = i: P maps them back to the symmetric vectors.  Valid for odd j >= 5
+    and even j >= 4 (below that the reduced block is zero and the
+    two-dimensional kernel statement is vacuous).
     """
     if j < 4:
         raise OutOfRange(
@@ -301,31 +283,24 @@ def scaled_block(block: BlockMatrix) -> np.ndarray:
     """Congruence scaling X -> W^-1/2 X W^-1/2 with W = diag(k!(j-k)!).
 
     Entries become O(j)-bounded binomial ratios; the signature (hence
-    positive semidefiniteness) is preserved.  |X_kl| may exceed float
-    range, so each squared entry X_kl^2 / (w_k w_l) is formed as one exact
-    integer ratio, which int true division rounds once, correctly; its
-    square root is then the one float operation per entry.  An even-index
-    reduction maps back from M to S: S_kl^2 = M_kl^2 e_k e_l / 4 with
-    e = (1, ..., 1, 2), which undoes M = 2·D S D.  The upper triangle is
-    filled row by row into nested lists, mirrored, and converted once.
+    positive semidefiniteness) is preserved.  The block is read as
+    S = E^-1/2 M E^-1/2 with E = diag(orbits), M itself on a full block.
+    |M_kl| may exceed float range, so each M_kl^2 / (e_k w_k e_l w_l), over
+    4^shift, is one exact integer ratio, which int true division rounds
+    once, correctly; its square root is the one float operation per entry.
+    The upper triangle is filled row by row, mirrored, and converted once.
     """
     j, n = block.j, block.order
-    weights = [math.factorial(k) * math.factorial(j - k) for k in range(n)]
-    factors = [1] * n
-    denominator = 4**block.shift
-    if block.has_border:
-        factors[-1] = 2
-        denominator *= 4
+    fact = list(itertools.accumulate(range(1, j + 1), operator.mul, initial=1))
+    scale = 1 << block.shift
+    weights = [scale * e * fact[k] * fact[j - k] for k, e in enumerate(block.orbits)]
     out = [[0.0] * n for _ in range(n)]
     for k, row in enumerate(block.rows):
-        row_denominator = denominator * weights[k]
-        factor = factors[k]
+        weight = weights[k]
         for l in range(k, n):
             entry = row[l]
             if entry:
-                ratio = (entry * entry * factor * factors[l]) / (
-                    row_denominator * weights[l]
-                )
+                ratio = (entry * entry) / (weight * weights[l])
                 val = math.sqrt(ratio) if entry > 0 else -math.sqrt(ratio)
                 out[k][l] = out[l][k] = val
     return np.array(out)
@@ -355,16 +330,19 @@ def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def dump_entries(block: BlockMatrix) -> list:
-    """Entries as exact strings "p/q"; the border of an even-index
-    reduction reads "p/q·√2"."""
-    rows, scale = block.rows, 1 << block.shift
-    if not block.has_border:
-        return [[str(Fraction(entry, scale)) for entry in row] for row in rows]
-    # M = 2·D S D: S is M/2 inside, sqrt2·M/2 on the border and M at the corner
-    out = [[str(Fraction(entry, 2 * scale)) for entry in row] for row in rows]
-    last = block.order - 1
-    for k in range(last):
-        border = Fraction(rows[k][last], 2 * scale)
-        out[k][last] = out[last][k] = f"{border}·√2" if border else "0"
-    out[last][last] = str(Fraction(rows[last][last], scale))
+    """Entries of S = E^-1/2 M E^-1/2 as exact strings "p/q": S_kl is
+    M_kl / sqrt(e_k e_l), which is M/2 between two pairs, M at the centre
+    and the entry itself on a full block.  Between a pair and the centre it
+    is sqrt2·M/2, which reads "p/q·√2"."""
+    scale, orbits = 1 << block.shift, block.orbits
+    out = []
+    for e, row in zip(orbits, block.rows):
+        line = []
+        for f, entry in zip(orbits, row):
+            if e * f == 2:
+                value = Fraction(entry, 2 * scale)
+                line.append(f"{value}·√2" if value else "0")
+            else:
+                line.append(str(Fraction(entry, math.isqrt(e * f) * scale)))
+        out.append(line)
     return out

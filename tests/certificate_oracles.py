@@ -1,10 +1,11 @@
 """Cross-checks of the exact certificate layer, kept as test oracles.
 
 No verdict of `fockmin certify` reads these.  They re-derive facts the
-certificate rests on, from the same integer blocks: the tridiagonal +
-rank-one split of a reduced block, the interlacing of their spectra, the
-quartic functional as a sum over the blocks, and the closed form and
-generating polynomial of the Sturm minor sequence.
+certificate rests on, from the same integer blocks: the exact values of a
+block, the tridiagonal + rank-one split of a reduced block, the
+interlacing of their spectra, the quartic functional as a sum over the
+blocks, and the closed form and generating polynomial of the Sturm minor
+sequence.
 """
 
 from __future__ import annotations
@@ -28,6 +29,32 @@ def expected_transition(j: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Exact values of a block
+# ---------------------------------------------------------------------------
+
+
+def exact_values(block):
+    """Entry (k, l) of a block as (a, b), the value a + b*sqrt(2) with a and
+    b exact Fractions.  The rows hold M over 2**shift; the value is
+    M_kl / sqrt(e_k e_l) for the orbit sizes e, so it is M/2 between two
+    pairs, M at the centre or on a full block, and sqrt(2)·M/2 between a
+    pair and the centre."""
+    scale = 1 << block.shift
+    orbits = block.orbits
+    out = []
+    for e, row in zip(orbits, block.rows):
+        values = []
+        for f, entry in zip(orbits, row):
+            if e * f == 2:
+                values.append((Fraction(0), Fraction(entry, 2 * scale)))
+            else:
+                root = math.isqrt(e * f)
+                values.append((Fraction(entry, root * scale), Fraction(0)))
+        out.append(values)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Rank-one splitting of the reduced block
 # ---------------------------------------------------------------------------
 
@@ -35,47 +62,55 @@ def expected_transition(j: int) -> int:
 @dataclass(frozen=True)
 class Tridiagonal:
     """The tridiagonal part T of a reduced block: entry (k, l) is
-    ``rows[k][l] / 2**shift``."""
+    ``rows[k][l] / 2**shift``, with no orbit scaling."""
 
     j: int
     shift: int
     rows: tuple
 
-    has_border = False
-
     @property
     def order(self) -> int:
         return len(self.rows)
+
+    @property
+    def orbits(self) -> tuple:
+        return (1,) * self.order
 
 
 def rank_one_split(reduced: spectra.BlockMatrix):
     """Split the reduced block into tridiagonal + all-ones rank-one parts.
 
-    The leading block L (all of S for odd j, R for even j) is T + K with
-    K = kappa·ones, kappa = j!/2^j.  T = L - K is formed exactly and must
-    vanish off its three diagonals.  Returns (T, kappa, delta) with
-    delta = trace(K): (j+1)!/2^{j+1} for odd j, (j/2)·j!/2^j for even j.
+    P^T maps the band of the block to a band, so D = M - base·e e^T, with
+    base = j!/2^{j+1} and e the orbit sizes, is formed exactly and must
+    vanish off its three diagonals.  On the pair orbits (e_i = 2) the
+    leading block L of S is M/2 = T + K with K = kappa·ones,
+    kappa = 2·base = j!/2^j, so T = D/2 there.  Returns (T, kappa, delta)
+    with delta = trace(K): (j+1)!/2^{j+1} for odd j, (j/2)·j!/2^j for
+    even j.
     """
     if reduced.kind is not BlockKind.REDUCED_S:
         raise InvalidParameter(f"cannot split a {reduced.kind.value} block")
-    j = reduced.j
-    even = j % 2 == 0
-    order = reduced.order - even  # R leaves out the border of M
-    if order < 1:
+    j, orbits = reduced.j, reduced.orbits
+    pairs = [i for i, e in enumerate(orbits) if e == 2]
+    if not pairs:
         raise OutOfRange(f"no tridiagonal part at j = {j}")
-    # M's leading block is 2R, so R has one more factor 2 below it
-    shift = reduced.shift + even
-    kappa = math.factorial(j) << (shift - j)
-    t = [[entry - kappa for entry in row[:order]] for row in reduced.rows[:order]]
-    for i in range(order):
-        for l in range(order):
-            if abs(i - l) > 1 and t[i][l]:
+    base = math.factorial(j) << (reduced.shift - j - 1)
+    d = [
+        [entry - base * e * f for f, entry in zip(orbits, row)]
+        for e, row in zip(orbits, reduced.rows)
+    ]
+    for i, row in enumerate(d):
+        for l, entry in enumerate(row):
+            if abs(i - l) > 1 and entry:
                 raise AssertionError(
                     f"tridiagonal + rank-one does not reassemble the reduced "
                     f"block at ({i},{l}) for j={j}"
                 )
-    t_block = Tridiagonal(j, shift, tuple(map(tuple, t)))
-    return t_block, Fraction(kappa, 1 << shift), Fraction(order * kappa, 1 << shift)
+    # D is 2T on the pairs: T has one more factor 2 below it
+    shift = reduced.shift + 1
+    t = tuple(tuple(d[i][l] for l in pairs) for i in pairs)
+    kappa = Fraction(2 * base, 1 << reduced.shift)
+    return Tridiagonal(j, shift, t), kappa, len(pairs) * kappa
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +118,14 @@ def rank_one_split(reduced: spectra.BlockMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _raw_floats(block) -> np.ndarray:
-    scale = 1 << block.shift
-    return np.array([[entry / scale for entry in row] for row in block.rows])
+def _value_floats(block) -> np.ndarray:
+    rows = exact_values(block)
+    return np.array([[float(a) + float(b) * math.sqrt(2) for a, b in r] for r in rows])
 
 
 def _trace(block) -> Fraction:
-    return Fraction(sum(block.rows[i][i] for i in range(block.order)), 1 << block.shift)
+    # a diagonal entry joins an orbit to itself, so it has no sqrt(2) part
+    return sum(row[i][0] for i, row in enumerate(exact_values(block)))
 
 
 @dataclass(frozen=True)
@@ -112,15 +148,18 @@ def interlacing_check(j: int) -> InterlacingReport:
     Works on the raw matrices, so it is limited to j below roughly 150
     (beyond that the entries overflow double precision).
     """
-    if j < 7 or j % 2 == 0:
+    if j < 7:
         raise OutOfRange("interlacing check applies to odd j >= 7")
     if j > 151:
         raise InvalidParameter("raw entries overflow double precision past j ~ 151")
     reduced = spectra.centro_decompose(spectra.build_B_block(j))
+    if 1 in reduced.orbits:
+        # T covers the pair orbits only: S = T + K needs every orbit a pair
+        raise OutOfRange("interlacing check applies to odd j >= 7")
     t_block, _, delta = rank_one_split(reduced)
     p = reduced.order
-    lam = spectra.symmetric_eigenvalues(_raw_floats(t_block))
-    lam_prime = spectra.symmetric_eigenvalues(_raw_floats(reduced))
+    lam = spectra.symmetric_eigenvalues(_value_floats(t_block))
+    lam_prime = spectra.symmetric_eigenvalues(_value_floats(reduced))
     norm = float(np.max(np.abs(lam_prime))) if p else 0.0
     tol = 1e-9 * max(norm, 1.0)
     worst = 0.0

@@ -16,6 +16,7 @@ from fockmin import fock, minimize as mz, spectra, sturm
 
 from certificate_oracles import (
     closed_form,
+    exact_values,
     expected_transition,
     generating_polynomial_check,
     interlacing_check,
@@ -27,26 +28,6 @@ def report(num, text):
     print(f"PASS criterion {num}: {text}")
 
 
-def exact_entries(block):
-    """Entry (k, l) of a block as (a, b) with value a + b*sqrt(2), a and b
-    exact Fractions; an even-index reduction maps back from M = 2·D S D
-    to S, whose border carries the sqrt(2)."""
-    scale = 2**block.shift
-    last = block.order - 1
-    out = []
-    for k, row in enumerate(block.rows):
-        values = []
-        for l, e in enumerate(row):
-            if not block.has_border or k == l == last:
-                values.append((Fraction(e, scale), 0))
-            elif last in (k, l):
-                values.append((0, Fraction(e, 2 * scale)))
-            else:
-                values.append((Fraction(e, 2 * scale), 0))
-        out.append(values)
-    return out
-
-
 def test_criterion_01_exact_block_reproduction():
     t0 = time.time()
     printed_b = {
@@ -54,16 +35,16 @@ def test_criterion_01_exact_block_reproduction():
         3: [[-3, -3, 3, 3], [-3, 1, -1, 3], [3, -1, 1, -3], [3, 3, -3, -3]],
     }
     for j, rows in printed_b.items():
-        block = exact_entries(spectra.build_B_block(j))
+        block = exact_values(spectra.build_B_block(j))
         for k in range(j + 1):
             for l in range(j + 1):
                 assert block[k][l] == (Fraction(rows[k][l], 8), 0)
-    block2 = exact_entries(spectra.build_B_block(2))
+    block2 = exact_values(spectra.build_B_block(2))
     rows2 = [[-1, 0, 1], [0, 0, 0], [1, 0, -1]]
     for k in range(3):
         for l in range(3):
             assert block2[k][l] == (Fraction(rows2[k][l], 4), 0)
-    block4 = exact_entries(spectra.build_B_block(4))
+    block4 = exact_values(spectra.build_B_block(4))
     rows4 = [
         [1, -3, 1, 1, 1],
         [-3, 1, -1, 1, 1],
@@ -74,7 +55,7 @@ def test_criterion_01_exact_block_reproduction():
     for k in range(5):
         for l in range(5):
             assert block4[k][l] == (Fraction(3 * rows4[k][l], 4), 0)
-    block5 = exact_entries(spectra.build_B_block(5))
+    block5 = exact_values(spectra.build_B_block(5))
     rows5 = [
         [45, -35, 5, 5, 5, 5],
         [-35, 13, -11, 5, 5, 5],
@@ -86,16 +67,16 @@ def test_criterion_01_exact_block_reproduction():
     for k in range(6):
         for l in range(6):
             assert block5[k][l] == (Fraction(3 * rows5[k][l], 8), 0)
-    assert exact_entries(spectra.build_B_block(0))[0][0] == (0, 0)
+    assert exact_values(spectra.build_B_block(0))[0][0] == (0, 0)
 
-    s3 = exact_entries(spectra.centro_decompose(spectra.build_B_block(3)))
+    s3 = exact_values(spectra.centro_decompose(spectra.build_B_block(3)))
     assert all(e == (0, 0) for row in s3 for e in row)
-    s5 = exact_entries(spectra.centro_decompose(spectra.build_B_block(5)))
+    s5 = exact_values(spectra.centro_decompose(spectra.build_B_block(5)))
     rows_s5 = [[25, -15, 5], [-15, 9, -3], [5, -3, 1]]
     for k in range(3):
         for l in range(3):
             assert s5[k][l] == (Fraction(3 * rows_s5[k][l], 4), 0)
-    s4 = exact_entries(spectra.centro_decompose(spectra.build_B_block(4)))
+    s4 = exact_values(spectra.centro_decompose(spectra.build_B_block(4)))
     c = Fraction(3, 4)
     expect_s4 = [
         [(2 * c, 0), (-2 * c, 0), (0, c)],

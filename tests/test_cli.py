@@ -20,6 +20,9 @@ from rt2 import mat_vec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# the most restarts of 49 modes (N = 48) that one descent stack takes
+AT_CAP = minimize.MAX_DESCENT_ENTRIES // 49
+
 
 def run_capture(capsys, argv):
     code = cli.run(argv)
@@ -784,6 +787,54 @@ class TestErrorPaths:
         with pytest.raises(AssertionError, match="stop before the expansion"):
             cli.run([*argv, "--out", str(tmp_path / "x.json")])
         assert expanded == [250000]
+
+    @pytest.mark.parametrize(
+        "argv, points, restarts",
+        [
+            (["scan", "--from", "0.1", "--to", "0.7", "--step", "1e-6"], 600001, 8),
+            (["minimize", "--mu", "0.1", "--restarts", "100000000"], 1, 100000000),
+            (["mu0", "--restarts", "100000000"], 1, 100000000),
+            (["minimize", "--mu", "0.1", "--restarts", str(AT_CAP + 1)], 1, AT_CAP + 1),
+        ],
+        ids=["scan-grid", "minimize-restarts", "mu0-restarts", "one-past-the-cap"],
+    )
+    def test_descent_above_the_cap_is_usage_error(
+        self, capsys, monkeypatch, argv, points, restarts
+    ):
+        def no_expand(*args, **kwargs):
+            raise AssertionError("starts expanded past the cap")
+
+        monkeypatch.setattr(minimize, "_starting_points", no_expand)
+        start = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        entries = points * restarts * 49
+        assert err == (
+            f"error: {points} coupling(s) x {restarts} restart(s) x 49 modes is "
+            f"{entries} descent entries, above the cap of "
+            f"{minimize.MAX_DESCENT_ENTRIES} (about 640 bytes each)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimize", "--mu", "0.1", "--restarts", str(AT_CAP)],
+            # the benchmark's scan, and the README's
+            ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3"],
+            ["scan", "--from", "0.05", "--to", "1.0", "--step", "0.05"],
+            # the three-coupling scan at N = 3072
+            ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3", "--trunc", "3072"],
+        ],
+        ids=["at-the-cap", "bench-scan", "readme-scan", "scan-3072"],
+    )
+    def test_descent_within_the_cap_is_expanded(self, monkeypatch, argv):
+        def no_expand(*args, **kwargs):
+            raise AssertionError("stop before the expansion")
+
+        monkeypatch.setattr(minimize, "_starting_points", no_expand)
+        with pytest.raises(AssertionError, match="stop before the expansion"):
+            cli.run(argv)
 
     def test_block_index_at_the_cap_is_built(self, capsys, monkeypatch):
         built = []

@@ -6,6 +6,7 @@
 
 import dataclasses
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -16,28 +17,25 @@ from fockmin.errors import InvalidParameter, NotCentrosymmetric, OutOfRange
 from fockmin.spectra import BlockKind
 
 import rt2_spectra as oracle
-from certificate_oracles import block_quadratic_value, interlacing_check, rank_one_split
+from certificate_oracles import (
+    block_quadratic_value,
+    exact_values,
+    interlacing_check,
+    rank_one_split,
+)
 from rt2 import Rt2, mat_vec
 
 
 def as_fractions(block):
-    assert not block.has_border
-    return [[Fraction(e, 2**block.shift) for e in row] for row in block.rows]
+    """The block's exact values, which must carry no sqrt2."""
+    values = exact_values(block)
+    assert not any(b for row in values for _, b in row)
+    return [[a for a, _ in row] for row in values]
 
 
 def as_rt2(block):
-    """The block's exact values as oracle numbers; an even-index reduction
-    maps back from M = 2·D S D to S, with sqrt2 on its border."""
-    scale = 2**block.shift * (2 if block.has_border else 1)
-    rows = [[Rt2(Fraction(e, scale)) for e in row] for row in block.rows]
-    if block.has_border:
-        # S is M/2 inside, sqrt2·M/2 on the border and M at the corner
-        last = block.order - 1
-        for k in range(last):
-            border = Rt2(0, Fraction(block.rows[k][last], scale))
-            rows[k][last] = rows[last][k] = border
-        rows[last][last] = Rt2(Fraction(block.rows[last][last], scale // 2))
-    return tuple(map(tuple, rows))
+    """The block's exact values as oracle numbers."""
+    return tuple(tuple(Rt2(a, b) for a, b in row) for row in exact_values(block))
 
 
 # Matrices as printed for small indices, scaled entries written exactly.
@@ -367,11 +365,14 @@ class TestIntegerReduction:
                 mat_vec(decomp.S.entries, w)
             )
             assert spectra.kernel_annihilated(reduction) == expect_kernel
-            # j! times the oracle's vectors, the last mapped by D^-1 for even j
+            # j! times the oracle's kernel vectors of S = E^-1/2 M E^-1/2,
+            # mapped to M's by E^-1/2 and scaled by sqrt2: sqrt(2/e) each
+            root = {2: Rt2(1), 1: Rt2(0, 1)}
             for new, old in zip(spectra.null_vectors(j), (v, w)):
-                last = Rt2(0, 1) if reduction.has_border else Rt2(1)
-                scaled = [e * math.factorial(j) for e in old[:-1]]
-                scaled.append(old[-1] * math.factorial(j) * last)
+                scaled = [
+                    e * math.factorial(j) * root[size]
+                    for e, size in zip(old, reduction.orbits)
+                ]
                 assert [Rt2(e) for e in new] == scaled
         else:
             with pytest.raises(OutOfRange):
@@ -405,7 +406,8 @@ class TestIntegerReduction:
 
     def test_even_border_is_rational_after_congruence(self):
         # j = 4: S = (3/4)[[2, -2, r], [-2, 2, -r], [r, -r, 1]], r = sqrt2,
-        # so M = 2 D S D = (3/4)[[4, -4, 2], [-4, 4, -2], [2, -2, 1]]
+        # so M = E^1/2 S E^1/2 with e = (2, 2, 1) is
+        # (3/4)[[4, -4, 2], [-4, 4, -2], [2, -2, 1]]
         reduction = spectra.centro_decompose(spectra.build_B_block(4))
         scale = Fraction(1, 2**reduction.shift)
         got = [[Fraction(e) * scale for e in row] for row in reduction.rows]
@@ -435,6 +437,40 @@ class TestBandFold:
             nonzero += any(map(any, folded.rows))
         # only the reductions of the smallest blocks vanish
         assert nonzero >= 195
+
+    @staticmethod
+    def product(a, b):
+        """Exact a @ b over nested lists, skipping the zeros of a."""
+        out = []
+        for row in a:
+            acc = [0] * len(b[0])
+            for k, c in enumerate(row):
+                if c:
+                    acc = [s + c * x for s, x in zip(acc, b[k])]
+            out.append(acc)
+        return out
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["B", "E"])
+    def test_fold_is_the_definition(self, decoupled):
+        # M = P^T B P with P built from r(k) = min(k, j-k), and the
+        # quadratic forms agree: x^T M x = (Px)^T B (Px)
+        rng = np.random.default_rng(29)
+        for j in range(201):
+            m = j // 2 + 1
+            p = [[int(min(k, j - k) == i) for i in range(m)] for k in range(j + 1)]
+            pt = [list(col) for col in zip(*p)]
+            b = spectra.build_B_block(j, decoupled=decoupled).rows
+            bp = [list(col) for col in zip(*self.product(pt, list(zip(*b))))]
+            expect = self.product(pt, bp)
+            folded = spectra.fold_band(spectra.block_band(j, decoupled=decoupled))
+            assert folded.rows == tuple(map(tuple, expect)), j
+            for _ in range(3):
+                x = [int(v) for v in rng.integers(-(10**6), 10**6, size=m)]
+                px = [sum(c * v for c, v in zip(row, x)) for row in p]
+                mx = [sum(map(operator.mul, row, x)) for row in folded.rows]
+                bpx = [sum(map(operator.mul, row, px)) for row in b]
+                quadratic = sum(map(operator.mul, px, bpx))
+                assert sum(map(operator.mul, x, mx)) == quadratic, j
 
     @pytest.mark.parametrize("j", [0, 1, 2, 9, 10])
     def test_band_is_the_dense_block(self, j):

@@ -11,6 +11,7 @@ whatever its stack mates.
 
 import collections
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -346,3 +347,28 @@ def test_no_pair_whose_inverse_overflows(monkeypatch):
         expected = serial(starts, couplings, config)
     assert guarded["rows"] > 0
     assert_same_rows(rows, expected)
+
+
+def test_stated_bytes_per_entry_bound_the_descent():
+    # the memory a stack adds per row entry, read by tracemalloc between a
+    # 16-row and a 128-row descent, stays within the figure the cap is
+    # derived from
+    def peak(rows, n):
+        config = mz.OptimizerConfig(truncation=n, restarts=rows, max_iters=30)
+        fock.energy_kernel.cache_clear()
+        fock.energy_kernel(n)
+        rng = np.random.default_rng(1)
+        starts = rng.standard_normal((rows, n + 1)) + 1j * rng.standard_normal(
+            (rows, n + 1)
+        )
+        tracemalloc.start()
+        try:
+            mz._descend(list(starts), [0.3] * rows, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for n in (48, 96):
+        per_entry = (peak(128, n) - peak(16, n)) / (112 * (n + 1))
+        assert 400 < per_entry <= mz.DESCENT_BYTES_PER_ENTRY, (n, per_entry)
+    fock.energy_kernel.cache_clear()

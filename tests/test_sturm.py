@@ -106,9 +106,9 @@ class TestScalings:
         reduced = spectra.centro_decompose(spectra.build_B_block(j))
         t_block, _, _ = rank_one_split(reduced)
         order = t_block.order
-        # the extracted tridiagonal's order p-1 minors for odd j, the full
-        # tridiagonal's q+1 for even j: j//2 + 1 either way
-        count = order if j % 2 == 1 else order + 1
+        # one minor per orbit: the tridiagonal's leading minors of orders
+        # 0 .. j//2, which reach its determinant when one orbit is the centre
+        count = reduced.order
         scale = 2**t_block.shift
         diag = [Fraction(t_block.rows[i][i], scale) for i in range(order)]
         off = [Fraction(t_block.rows[i][i + 1], scale) for i in range(order - 1)]
