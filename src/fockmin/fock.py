@@ -52,6 +52,11 @@ TRANSLATION_TAIL_TOL = 1e-10
 # size of the Taylor term at which each step of a translation stops (`_displace`).
 TRANSLATION_PAD = 64
 TAYLOR_TOL = 1e-17
+# The energy kernel holds about this many bytes per entry of its (N + 1)^2
+# tables (tracemalloc read 88.1-90.0, steady and peak alike, at N = 48 to
+# 384: 88 for the tables and the O(N) rows on top); 4 GiB of them is the cap.
+KERNEL_BYTES_PER_ENTRY = 90
+MAX_KERNEL_TRUNCATION = math.isqrt(2**32 // KERNEL_BYTES_PER_ENTRY) - 1
 
 
 @dataclass(frozen=True)
@@ -142,18 +147,27 @@ class EnergyKernel:
     multiply the kernel's largest arrays by R for no fewer operations, so
     memory grows only by the O(R N) ct rows.
 
-    Every O(N^2) intermediate lives in scratch arrays built once here: the
-    outer product, the sheared rows and the (n, n) gradient terms; the ct
-    rows and their Hankel views grow to the widest stack seen.  The weight
-    tables are also kept as complex copies, so no product casts them per
-    call (the cast is exact).  Reductions call `np.add.reduce`, which is
-    what `sum` runs without its Python wrapper.  Every call overwrites the
-    scratch, so one kernel (and thus the `energy_kernel` cache) must not
-    be shared across threads.  Only the returned energies and gradient are
-    fresh arrays.
+    Memory: `weights_sq` (8 bytes per (N + 1)^2 entry), W and 4W as complex
+    tables (16 each, so no product casts them per call; both are exact),
+    the (n, 2n) shear buffer (32) and one (n, n) complex square (16): 88
+    bytes per entry (`tracemalloc`: 88.1 at N = 384), and the build peaks
+    no higher.  The square serves the convolution, as the outer product,
+    and then the gradient, as its terms.  The ct rows and their Hankel
+    views grow to the widest stack seen.  Reductions call `np.add.reduce`,
+    `sum` without its Python wrapper.  Every call overwrites the scratch,
+    so one kernel (and thus the `energy_kernel` cache) must not be shared
+    across threads.  Only the returned energies and gradient are fresh.
     """
 
     def __init__(self, truncation: int):
+        if truncation > MAX_KERNEL_TRUNCATION:
+            size = (truncation + 1) ** 2 * KERNEL_BYTES_PER_ENTRY / 2**30
+            raise InvalidParameter(
+                f"truncation {truncation} would need {size:.1f} GiB of energy "
+                f"kernel tables ({KERNEL_BYTES_PER_ENTRY} bytes per (N + 1)^2 "
+                f"entry); the largest truncation within 4 GiB is "
+                f"{MAX_KERNEL_TRUNCATION}"
+            )
         self.truncation = truncation
         n = truncation + 1
         weights_sq = np.empty((n, n))
@@ -165,15 +179,13 @@ class EnergyKernel:
                 binom = binom * (s - k) // (k + 1)
         weights_sq.setflags(write=False)
         self.weights_sq = weights_sq
-        self.weights = weights = np.sqrt(weights_sq)
         self.mode_index = np.arange(n, dtype=float)
-        self._weights_c = weights.astype(complex)
-        self._weights4_c = (4.0 * weights).astype(complex)
+        self._weights_c = np.sqrt(weights_sq).astype(complex)
+        self._weights4_c = 4.0 * self._weights_c
         self._rows = np.zeros((n, 2 * n), dtype=complex)
         self._products = self._rows[:, :n]
         self._sheared = self._rows.reshape(-1)[: n * (2 * n - 1)].reshape(n, 2 * n - 1)
-        self._outer = np.empty((n, n), dtype=complex)
-        self._terms = np.empty((n, n), dtype=complex)
+        self._square = np.empty((n, n), dtype=complex)
         self._ct = np.empty((0, 2 * n - 1), dtype=complex)
         self._ct_rows(1)
 
@@ -194,27 +206,18 @@ class EnergyKernel:
     def convolution(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The weighted self-convolution ct_j for all j of one state,
         written to `out` when given."""
-        outer = np.multiply.outer(a, a, out=self._outer)
+        outer = np.multiply.outer(a, a, out=self._square)
         np.multiply(self._weights_c, outer, out=self._products)
         return np.add.reduce(self._sheared, axis=0, initial=0.0, out=out)
 
-    @staticmethod
-    def _squared_sums(ct: np.ndarray) -> np.ndarray:
-        """sum_j |ct_j|^2, that is 8*pi*H, along the last axis."""
-        sq = ct.real * ct.real
-        sq += ct.imag * ct.imag
-        return np.add.reduce(sq, axis=-1)
-
     def _energies(self, ct: np.ndarray, a: np.ndarray, mu) -> np.ndarray:
         """G_mu = sum_j |ct_j|^2 + mu sum_k k |a_k|^2 along the last axis."""
+        quartic = ct.real * ct.real
+        quartic += ct.imag * ct.imag
         sq = a.real * a.real
         sq += a.imag * a.imag
         sq *= self.mode_index
-        return self._squared_sums(ct) + mu * np.add.reduce(sq, axis=-1)
-
-    def interaction(self, a: np.ndarray) -> float:
-        """8*pi*H: the quartic part of the energy."""
-        return float(self._squared_sums(self.convolution(a, self._ct[0])))
+        return np.add.reduce(quartic, axis=-1) + mu * np.add.reduce(sq, axis=-1)
 
     def value(self, a: np.ndarray, mu: float) -> float:
         """G_mu at one state a."""
@@ -230,7 +233,7 @@ class EnergyKernel:
         grad = np.empty(stack.shape, dtype=complex)
         for r, row in enumerate(stack):
             self.convolution(row, cts[r])
-            terms = np.multiply(self._weights4_c, self._hankel[r], out=self._terms)
+            terms = np.multiply(self._weights4_c, self._hankel[r], out=self._square)
             terms *= conj[r]
             np.add.reduce(terms, axis=0, initial=0.0, out=grad[r])
         energy = self._energies(cts, stack, mu)
@@ -271,7 +274,8 @@ def magnetic_momentum(u: FockCoefficients) -> complex:
 
 def hamiltonian(u: FockCoefficients) -> float:
     """Quartic interaction energy H = (1/4) integral |u|^4."""
-    return energy_kernel(u.truncation).interaction(u.coeffs) / (8.0 * math.pi)
+    # mu = 0 adds 0.0 * P = +0.0 to a sum of squares, which leaves it exact
+    return energy_kernel(u.truncation).value(u.coeffs, 0.0) / (8.0 * math.pi)
 
 
 @dataclass(frozen=True)

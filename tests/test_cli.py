@@ -836,6 +836,45 @@ class TestErrorPaths:
         with pytest.raises(AssertionError, match="stop before the expansion"):
             cli.run(argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimize", "--mu", "0.1", "--trunc", "20000", "--restarts", "1"],
+            ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3", "--trunc", "20000"],
+            ["mu0", "--trunc", "20000"],
+            ["functionals", "--mu", "1", "--in"],
+        ],
+        ids=["minimize", "scan", "mu0", "functionals"],
+    )
+    def test_truncation_above_the_kernel_cap_is_usage_error(self, capsys, tmp_path, argv):
+        if argv[0] == "functionals":
+            # a catalog file within its own cap, but past the kernel's
+            path = str(tmp_path / "wide.json")
+            catalog = ["catalog", "--wave", "phi_n", "--trunc", "20000", "--out", path]
+            assert cli.run(catalog) == 0
+            argv = [*argv, path]
+        start = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: truncation 20000 would need 33.5 GiB of energy kernel tables "
+            "(90 bytes per (N + 1)^2 entry); the largest truncation within 4 GiB "
+            f"is {fock.MAX_KERNEL_TRUNCATION}\n"
+        )
+
+    def test_zeros_above_the_degree_cap_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps({"truncation": 4001, "coeffs": [[1.0, 0.0]] * 4002}))
+        start = time.perf_counter()
+        code, out, err = run_capture(capsys, ["zeros", "--in", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the polynomial part has degree 4001 after trimming, above "
+            "4000, the largest whose scaled weights stay in range\n"
+        )
+
     def test_block_index_at_the_cap_is_built(self, capsys, monkeypatch):
         built = []
 

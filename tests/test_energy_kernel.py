@@ -131,10 +131,13 @@ def kernels(request):
 
 class TestBitIdentity:
     def test_convolution_and_interaction(self, kernels):
+        # the interaction is `value` at mu = 0, which `hamiltonian` reads
         n, new, old = kernels
         for a in _states(n, seed=n):
             assert _bits(new.convolution(a)) == _bits(old.convolution(a))
-            assert _bits(new.interaction(a)) == _bits(old.interaction(a))
+            assert _bits(new.value(a, 0.0)) == _bits(old.interaction(a))
+            h = fock.hamiltonian(fock.FockCoefficients(n, a))
+            assert _bits(h) == _bits(old.interaction(a) / (8.0 * math.pi))
 
     def test_value_and_gradient(self, kernels):
         n, new, old = kernels
@@ -183,9 +186,15 @@ class TestBitIdentity:
             assert not any(np.shares_memory(grad, s) for s in scratch)
 
     def test_weights_match_index_tables(self, kernels):
+        # the complex tables the products multiply with: W, real and
+        # symmetric, and 4W
         n, new, old = kernels
-        assert np.array_equal(new.weights, new.weights.T)
-        assert _bits(new.weights[old.k_ids, old.l_ids]) == _bits(old.weights)
+        weights = new._weights_c.real
+        assert _bits(new._weights_c.imag) == _bits(np.zeros((n + 1, n + 1)))
+        assert np.array_equal(weights, weights.T)
+        assert _bits(weights[old.k_ids, old.l_ids]) == _bits(old.weights)
+        assert _bits(new._weights4_c) == _bits(4 * new._weights_c)
+        assert _bits(new._weights4_c) == _bits((4.0 * weights).astype(complex))
 
 
 def _stack(truncation, seed, rows):
@@ -261,7 +270,7 @@ def test_weights_sq_is_the_comb_table():
     for n in (8, 9, 48, 192, 384):
         kern = fock.EnergyKernel(n)
         assert _bits(kern.weights_sq) == _bits(_comb_table(n))
-        assert _bits(kern.weights) == _bits(np.sqrt(kern.weights_sq))
+        assert _bits(kern._weights_c.real) == _bits(np.sqrt(kern.weights_sq))
         assert not kern.weights_sq.flags.writeable
         with pytest.raises(ValueError):
             kern.weights_sq[0, 0] = 0.0

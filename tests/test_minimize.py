@@ -511,6 +511,20 @@ class TestZeroCounting:
         assert max(abs(abs(z) - ring) for z in zc.roots) <= 1e-9 * ring
         assert max(zc.residuals) <= 1e-10
 
+    def test_degree_above_the_cap_is_rejected_before_the_roots(self, monkeypatch):
+        def no_roots(*args, **kwargs):
+            raise AssertionError("stop before the roots")
+
+        monkeypatch.setattr(np, "roots", no_roots)
+        ones = np.ones(mz.MAX_ZERO_DEGREE + 2)
+        with pytest.raises(InvalidParameter, match="degree 4001 after trimming"):
+            mz.count_zeros(fock.FockCoefficients(mz.MAX_ZERO_DEGREE + 1, ones))
+        # the cap reads the trimmed degree: a tail below 1e-13 does not count
+        for trimmed in (ones[:-1], np.append(ones[:-1], 1e-14)):
+            u = fock.FockCoefficients(len(trimmed) - 1, trimmed)
+            with pytest.raises(AssertionError, match="stop before the roots"):
+                mz.count_zeros(u)
+
     def test_degenerate_input(self):
         u = fock.FockCoefficients(8, np.zeros(9))
         with pytest.raises(DegenerateInput):

@@ -11,12 +11,15 @@ names it; a constructor keyword writes it and does not count.  A method
 counts as read when some attribute load outside its own definition names
 it, so a sibling method's call reads it and its own recursion does not;
 dunders are the interpreter's, and a method that overrides one of a base
-class is read by the base class's callers.
+class is read by the base class's callers.  An attribute stored on `self`
+counts as read when some attribute load in the package names it, or when
+the code of a base class reads it.
 Cross-checks that no verdict reads belong with the tests, as oracles.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -149,6 +152,50 @@ def unread_members(sources: dict, checked) -> list:
             if not (_is_method(member) and _overrides(module, cls.name, name)):
                 unread.append(f"{module}:{cls.name}.{name}")
     return unread
+
+
+def stored_attributes(source: str) -> list:
+    """(class, name) of every attribute that the methods of the module's
+    top-level classes store on `self`."""
+    return sorted(
+        {
+            (cls.name, node.attr)
+            for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        }
+    )
+
+
+def _read_by_base(module: str, cls: str, name: str) -> bool:
+    """Whether the code of a base class of the imported class `cls` of
+    `module` loads the attribute `name`; a built-in base has no code."""
+    klass = getattr(importlib.import_module(f"fockmin.{module[:-3]}"), cls)
+    for base in klass.__mro__[1:]:
+        try:
+            tree = ast.parse(inspect.getsource(base))
+        except (OSError, TypeError):
+            continue
+        if name in _loaded_attributes(tree):
+            return True
+    return False
+
+
+def unread_attributes(sources: dict, checked) -> list:
+    """The attributes stored on `self` in the classes of the `checked`
+    modules that no attribute load in the package names, and that no base
+    class's code reads."""
+    loads = set().union(*(_loaded_attributes(ast.parse(t)) for t in sources.values()))
+    return [
+        f"{module}:{cls}.{name}"
+        for module in checked
+        for cls, name in stored_attributes(sources[module])
+        if name not in loads and not _read_by_base(module, cls, name)
+    ]
 
 
 def package_sources() -> dict:
@@ -316,3 +363,44 @@ def test_an_unread_property_fails():
     assert unread_members(sources, CHECKED) == sorted(
         [*EXEMPT, "minimize.py:Mu0Interval.midpoint"]
     )
+
+
+def test_every_instance_attribute_has_a_reader():
+    assert unread_attributes(package_sources(), CHECKED) == []
+
+
+def test_the_guard_sees_instance_attributes():
+    stored = {
+        f"{module}:{cls}.{name}"
+        for module in CHECKED
+        for cls, name in stored_attributes(package_sources()[module])
+    }
+    assert {
+        "fock.py:EnergyKernel.weights_sq",
+        "fock.py:EnergyKernel._square",
+        "fock.py:EnergyKernel._hankel",
+        "cli.py:_Parser._negative_number_matcher",
+    } <= stored
+
+
+def test_an_attribute_read_by_a_base_class_is_read():
+    # argparse reads _Parser._negative_number_matcher; nothing in the
+    # package loads it
+    sources = package_sources()
+    loads = set().union(*(_loaded_attributes(ast.parse(t)) for t in sources.values()))
+    assert "_negative_number_matcher" not in loads
+    assert _read_by_base("cli.py", "_Parser", "_negative_number_matcher")
+    assert not _read_by_base("cli.py", "_Parser", "_no_such_matcher")
+
+
+def test_a_restored_weight_table_fails():
+    # EnergyKernel.weights as it stood before the complex tables were
+    # built from a local square root: stored, and read by nothing
+    sources = package_sources()
+    text = sources["fock.py"]
+    anchor = "        self.weights_sq = weights_sq\n"
+    assert text.count(anchor) == 1
+    sources["fock.py"] = text.replace(
+        anchor, anchor + "        self.weights = weights = np.sqrt(weights_sq)\n"
+    )
+    assert unread_attributes(sources, CHECKED) == ["fock.py:EnergyKernel.weights"]

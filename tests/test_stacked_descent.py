@@ -11,6 +11,7 @@ whatever its stack mates.
 
 import collections
 import dataclasses
+import time
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ import pytest
 
 import serial_descent as sd
 from fockmin import fock, minimize as mz
+from fockmin.errors import InvalidParameter
 
 
 def serial(starts, mus, config):
@@ -372,3 +374,60 @@ def test_stated_bytes_per_entry_bound_the_descent():
         per_entry = (peak(128, n) - peak(16, n)) / (112 * (n + 1))
         assert 400 < per_entry <= mz.DESCENT_BYTES_PER_ENTRY, (n, per_entry)
     fock.energy_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("n", [96, 192])
+def test_stated_bytes_per_entry_bound_the_kernel(n):
+    # the kernel's memory, read by tracemalloc after its build and at the
+    # build's peak, stays within the figure its truncation cap is derived
+    # from, above the 88 bytes per (N + 1)^2 entry of its tables; a stacked
+    # call adds its O(R N) rows and numpy's buffers, well under a MiB
+    stack = np.random.default_rng(n).standard_normal((8, n + 1)).astype(complex)
+    tracemalloc.start()
+    try:
+        kernel = fock.EnergyKernel(n)
+        steady, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        kernel.value_and_gradient(stack, np.full(8, 0.3))
+        call_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = (n + 1) ** 2
+    assert 88 * entries < steady <= peak <= fock.KERNEL_BYTES_PER_ENTRY * entries
+    assert call_peak - steady < 2**20
+
+
+@pytest.mark.parametrize("n", [fock.MAX_KERNEL_TRUNCATION + 1, 20000])
+def test_kernel_above_the_cap_raises_before_allocating(n):
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter) as info:
+            fock.EnergyKernel(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert time.perf_counter() - start < 1.0
+    size = (n + 1) ** 2 * fock.KERNEL_BYTES_PER_ENTRY / 2**30
+    assert str(info.value) == (
+        f"truncation {n} would need {size:.1f} GiB of energy kernel tables "
+        f"({fock.KERNEL_BYTES_PER_ENTRY} bytes per (N + 1)^2 entry); the "
+        f"largest truncation within 4 GiB is {fock.MAX_KERNEL_TRUNCATION}"
+    )
+
+
+def test_kernel_cap_is_the_largest_truncation_within_4_gib(monkeypatch):
+    top = fock.MAX_KERNEL_TRUNCATION
+    per_entry = fock.KERNEL_BYTES_PER_ENTRY
+    assert (top + 1) ** 2 * per_entry <= 2**32 < (top + 2) ** 2 * per_entry
+    # the doubling ladder from N = 768 reaches 6144 under it
+    assert 768 * 8 <= top < 20000
+
+    # at the cap the build starts: its first table is allocated
+    def no_table(*args, **kwargs):
+        raise AssertionError("stop before the table")
+
+    monkeypatch.setattr(np, "empty", no_table)
+    with pytest.raises(AssertionError, match="stop before the table"):
+        fock.EnergyKernel(top)
