@@ -14,7 +14,7 @@ class TruncationTooSmall(FockminError):
 
 
 class NotCentrosymmetric(FockminError):
-    """Input matrix is not symmetric centrosymmetric."""
+    """A block's band is not palindromic or has the wrong shape."""
 
 
 class OutOfRange(FockminError):

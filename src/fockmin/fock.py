@@ -243,8 +243,12 @@ class EnergyKernel:
         return energy, grad
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def energy_kernel(truncation: int) -> EnergyKernel:
+    """The kernel at `truncation`, cached for the next call.  One kernel is
+    alive per process: a call at another truncation drops the last one, so
+    the tables never sum over truncations (every command and the scan
+    driver use one truncation per process)."""
     return EnergyKernel(truncation)
 
 

@@ -57,9 +57,10 @@ KAPPA_INF = 5.0 / 32.0
 KAPPA_ZERO = 0.5
 
 DEFAULT_ZERO_RADIUS = 6.0
-# The largest trimmed degree `count_zeros` takes: its scaled weights stay in
-# float range up to it, and the companion matrix's roots cost O(degree^3).
-MAX_ZERO_DEGREE = 4000
+# The largest trimmed degree `count_zeros` takes: every one of its scaled
+# weights is a normal double up to it (degree 3859 has the first subnormal
+# one), and the companion matrix's roots cost O(degree^3).
+MAX_ZERO_DEGREE = 3858
 CLASSIFY_OVERLAP_THRESHOLD = 1.0 - 1e-4
 
 # The line search compares each trial against the largest of the last
@@ -577,11 +578,11 @@ def count_zeros(u: FockCoefficients, radius: float = DEFAULT_ZERO_RADIUS) -> Zer
     matrix in the scaled variable w = z / r, r = (top!)^(1/(2 top)), about
     sqrt(top / e), which gives the weights r^n / sqrt(n!) the same value 1
     at n = 0 and n = top.  Those weights are formed in logarithms relative
-    to the largest, about e^(top/(2e)) near n = top/e, so none overflows or
-    rounds to zero up to top = MAX_ZERO_DEGREE = 4000, though the end
-    weights are subnormal past top = 3850 (sqrt(n!) alone overflows at
-    n = 301); a larger top raises `InvalidParameter` before the matrix is
-    built.
+    to the largest, about e^(top/(2e)) near n = top/e, so every weight is
+    a normal double up to top = MAX_ZERO_DEGREE = 3858 (sqrt(n!) alone
+    overflows at n = 301).  At top = 3859 an end weight turns subnormal,
+    and 62 do at top = 4000, so a top above the cap raises
+    `InvalidParameter` before the matrix is built.
     The scale sqrt(top) would also stay in range, but it leaves the roots
     of (phi_0 + phi_350)/sqrt(2) wrong by up to 11 in |z|.  Each residual
     is |p(w)| / sum_n |c_n w^n|, evaluated in w, on the reversed
@@ -602,7 +603,7 @@ def count_zeros(u: FockCoefficients, radius: float = DEFAULT_ZERO_RADIUS) -> Zer
     if top > MAX_ZERO_DEGREE:
         raise InvalidParameter(
             f"the polynomial part has degree {top} after trimming, above "
-            f"{MAX_ZERO_DEGREE}, the largest whose scaled weights stay in range"
+            f"{MAX_ZERO_DEGREE}, the largest whose scaled weights are all normal"
         )
     degrees = np.arange(top + 1)
     log_fact = np.zeros(top + 1)

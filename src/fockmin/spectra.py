@@ -15,14 +15,14 @@ r(k) = min(k, j-k): index i stands for the orbit {i, j-i}, of size e_i,
 2 or 1 (the centre of an even j).  P^T P = E = diag(e), so the sector's
 own matrix is S = E^-1/2 M E^-1/2, with sqrt2 between a pair and the
 centre; M has integer numerators, the inertia of S (Sylvester) and its
-kernel up to E^1/2.  `centro_decompose` forms M from the dense block and
-`fold_band` straight from the band, in O(j) arithmetic after an O(j)
-palindrome check; `certify` reads that one.  The module then checks the
-two exact kernel vectors, and reads the orbit sizes to give
-congruence-scaled floating-point views for eigenvalue checks and exact
-strings of S for printing.  The tridiagonal + rank-one split of a reduced
-block and the interlacing of their spectra are cross-checks that no
-verdict reads; they live with the tests, as oracles.
+kernel up to E^1/2.  `centro_decompose` folds M straight from the band, in
+O(j) arithmetic after an O(j) check of the band's shape and palindromes;
+no dense block is built.  The module then checks the two exact kernel
+vectors, and reads the orbit sizes to give congruence-scaled
+floating-point views for eigenvalue checks and exact strings of S for
+printing.  The tridiagonal + rank-one split of a reduced block and the
+interlacing of their spectra are cross-checks that no verdict reads; they
+live with the tests, as oracles.
 
 Public indexing is 0-based throughout; the usual 1-based entry formulas
 are shifted here, in one place.
@@ -48,7 +48,6 @@ __all__ = [
     "block_band",
     "build_B_block",
     "centro_decompose",
-    "fold_band",
     "mat_vec",
     "kernel_annihilated",
     "null_vectors",
@@ -85,12 +84,13 @@ class BlockMatrix:
         the identity, and the size of {i, j-i} on a reduced block."""
         if self.kind is not BlockKind.REDUCED_S:
             return (1,) * self.order
-        return tuple(map(len, _orbits(self.j)))
+        return _orbit_sizes(self.j)
 
 
-def _orbits(j: int) -> list:
-    """The orbits {i, j-i} of the flip k -> j-k, for i = 0 .. j//2."""
-    return [{i, j - i} for i in range(j // 2 + 1)]
+def _orbit_sizes(j: int) -> tuple:
+    """The size e_i of the orbit {i, j-i} of the flip k -> j-k, for
+    i = 0 .. j//2: 1 at the centre of an even j, 2 elsewhere."""
+    return tuple(1 if 2 * i == j else 2 for i in range(j // 2 + 1))
 
 
 def _freeze(rows) -> tuple:
@@ -164,76 +164,41 @@ def _expand(band: BlockBand, r: list, sizes: list, kind: BlockKind) -> BlockMatr
 # ---------------------------------------------------------------------------
 
 
-def _check_symmetric_centrosymmetric(rows) -> None:
-    """Raise `NotCentrosymmetric` unless `rows` is square, equal to its
-    transpose and equal to its 180-degree rotation.
-
-    The two comparisons of whole tuples read every entry, at C speed; the
-    entries are integers, whose equality is reflexive, so they decide
-    exactly what the walk over the upper triangle decides.  The walk runs
-    only after a failed comparison (or on rows that are not tuples), to name
-    the first failing (k, l) in row-major order.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise NotCentrosymmetric("matrix is not square")
-    if tuple(zip(*rows)) == rows and tuple(row[::-1] for row in rows[::-1]) == rows:
-        return
-    for k in range(n):
-        for l in range(k, n):
-            if rows[k][l] != rows[l][k]:
-                raise NotCentrosymmetric(f"not symmetric at ({k},{l})")
-            if rows[k][l] != rows[n - 1 - k][n - 1 - l]:
-                raise NotCentrosymmetric(f"not centrosymmetric at ({k},{l})")
-
-
-def centro_decompose(block: BlockMatrix) -> BlockMatrix:
-    """Reduce a symmetric centrosymmetric block to its symmetric sector,
-    M = P^T B P (see the module docstring).
-
-    Rows i and j-i are added for every orbit (P^T B), then the columns
-    are folded the same way, as the rows of the transpose.  The skew sector
-    holds the rest of the spectrum.
-    """
-    if block.kind not in (BlockKind.FULL_B, BlockKind.FULL_E):
-        raise InvalidParameter(f"cannot reduce a {block.kind.value} block")
-    rows = block.rows
-    _check_symmetric_centrosymmetric(rows)
-    orbits = _orbits(len(rows) - 1)
-
-    def fold(x):  # P^T x
-        return [tuple(map(sum, zip(*(x[k] for k in orbit)))) for orbit in orbits]
-
-    reduced = tuple(fold(tuple(zip(*fold(rows)))))
-    return BlockMatrix(block.j, BlockKind.REDUCED_S, block.shift, reduced)
-
-
-def _check_palindromes(band: BlockBand) -> None:
-    """Raise `NotCentrosymmetric` unless the band's diagonal and
-    off-diagonal read the same backwards, naming the first entry that does
-    not.  The band is symmetric by construction, so this is the whole of
-    the expanded block's centrosymmetry, read in O(j)."""
-    for name, entries in (
-        ("diagonal", band.diagonal),
-        ("off-diagonal", band.off_diagonal),
-    ):
+def _check_band(band: BlockBand) -> None:
+    """Raise `NotCentrosymmetric` unless the band has the shape of block j,
+    j+1 diagonal and j off-diagonal entries, and both read the same
+    backwards; a broken palindrome is named by its first entry.  The band
+    is symmetric by construction, so this is the whole of the expanded
+    block's centrosymmetry, read in O(j)."""
+    j, diagonal, off_diagonal = band.j, band.diagonal, band.off_diagonal
+    if (len(diagonal), len(off_diagonal)) != (j + 1, j):
+        raise NotCentrosymmetric(
+            f"the band of block {j} has {len(diagonal)} diagonal and "
+            f"{len(off_diagonal)} off-diagonal entries, not {j + 1} and {j}"
+        )
+    for name, entries in (("diagonal", diagonal), ("off-diagonal", off_diagonal)):
         if entries != entries[::-1]:
             last = len(entries) - 1
             k = next(k for k in range(last + 1) if entries[k] != entries[last - k])
             raise NotCentrosymmetric(
-                f"{name} entry {k} of block {band.j} differs from its mirror {last - k}"
+                f"{name} entry {k} of block {j} differs from its mirror {last - k}"
             )
 
 
-def fold_band(band: BlockBand) -> BlockMatrix:
-    """The reduced block M = P^T B P of `centro_decompose`, folded from the
-    band in O(j) arithmetic with r(k) = min(k, j-k), and no dense block
-    built."""
-    _check_palindromes(band)
+def centro_decompose(band: BlockBand) -> BlockMatrix:
+    """Reduce a block, given by its `block_band`, to its symmetric sector
+    M = P^T B P (see the module docstring): the band is folded through
+    r(k) = min(k, j-k) in O(j) arithmetic, and no dense block is built.
+    The skew sector holds the rest of the spectrum."""
+    if not isinstance(band, BlockBand):
+        raise InvalidParameter(
+            "centro_decompose reduces the band of a block, from block_band, "
+            f"not a {type(band).__name__}"
+        )
+    _check_band(band)
     j = band.j
     r = [min(k, j - k) for k in range(j + 1)]
-    sizes = [len(orbit) for orbit in _orbits(j)]
-    return _expand(band, r, sizes, BlockKind.REDUCED_S)
+    return _expand(band, r, _orbit_sizes(j), BlockKind.REDUCED_S)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def interlacing_check(j: int) -> InterlacingReport:
         raise OutOfRange("interlacing check applies to odd j >= 7")
     if j > 151:
         raise InvalidParameter("raw entries overflow double precision past j ~ 151")
-    reduced = spectra.centro_decompose(spectra.build_B_block(j))
+    reduced = spectra.centro_decompose(spectra.block_band(j))
     if 1 in reduced.orbits:
         # T covers the pair orbits only: S = T + K needs every orbit a pair
         raise OutOfRange("interlacing check applies to odd j >= 7")

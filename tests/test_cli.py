@@ -864,16 +864,45 @@ class TestErrorPaths:
         )
 
     def test_zeros_above_the_degree_cap_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "ones.json"
-        path.write_text(json.dumps({"truncation": 4001, "coeffs": [[1.0, 0.0]] * 4002}))
+        # degree 3859 is the first with a subnormal scaled weight
+        for degree in (3859, 4001):
+            path = tmp_path / "ones.json"
+            data = {"truncation": degree, "coeffs": [[1.0, 0.0]] * (degree + 1)}
+            path.write_text(json.dumps(data))
+            start = time.perf_counter()
+            code, out, err = run_capture(capsys, ["zeros", "--in", str(path)])
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: the polynomial part has degree {degree} after trimming, "
+                "above 3858, the largest whose scaled weights are all normal\n"
+            )
+
+    @pytest.mark.parametrize("max_j", [601, 100000])
+    def test_certify_range_above_the_cap_is_usage_error(
+        self, capsys, monkeypatch, max_j
+    ):
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("block certified past the cap")
+
+        monkeypatch.setattr(sturm, "positivity_certificate", no_certificate)
+        monkeypatch.setattr(spectra, "block_band", no_certificate)
         start = time.perf_counter()
-        code, out, err = run_capture(capsys, ["zeros", "--in", str(path)])
+        code, out, err = run_capture(capsys, ["certify", "--max-j", str(max_j)])
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == (
-            "error: the polynomial part has degree 4001 after trimming, above "
-            "4000, the largest whose scaled weights stay in range\n"
+            f"error: --max-j must be at most 600, got {max_j}: one Sturm "
+            "certificate takes about a second at j = 600, and more above\n"
         )
+
+    def test_certify_range_at_the_cap_is_swept(self, capsys, monkeypatch):
+        def stop(j):
+            raise AssertionError(f"stop at j = {j}")
+
+        monkeypatch.setattr(sturm, "positivity_certificate", stop)
+        with pytest.raises(AssertionError, match="stop at j = 6"):
+            cli.run(["certify", "--max-j", "600"])
 
     def test_block_index_at_the_cap_is_built(self, capsys, monkeypatch):
         built = []

@@ -517,13 +517,30 @@ class TestZeroCounting:
 
         monkeypatch.setattr(np, "roots", no_roots)
         ones = np.ones(mz.MAX_ZERO_DEGREE + 2)
-        with pytest.raises(InvalidParameter, match="degree 4001 after trimming"):
+        above = f"degree {mz.MAX_ZERO_DEGREE + 1} after trimming"
+        with pytest.raises(InvalidParameter, match=above):
             mz.count_zeros(fock.FockCoefficients(mz.MAX_ZERO_DEGREE + 1, ones))
         # the cap reads the trimmed degree: a tail below 1e-13 does not count
         for trimmed in (ones[:-1], np.append(ones[:-1], 1e-14)):
             u = fock.FockCoefficients(len(trimmed) - 1, trimmed)
             with pytest.raises(AssertionError, match="stop before the roots"):
                 mz.count_zeros(u)
+
+    def test_scaled_weights_at_the_cap_are_normal(self, monkeypatch):
+        # unit coefficients hand the scaled weights themselves to the roots
+        weights = []
+
+        def captured(poly):
+            weights.append(np.abs(poly))
+            raise AssertionError("stop before the roots")
+
+        monkeypatch.setattr(np, "roots", captured)
+        ones = np.ones(mz.MAX_ZERO_DEGREE + 1)
+        u = fock.FockCoefficients(mz.MAX_ZERO_DEGREE, ones)
+        with pytest.raises(AssertionError, match="stop before the roots"):
+            mz.count_zeros(u)
+        assert len(weights[0]) == mz.MAX_ZERO_DEGREE + 1
+        assert weights[0].min() >= sys.float_info.min
 
     def test_degenerate_input(self):
         u = fock.FockCoefficients(8, np.zeros(9))

@@ -125,11 +125,11 @@ PRINTED_S = {
 class TestCentroDecomposition:
     @pytest.mark.parametrize("j", sorted(PRINTED_S))
     def test_printed_reduced_blocks(self, j):
-        reduced = spectra.centro_decompose(spectra.build_B_block(j))
+        reduced = spectra.centro_decompose(spectra.block_band(j))
         assert as_fractions(reduced) == PRINTED_S[j]
 
     def test_printed_reduced_block_even(self):
-        reduced = spectra.centro_decompose(spectra.build_B_block(4))
+        reduced = spectra.centro_decompose(spectra.block_band(4))
         c = Fraction(3, 4)
         expect = (
             (Rt2(2 * c), Rt2(-2 * c), Rt2(0, c)),
@@ -142,16 +142,18 @@ class TestCentroDecomposition:
         # the reduced block is the oracle's S, whose pieces rebuild the block
         for j in range(1, 16):
             block = spectra.build_B_block(j)
+            reduced = spectra.centro_decompose(spectra.block_band(j))
             decomp = oracle.centro_decompose(oracle.build_B_block(j))
             assert as_rt2(block) == oracle.reassemble(decomp)
-            assert as_rt2(spectra.centro_decompose(block)) == decomp.S.entries
+            assert as_rt2(reduced) == decomp.S.entries
 
     def test_eigen_multiset_union(self):
         for j in (3, 6, 9, 12):
             block = spectra.build_B_block(j)
             decomp = oracle.centro_decompose(oracle.build_B_block(j))
             full = spectra.symmetric_eigenvalues(spectra.scaled_block(block))
-            s_scaled = spectra.scaled_block(spectra.centro_decompose(block))
+            reduced = spectra.centro_decompose(spectra.block_band(j))
+            s_scaled = spectra.scaled_block(reduced)
             # scale the skew sector with the same leading weights
             m = len(decomp.skew)
             w = [
@@ -173,20 +175,35 @@ class TestCentroDecomposition:
             assert np.max(np.abs(parts - full)) <= 1e-9 * norm
 
     def test_rejects_non_centrosymmetric(self):
-        rows = (
-            (1, 2),
-            (2, 3),
-        )
-        bad = spectra.BlockMatrix(1, BlockKind.FULL_B, 0, rows)
+        band = spectra.block_band(5)
+        bad = dataclasses.replace(band, diagonal=(1, *band.diagonal[1:]))
         with pytest.raises(NotCentrosymmetric):
             spectra.centro_decompose(bad)
+        # the reduction folds a band: a dense block, full or reduced, is
+        # not one, and the error names where a band comes from
+        reduced = spectra.centro_decompose(band)
+        for block in (spectra.build_B_block(5), reduced, reduced.rows):
+            with pytest.raises(InvalidParameter, match="from block_band"):
+                spectra.centro_decompose(block)
+
+
+def expand(band):
+    """The dense rows of a band: `base` everywhere, plus the band."""
+    n = band.j + 1
+    rows = [[band.base] * n for _ in range(n)]
+    for k, entry in enumerate(band.diagonal):
+        rows[k][k] += entry
+    for k, entry in enumerate(band.off_diagonal):
+        rows[k][k + 1] += entry
+        rows[k + 1][k] += entry
+    return rows
 
 
 class TestSymmetryChecks:
     """The exact layer's symmetry checks on real blocks with one defect: the
-    reduction rejects what the Rt2 build's entry walk rejects, naming the
-    same first failing (k, l), and `symmetric_eigenvalues` keeps its
-    relative 1e-12 tolerance."""
+    reduction rejects a band exactly when the Rt2 build's entry walk
+    rejects its dense expansion, naming the same first failing entry, and
+    `symmetric_eigenvalues` keeps its relative 1e-12 tolerance."""
 
     @staticmethod
     def walk_message(rows):
@@ -197,10 +214,9 @@ class TestSymmetryChecks:
         return None
 
     @staticmethod
-    def reduce_message(block, rows):
-        broken = dataclasses.replace(block, rows=tuple(map(tuple, rows)))
+    def reduce_message(band):
         try:
-            spectra.centro_decompose(broken)
+            spectra.centro_decompose(band)
         except NotCentrosymmetric as exc:
             return str(exc)
         return None
@@ -208,60 +224,60 @@ class TestSymmetryChecks:
     @pytest.mark.parametrize("j", [9, 10, 31])
     @pytest.mark.parametrize("mirrored", [False, True], ids=["entry", "pair"])
     def test_every_changed_entry_named_as_by_the_walk(self, j, mirrored):
-        # one entry changed breaks symmetry; an entry changed with its
-        # transpose breaks centrosymmetry alone
-        block = spectra.build_B_block(j)
-        n = block.order
-        for k in range(n):
-            for l in range(n):
-                rows = [list(row) for row in block.rows]
-                rows[k][l] += 1
-                if mirrored and l != k:
-                    rows[l][k] += 1
-                expect = self.walk_message(rows)
-                assert self.reduce_message(block, rows) == expect, (k, l)
-                centre = k == l == n - 1 - k
-                assert (expect is None) == (centre or (mirrored and k + l == n - 1))
+        # a diagonal entry changed is one entry of the dense block, an
+        # off-diagonal entry changed is an entry with its transpose; either
+        # breaks centrosymmetry alone, unless it is its own mirror
+        band = spectra.block_band(j)
+        field, name, step = ("off_diagonal", "off-diagonal", 1) if mirrored else (
+            "diagonal", "diagonal", 0
+        )
+        entries = getattr(band, field)
+        last = len(entries) - 1
+        for k in range(last + 1):
+            changed = list(entries)
+            changed[k] += 1
+            broken = dataclasses.replace(band, **{field: tuple(changed)})
+            walk = self.walk_message(expand(broken))
+            got = self.reduce_message(broken)
+            if k == last - k:
+                assert walk is got is None, k
+                continue
+            i = min(k, last - k)
+            assert walk == f"not centrosymmetric at ({i},{i + step})", k
+            assert got == (
+                f"{name} entry {i} of block {j} differs from its mirror {last - i}"
+            ), k
 
     @pytest.mark.parametrize("j", [9, 10, 31])
     def test_named_first_failures(self, j):
-        block = spectra.build_B_block(j)
-        n = block.order
-        rows = [list(row) for row in block.rows]
-        rows[n - 2][1] -= 1
-        assert self.reduce_message(block, rows) == f"not symmetric at (1,{n - 2})"
-        rows = [list(row) for row in block.rows]
-        rows[2][5] += 1
-        rows[5][2] += 1
-        assert self.reduce_message(block, rows) == "not centrosymmetric at (2,5)"
-        rows = [list(row) for row in block.rows]
-        rows[0][0] += 1
-        assert self.reduce_message(block, rows) == "not centrosymmetric at (0,0)"
-
-    @pytest.mark.parametrize("j", [9, 10, 31])
-    @pytest.mark.parametrize("ragged", ["longer", "shorter", "extra-row"])
-    def test_ragged_row_is_not_square(self, j, ragged):
-        block = spectra.build_B_block(j)
-        rows = [list(row) for row in block.rows]
-        middle = len(rows) // 2
-        if ragged == "longer":
-            rows[middle].append(rows[middle][-1])
-        elif ragged == "shorter":
-            rows[middle].pop()
-        else:
-            rows.append(list(rows[-1]))
-        assert self.walk_message(rows) == "matrix is not square"
-        assert self.reduce_message(block, rows) == "matrix is not square"
-
-    @pytest.mark.parametrize("j", [9, 10, 31])
-    def test_rows_as_lists_reduce_as_tuples(self, j):
-        block = spectra.build_B_block(j)
-        as_lists = dataclasses.replace(block, rows=[list(row) for row in block.rows])
-        assert spectra.centro_decompose(as_lists) == spectra.centro_decompose(block)
+        band = spectra.block_band(j)
+        # of two broken mirror pairs, the one nearer the ends is named
+        diagonal = list(band.diagonal)
+        diagonal[2] += 1
+        diagonal[j - 1] -= 1
+        broken = dataclasses.replace(band, diagonal=tuple(diagonal))
+        assert self.reduce_message(broken) == (
+            f"diagonal entry 1 of block {j} differs from its mirror {j - 1}"
+        )
+        # the diagonal is read before the off-diagonal
+        off_diagonal = list(band.off_diagonal)
+        off_diagonal[0] += 1
+        diagonal = list(band.diagonal)
+        diagonal[3] += 1
+        broken = dataclasses.replace(
+            band, diagonal=tuple(diagonal), off_diagonal=tuple(off_diagonal)
+        )
+        assert self.reduce_message(broken) == (
+            f"diagonal entry 3 of block {j} differs from its mirror {j - 3}"
+        )
+        broken = dataclasses.replace(band, off_diagonal=tuple(off_diagonal))
+        assert self.reduce_message(broken) == (
+            f"off-diagonal entry 0 of block {j} differs from its mirror {j - 1}"
+        )
 
     @staticmethod
     def scaled_with_defect(scale):
-        arr = spectra.scaled_block(spectra.centro_decompose(spectra.build_B_block(31)))
+        arr = spectra.scaled_block(spectra.centro_decompose(spectra.block_band(31)))
         off = np.abs(arr - np.diag(np.diag(arr)))
         k, l = np.unravel_index(np.argmax(off), arr.shape)
         arr[k, l] = scale(arr[k, l])
@@ -293,7 +309,7 @@ class TestSymmetryChecks:
 
 class TestRankOneSplit:
     def test_even_reassembly_printed(self):
-        reduced = spectra.centro_decompose(spectra.build_B_block(4))
+        reduced = spectra.centro_decompose(spectra.block_band(4))
         t, kappa, delta = rank_one_split(reduced)
         assert t.rows[0][0] == 0
         assert kappa == Fraction(3, 2)
@@ -302,14 +318,14 @@ class TestRankOneSplit:
     def test_odd_trace_is_delta(self):
         # remaining eigenvalue of the rank-one part is its trace
         for j in (7, 9, 15, 21):
-            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            reduced = spectra.centro_decompose(spectra.block_band(j))
             t, kappa, delta = rank_one_split(reduced)
             p = (j + 1) // 2
             assert t.order == p
             assert p * kappa == delta
 
     def test_delta_value_j7(self):
-        reduced = spectra.centro_decompose(spectra.build_B_block(7))
+        reduced = spectra.centro_decompose(spectra.block_band(7))
         _, _, delta = rank_one_split(reduced)
         assert delta == Fraction(315, 2)
 
@@ -317,7 +333,7 @@ class TestRankOneSplit:
         # T is banded by a check inside rank_one_split, and it matches the
         # oracle's closed-form T, which the oracle checks against its S
         for j in range(4, 40):
-            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            reduced = spectra.centro_decompose(spectra.block_band(j))
             t, kappa, _ = rank_one_split(reduced)
             decomp = oracle.centro_decompose(oracle.build_B_block(j))
             t_oracle, k_oracle, _ = oracle.rank_one_split(decomp)
@@ -332,17 +348,17 @@ class TestNullVectors:
         v, w = spectra.null_vectors(5)
         assert v == (1, 5, 10)
         assert w == (0, 20, 60)
-        reduced = spectra.centro_decompose(spectra.build_B_block(5))
+        reduced = spectra.centro_decompose(spectra.block_band(5))
         assert all(not e for e in spectra.mat_vec(reduced.rows, v))
         assert all(not e for e in spectra.mat_vec(reduced.rows, w))
 
     def test_j6_vectors_annihilated(self):
-        reduced = spectra.centro_decompose(spectra.build_B_block(6))
+        reduced = spectra.centro_decompose(spectra.block_band(6))
         assert spectra.kernel_annihilated(reduced)
 
     def test_sample_range_exact(self):
         for j in (4, 5, 8, 11, 20, 33, 47):
-            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            reduced = spectra.centro_decompose(spectra.block_band(j))
             assert spectra.kernel_annihilated(reduced)
 
     def test_out_of_range(self):
@@ -356,7 +372,7 @@ class TestIntegerReduction:
 
     @pytest.mark.parametrize("j", [*range(81), 97, 150, 200])
     def test_matches_rt2_oracle(self, j):
-        reduction = spectra.centro_decompose(spectra.build_B_block(j))
+        reduction = spectra.centro_decompose(spectra.block_band(j))
         decomp = oracle.centro_decompose(oracle.build_B_block(j))
         assert as_rt2(reduction) == decomp.S.entries
         if j >= 4:
@@ -391,7 +407,7 @@ class TestIntegerReduction:
     @pytest.mark.parametrize("j", [4, 9, 30, 31])
     @pytest.mark.parametrize("keeps_v", [False, True])
     def test_perturbed_row_breaks_kernel(self, j, keeps_v):
-        reduction = spectra.centro_decompose(spectra.build_B_block(j))
+        reduction = spectra.centro_decompose(spectra.block_band(j))
         rows = [list(row) for row in reduction.rows]
         if keeps_v:
             # (C(j,1), -C(j,0)) on the first two entries of row 0 is
@@ -408,7 +424,7 @@ class TestIntegerReduction:
         # j = 4: S = (3/4)[[2, -2, r], [-2, 2, -r], [r, -r, 1]], r = sqrt2,
         # so M = E^1/2 S E^1/2 with e = (2, 2, 1) is
         # (3/4)[[4, -4, 2], [-4, 4, -2], [2, -2, 1]]
-        reduction = spectra.centro_decompose(spectra.build_B_block(4))
+        reduction = spectra.centro_decompose(spectra.block_band(4))
         scale = Fraction(1, 2**reduction.shift)
         got = [[Fraction(e) * scale for e in row] for row in reduction.rows]
         c = Fraction(3, 4)
@@ -420,23 +436,8 @@ class TestIntegerReduction:
 
 
 class TestBandFold:
-    """The O(j) fold of a block's band against the dense build and
-    `centro_decompose`, which `block --reduced` still prints."""
-
-    @pytest.mark.parametrize("decoupled", [False, True], ids=["B", "E"])
-    def test_fold_equals_dense_reduction(self, decoupled):
-        nonzero = 0
-        for j in range(201):
-            band = spectra.block_band(j, decoupled=decoupled)
-            folded = spectra.fold_band(band)
-            block = spectra.build_B_block(j, decoupled=decoupled)
-            dense = spectra.centro_decompose(block)
-            assert folded == dense, j
-            assert folded.kind is BlockKind.REDUCED_S
-            assert folded.order == j // 2 + 1
-            nonzero += any(map(any, folded.rows))
-        # only the reductions of the smallest blocks vanish
-        assert nonzero >= 195
+    """`centro_decompose`, the O(j) fold of a block's band, against the
+    dense build and an explicit P^T B P."""
 
     @staticmethod
     def product(a, b):
@@ -450,27 +451,78 @@ class TestBandFold:
             out.append(acc)
         return out
 
+    @staticmethod
+    def embedding(j):
+        """P, which sends x to the symmetric vector v_k = x_{min(k, j-k)}."""
+        m = j // 2 + 1
+        return [[int(min(k, j - k) == i) for i in range(m)] for k in range(j + 1)]
+
     @pytest.mark.parametrize("decoupled", [False, True], ids=["B", "E"])
-    def test_fold_is_the_definition(self, decoupled):
-        # M = P^T B P with P built from r(k) = min(k, j-k), and the
-        # quadratic forms agree: x^T M x = (Px)^T B (Px)
-        rng = np.random.default_rng(29)
+    def test_fold_equals_dense_reduction(self, decoupled):
+        # M = P^T B P, multiplied out on the dense block
+        nonzero = 0
         for j in range(201):
-            m = j // 2 + 1
-            p = [[int(min(k, j - k) == i) for i in range(m)] for k in range(j + 1)]
+            p = self.embedding(j)
             pt = [list(col) for col in zip(*p)]
             b = spectra.build_B_block(j, decoupled=decoupled).rows
             bp = [list(col) for col in zip(*self.product(pt, list(zip(*b))))]
             expect = self.product(pt, bp)
-            folded = spectra.fold_band(spectra.block_band(j, decoupled=decoupled))
+            band = spectra.block_band(j, decoupled=decoupled)
+            folded = spectra.centro_decompose(band)
             assert folded.rows == tuple(map(tuple, expect)), j
+            assert folded.kind is BlockKind.REDUCED_S
+            assert folded.order == j // 2 + 1
+            nonzero += any(map(any, folded.rows))
+        # only the reductions of the smallest blocks vanish
+        assert nonzero >= 195
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["B", "E"])
+    def test_fold_is_the_definition(self, decoupled):
+        # the quadratic forms agree: x^T M x = (Px)^T B (Px)
+        rng = np.random.default_rng(29)
+        for j in range(201):
+            p = self.embedding(j)
+            b = spectra.build_B_block(j, decoupled=decoupled).rows
+            band = spectra.block_band(j, decoupled=decoupled)
+            folded = spectra.centro_decompose(band)
             for _ in range(3):
-                x = [int(v) for v in rng.integers(-(10**6), 10**6, size=m)]
+                x = [int(v) for v in rng.integers(-(10**6), 10**6, size=len(p[0]))]
                 px = [sum(c * v for c, v in zip(row, x)) for row in p]
                 mx = [sum(map(operator.mul, row, x)) for row in folded.rows]
                 bpx = [sum(map(operator.mul, row, px)) for row in b]
                 quadratic = sum(map(operator.mul, px, bpx))
                 assert sum(map(operator.mul, x, mx)) == quadratic, j
+
+    @pytest.mark.parametrize("j", [9, 10, 31])
+    @pytest.mark.parametrize("shape", ["short", "long-diagonal", "long-off-diagonal"])
+    def test_wrong_shape_named(self, j, shape):
+        # each band below is made of palindromes, so only its lengths tell
+        # it from a block's; the short one, cut at both ends, used to fold
+        # to a block of the wrong order
+        band = spectra.block_band(j)
+
+        def widened(entries):
+            centre = len(entries) // 2
+            return entries[:centre] + entries[centre:][:1] + entries[centre:]
+
+        if shape == "short":
+            broken = dataclasses.replace(
+                band, diagonal=band.diagonal[1:-1], off_diagonal=band.off_diagonal[1:-1]
+            )
+        elif shape == "long-diagonal":
+            broken = dataclasses.replace(band, diagonal=widened(band.diagonal))
+        else:
+            broken = dataclasses.replace(band, off_diagonal=widened(band.off_diagonal))
+        for entries in (broken.diagonal, broken.off_diagonal):
+            assert entries == entries[::-1]
+        sizes = len(broken.diagonal), len(broken.off_diagonal)
+        assert sizes != (j + 1, j)
+        with pytest.raises(NotCentrosymmetric) as info:
+            spectra.centro_decompose(broken)
+        assert str(info.value) == (
+            f"the band of block {j} has {sizes[0]} diagonal and {sizes[1]} "
+            f"off-diagonal entries, not {j + 1} and {j}"
+        )
 
     @pytest.mark.parametrize("j", [0, 1, 2, 9, 10])
     def test_band_is_the_dense_block(self, j):
@@ -502,11 +554,12 @@ class TestBandFold:
             if k == last - k:
                 # the centre is its own mirror: the fold runs, on a block
                 # whose kernel is gone
-                assert not spectra.kernel_annihilated(spectra.fold_band(mutated))
+                reduced = spectra.centro_decompose(mutated)
+                assert not spectra.kernel_annihilated(reduced)
                 continue
             first = min(k, last - k)
             with pytest.raises(NotCentrosymmetric) as info:
-                spectra.fold_band(mutated)
+                spectra.centro_decompose(mutated)
             assert str(info.value) == (
                 f"{name} entry {first} of block {j} differs from its mirror "
                 f"{last - first}"
@@ -538,7 +591,7 @@ class TestScaledBlocks:
     def test_reduced_rank_one_structure_j5(self):
         # rows of the reduced block at j = 5 are proportional to (5, -3, 1),
         # so the scaled spectrum is {0, 0, t} with t > 0
-        reduced = spectra.centro_decompose(spectra.build_B_block(5))
+        reduced = spectra.centro_decompose(spectra.block_band(5))
         rows = as_fractions(reduced)
         base = rows[2]
         for i, factor in ((0, 5), (1, -3)):
@@ -550,7 +603,7 @@ class TestScaledBlocks:
         # the two exact kernel vectors, then the smallest positive
         # eigenvalue, exactly 1/2 for every j >= 4
         for j in range(6, 81):
-            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            reduced = spectra.centro_decompose(spectra.block_band(j))
             eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
             norm = max(abs(eigs[0]), abs(eigs[-1]))
             assert abs(eigs[0]) <= 1e-12 * norm, j
@@ -591,7 +644,7 @@ class TestQuadraticFormConsistency:
 
     def test_psd_on_reduced_blocks_sample(self):
         for j in range(2, 40):
-            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            reduced = spectra.centro_decompose(spectra.block_band(j))
             eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
             norm = max(abs(eigs[0]), abs(eigs[-1]), 1e-30)
             assert eigs[0] >= -1e-10 * norm

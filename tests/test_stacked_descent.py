@@ -397,6 +397,26 @@ def test_stated_bytes_per_entry_bound_the_kernel(n):
     assert call_peak - steady < 2**20
 
 
+def test_one_kernel_is_alive_per_process():
+    # kernels at 16 truncations in turn: the cache keeps the last one only,
+    # so the memory they leave is one N = 215 kernel, not their sum
+    fock.energy_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        single = fock.EnergyKernel(215)
+        one = tracemalloc.get_traced_memory()[0] - start
+        del single
+        start = tracemalloc.get_traced_memory()[0]
+        for n in range(200, 216):
+            fock.energy_kernel(n)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        fock.energy_kernel.cache_clear()
+    assert abs(retained - one) <= 0.1 * one, (retained, one)
+
+
 @pytest.mark.parametrize("n", [fock.MAX_KERNEL_TRUNCATION + 1, 20000])
 def test_kernel_above_the_cap_raises_before_allocating(n):
     start = time.perf_counter()
