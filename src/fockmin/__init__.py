@@ -51,7 +51,6 @@ from .minimize import (
 from .spectra import (
     BlockKind,
     BlockMatrix,
-    block_band,
     build_B_block,
     centro_decompose,
     null_vectors,

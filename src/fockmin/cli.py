@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--exact-max-j",
         type=int,
         default=200,
-        help="upper bound for the exact kernel-vector checks (default 200)",
+        help="last block index given the exact kernel and eigenvalue checks, "
+        "at least 0; 0 runs the Sturm certificate alone (default 200)",
     )
     p.add_argument("--no-eigs", action="store_true", help="skip float eigenvalue checks")
     p.add_argument("--out")
@@ -208,10 +209,9 @@ def _cmd_block(args) -> int:
             f"--j must be at most {_MAX_BLOCK_J}, got {args.j}: the dump "
             "grows as about 2 j^3 bytes"
         )
+    block = spectra.build_B_block(args.j, decoupled=args.E)
     if args.reduced:
-        block = spectra.centro_decompose(spectra.block_band(args.j, decoupled=args.E))
-    else:
-        block = spectra.build_B_block(args.j, decoupled=args.E)
+        block = spectra.centro_decompose(block)
     entries = spectra.dump_entries(block)
     if args.format == "json":
         text = json.dumps({"j": args.j, "kind": block.kind.value, "entries": entries})
@@ -237,6 +237,11 @@ def _cmd_certify(args) -> int:
             f"--max-j must be at most {_MAX_CERTIFY_J}, got {args.max_j}: one "
             "Sturm certificate takes about a second at j = 600, and more above"
         )
+    if args.exact_max_j < 0:
+        raise InvalidParameter(
+            f"--exact-max-j must be at least 0, got {args.exact_max_j}: 0 runs "
+            "the Sturm certificate alone"
+        )
     lines = []
     failures = 0
     for j in range(sturm.FIRST_J, args.max_j + 1):
@@ -244,7 +249,7 @@ def _cmd_certify(args) -> int:
             cert = sturm.positivity_certificate(j)
             checks = [f"sturm transition={cert.transition_index}"]
             if j <= args.exact_max_j:
-                reduced = spectra.centro_decompose(spectra.block_band(j))
+                reduced = spectra.centro_decompose(spectra.build_B_block(j))
                 if not spectra.kernel_annihilated(reduced):
                     raise CertificateFailed(f"kernel vectors not annihilated at j={j}")
                 checks.append("kernel=exact")

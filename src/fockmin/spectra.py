@@ -3,10 +3,11 @@
 For each degree j the quartic energy couples the products a_k a_{j-k}
 through a symmetric centrosymmetric matrix B of order j+1.  Every entry of
 2^s B^(j), s = max(j+1, 3), is an integer, so every exact step is integer
-arithmetic on numerators over 2^s.  A block is described once, by its band
-(`BlockBand`): the all-ones numerator, the diagonal and the first
-off-diagonal, both palindromes.  `build_B_block` expands the band into the
-dense `BlockMatrix` that `block` prints.
+arithmetic on numerators over 2^s.  Every block, full or reduced, is one
+`BlockMatrix` kept as its band: a rank-one numerator base·e e^T, the
+diagonal and the first off-diagonal.  `build_B_block` gives the full block,
+whose band entries are palindromes; only `block` printing expands the
+dense rows.
 
 The flip k -> j-k splits the spectrum into a symmetric and a skew sector.
 For every j the symmetric sector is one reduced block M = P^T B P, where
@@ -15,14 +16,13 @@ r(k) = min(k, j-k): index i stands for the orbit {i, j-i}, of size e_i,
 2 or 1 (the centre of an even j).  P^T P = E = diag(e), so the sector's
 own matrix is S = E^-1/2 M E^-1/2, with sqrt2 between a pair and the
 centre; M has integer numerators, the inertia of S (Sylvester) and its
-kernel up to E^1/2.  `centro_decompose` folds M straight from the band, in
-O(j) arithmetic after an O(j) check of the band's shape and palindromes;
-no dense block is built.  The module then checks the two exact kernel
-vectors, and reads the orbit sizes to give congruence-scaled
-floating-point views for eigenvalue checks and exact strings of S for
-printing.  The tridiagonal + rank-one split of a reduced block and the
-interlacing of their spectra are cross-checks that no verdict reads; they
-live with the tests, as oracles.
+kernel up to E^1/2.  `centro_decompose` folds the band into M's band, in
+O(j) arithmetic after an O(j) check of the band's shape and palindromes.
+The module then checks the two exact kernel vectors in O(j), and reads
+the orbit sizes to give congruence-scaled floating-point views for
+eigenvalue checks and exact strings of S for printing.  The interlacing
+of the tridiagonal and reduced spectra is a cross-check that no verdict
+reads; it lives with the tests, as an oracle.
 
 Public indexing is 0-based throughout; the usual 1-based entry formulas
 are shifted here, in one place.
@@ -43,9 +43,7 @@ from .errors import InvalidParameter, NoConvergence, NotCentrosymmetric, OutOfRa
 
 __all__ = [
     "BlockKind",
-    "BlockBand",
     "BlockMatrix",
-    "block_band",
     "build_B_block",
     "centro_decompose",
     "mat_vec",
@@ -65,18 +63,22 @@ class BlockKind(Enum):
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """Dense exact matrix attached to one block index: the entry (k, l) is
-    ``rows[k][l] / 2**shift``.  A reduced block holds M = P^T B P, whose
-    index i stands for ``orbits[i]`` indices of the full block."""
+    """One block over 2**shift, as a rank-one part plus a band: the entry
+    (k, l) is ``base·e_k·e_l`` for the orbit sizes e, plus ``diagonal[k]``
+    at (k, k) and ``off_diagonal[k]`` at (k, k+1) and (k+1, k).  A reduced
+    block holds M = P^T B P, whose index i stands for ``orbits[i]``
+    indices of the full block."""
 
     j: int
     kind: BlockKind
     shift: int
-    rows: tuple
+    base: int
+    diagonal: tuple
+    off_diagonal: tuple
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self.diagonal)
 
     @property
     def orbits(self) -> tuple:
@@ -86,6 +88,18 @@ class BlockMatrix:
             return (1,) * self.order
         return _orbit_sizes(self.j)
 
+    @property
+    def rows(self) -> tuple:
+        """The dense numerators, row by row, order^2 of them: for printing."""
+        sizes = self.orbits
+        rows = [[self.base * e * f for f in sizes] for e in sizes]
+        for k, entry in enumerate(self.diagonal):
+            rows[k][k] += entry
+        for k, entry in enumerate(self.off_diagonal):
+            rows[k][k + 1] += entry
+            rows[k + 1][k] += entry
+        return tuple(map(tuple, rows))
+
 
 def _orbit_sizes(j: int) -> tuple:
     """The size e_i of the orbit {i, j-i} of the flip k -> j-k, for
@@ -93,25 +107,8 @@ def _orbit_sizes(j: int) -> tuple:
     return tuple(1 if 2 * i == j else 2 for i in range(j // 2 + 1))
 
 
-def _freeze(rows) -> tuple:
-    return tuple(tuple(row) for row in rows)
-
-
-@dataclass(frozen=True)
-class BlockBand:
-    """One block of order j+1 as its band, over 2**shift: every entry is
-    ``base``, plus ``diagonal[k]`` at (k, k) and ``off_diagonal[k]`` at
-    (k, k+1) and (k+1, k)."""
-
-    j: int
-    shift: int
-    base: int
-    diagonal: tuple
-    off_diagonal: tuple
-
-
-def block_band(j: int, *, decoupled: bool = False) -> BlockBand:
-    """The band of the quartic-form block j, over 2^s with s = max(j+1, 3).
+def build_B_block(j: int, *, decoupled: bool = False) -> BlockMatrix:
+    """The quartic-form block j, of order j+1, over 2^s with s = max(j+1, 3).
 
     Every entry holds j!/2^{j+1}; the diagonal adds (j-4) k!(j-k)!/8 and
     the first off-diagonal subtracts (k+1)!(j-k)!/8.  The decoupled block E
@@ -130,33 +127,8 @@ def block_band(j: int, *, decoupled: bool = False) -> BlockBand:
     else:
         # (k+1)!(j-k)! = (k+1)·k!(j-k)!
         off_diagonal = tuple(-(k + 1) * weights[k] << (shift - 3) for k in range(j))
-    return BlockBand(j, shift, base, diagonal, off_diagonal)
-
-
-def build_B_block(j: int, *, decoupled: bool = False) -> BlockMatrix:
-    """Full quartic-form block of order j+1: `block_band` expanded densely.
-
-    Diagonal j!/2^{j+1} + (j-4) k!(j-k)!/8, first off-diagonal
-    j!/2^{j+1} - (k+1)!(j-k)!/8, every other entry j!/2^{j+1}.
-    """
-    band = block_band(j, decoupled=decoupled)
     kind = BlockKind.FULL_E if decoupled else BlockKind.FULL_B
-    return _expand(band, list(range(j + 1)), [1] * (j + 1), kind)
-
-
-def _expand(band: BlockBand, r: list, sizes: list, kind: BlockKind) -> BlockMatrix:
-    """P^T B P for the P that sends index k of B to index r[k]: the
-    all-ones part becomes base·e e^T, with e = P^T 1 = `sizes`, and each
-    band entry at (k, l) adds at (r[k], r[l]).  P = I expands the band."""
-    base = band.base
-    outer = {e: [base * e * f for f in sizes] for e in set(sizes)}
-    rows = [outer[e][:] for e in sizes]
-    for i, entry in zip(r, band.diagonal):
-        rows[i][i] += entry
-    for i, l, entry in zip(r, r[1:], band.off_diagonal):
-        rows[i][l] += entry
-        rows[l][i] += entry
-    return BlockMatrix(band.j, kind, band.shift, _freeze(rows))
+    return BlockMatrix(j, kind, shift, base, diagonal, off_diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +136,12 @@ def _expand(band: BlockBand, r: list, sizes: list, kind: BlockKind) -> BlockMatr
 # ---------------------------------------------------------------------------
 
 
-def _check_band(band: BlockBand) -> None:
+def _check_band(block: BlockMatrix) -> None:
     """Raise `NotCentrosymmetric` unless the band has the shape of block j,
     j+1 diagonal and j off-diagonal entries, and both read the same
     backwards; a broken palindrome is named by its first entry.  The band
-    is symmetric by construction, so this is the whole of the expanded
-    block's centrosymmetry, read in O(j)."""
-    j, diagonal, off_diagonal = band.j, band.diagonal, band.off_diagonal
+    is symmetric by construction, so this is the block's centrosymmetry."""
+    j, diagonal, off_diagonal = block.j, block.diagonal, block.off_diagonal
     if (len(diagonal), len(off_diagonal)) != (j + 1, j):
         raise NotCentrosymmetric(
             f"the band of block {j} has {len(diagonal)} diagonal and "
@@ -185,20 +156,30 @@ def _check_band(band: BlockBand) -> None:
             )
 
 
-def centro_decompose(band: BlockBand) -> BlockMatrix:
-    """Reduce a block, given by its `block_band`, to its symmetric sector
-    M = P^T B P (see the module docstring): the band is folded through
-    r(k) = min(k, j-k) in O(j) arithmetic, and no dense block is built.
-    The skew sector holds the rest of the spectrum."""
-    if not isinstance(band, BlockBand):
-        raise InvalidParameter(
-            "centro_decompose reduces the band of a block, from block_band, "
-            f"not a {type(band).__name__}"
-        )
-    _check_band(band)
-    j = band.j
+def centro_decompose(block: BlockMatrix) -> BlockMatrix:
+    """Reduce a full block, from `build_B_block`, to its symmetric sector
+    M = P^T B P (see the module docstring), in O(j): base·1 1^T folds to
+    base·e e^T, and each band entry at (k, l) adds at (r(k), r(l)),
+    r(k) = min(k, j-k), which keeps M a band.  The middle edge of an odd j
+    lands twice on the diagonal.  The skew sector holds the rest of the
+    spectrum."""
+    if not isinstance(block, BlockMatrix) or block.kind is BlockKind.REDUCED_S:
+        raise InvalidParameter("centro_decompose reduces a block from build_B_block")
+    _check_band(block)
+    j = block.j
     r = [min(k, j - k) for k in range(j + 1)]
-    return _expand(band, r, _orbit_sizes(j), BlockKind.REDUCED_S)
+    diagonal = [0] * (j // 2 + 1)
+    off = [0] * (j // 2)
+    for i, entry in zip(r, block.diagonal):
+        diagonal[i] += entry
+    for i, l, entry in zip(r, r[1:], block.off_diagonal):
+        if i == l:
+            diagonal[i] += 2 * entry
+        else:
+            off[min(i, l)] += entry
+    return BlockMatrix(
+        j, BlockKind.REDUCED_S, block.shift, block.base, tuple(diagonal), tuple(off)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +206,16 @@ def null_vectors(j: int):
     return v, w
 
 
-def mat_vec(rows, vec) -> tuple:
-    """Exact integer matrix-vector product."""
-    return tuple(sum(map(operator.mul, row, vec)) for row in rows)
+def mat_vec(block: BlockMatrix, vec) -> tuple:
+    """Exact product of a block's numerators with an integer vector, in
+    O(j): base·e (e^T x) plus the band's product."""
+    sizes = block.orbits
+    total = block.base * sum(map(operator.mul, sizes, vec))
+    out = [total * e + d * x for e, d, x in zip(sizes, block.diagonal, vec)]
+    for k, entry in enumerate(block.off_diagonal):
+        out[k] += entry * vec[k + 1]
+        out[k + 1] += entry * vec[k]
+    return tuple(out)
 
 
 def kernel_annihilated(reduced: BlockMatrix) -> bool:
@@ -237,7 +225,7 @@ def kernel_annihilated(reduced: BlockMatrix) -> bool:
             f"the kernel check needs a reduced block, got {reduced.kind.value}"
         )
     v, w = null_vectors(reduced.j)
-    return not any(mat_vec(reduced.rows, v)) and not any(mat_vec(reduced.rows, w))
+    return not any(mat_vec(reduced, v)) and not any(mat_vec(reduced, w))
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +238,32 @@ def scaled_block(block: BlockMatrix) -> np.ndarray:
     Entries become O(j)-bounded binomial ratios; the signature (hence
     positive semidefiniteness) is preserved.  The block is read as
     S = E^-1/2 M E^-1/2 with E = diag(orbits), M itself on a full block.
-    |M_kl| may exceed float range, so each M_kl^2 / (e_k w_k e_l w_l), over
-    4^shift, is one exact integer ratio, which int true division rounds
-    once, correctly; its square root is the one float operation per entry.
-    The upper triangle is filled row by row, mirrored, and converted once.
+    Each entry is the square root of M_kl^2 / (e_k w_k e_l w_l), over
+    4^shift, rounded once, correctly.  Off the band M_kl = base·e_k·e_l,
+    so that is the dyadic C(j,k)e_k·C(j,l)e_l / 4^(j+1), at most 1: its
+    integer outer product rounds once to float, and the power of two is
+    exact while every quotient is normal, j <= 510; past that int true
+    division rounds it.  The O(j) band entries are one exact ratio each.
     """
-    j, n = block.j, block.order
-    fact = list(itertools.accumulate(range(1, j + 1), operator.mul, initial=1))
-    scale = 1 << block.shift
-    weights = [scale * e * fact[k] * fact[j - k] for k, e in enumerate(block.orbits)]
-    out = [[0.0] * n for _ in range(n)]
-    for k, row in enumerate(block.rows):
-        weight = weights[k]
-        for l in range(k, n):
-            entry = row[l]
-            if entry:
-                ratio = (entry * entry) / (weight * weights[l])
-                val = math.sqrt(ratio) if entry > 0 else -math.sqrt(ratio)
-                out[k][l] = out[l][k] = val
-    return np.array(out)
+    j, sizes = block.j, block.orbits
+    binomials = np.array([math.comb(j, k) * e for k, e in enumerate(sizes)], object)
+    squares = np.multiply.outer(binomials, binomials)
+    if j <= 510:
+        out = np.sqrt(np.ldexp(squares.astype(float), -2 * j - 2))
+    else:
+        out = np.sqrt((squares / 4 ** (j + 1)).astype(float))
+    # with w_k = j!/C(j,k), M_kl^2 / (e_k w_k e_l w_l) over 4^shift is
+    # M_kl^2 · squares_kl / (e_k e_l j! 2^shift)^2
+    unit = math.factorial(j) << block.shift
+    index = range(block.order)
+    for k, l, extra in itertools.chain(
+        zip(index, index, block.diagonal), zip(index, index[1:], block.off_diagonal)
+    ):
+        orbit = sizes[k] * sizes[l]
+        entry = block.base * orbit + extra
+        root = math.sqrt(entry * entry * squares[k, l] / (orbit * unit) ** 2)
+        out[k, l] = out[l, k] = root if entry >= 0 else -root
+    return out
 
 
 def symmetric_eigenvalues(matrix: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 No verdict of `fockmin certify` reads these.  They re-derive facts the
 certificate rests on, from the same integer blocks: the exact values of a
-block, the tridiagonal + rank-one split of a reduced block, the
+block, its congruence-scaled view entry by entry from the dense rows, the
+tridiagonal + rank-one split of a reduced block, the
 interlacing of their spectra, the quartic functional as a sum over the
 blocks, and the closed form and generating polynomial of the Sturm minor
 sequence.
@@ -52,6 +53,28 @@ def exact_values(block):
                 values.append((Fraction(entry, root * scale), Fraction(0)))
         out.append(values)
     return out
+
+
+def entrywise_scaled_block(block) -> np.ndarray:
+    """`spectra.scaled_block` entry by entry from the dense rows: each
+    M_kl^2 / (e_k w_k e_l w_l), over 4^shift, with w_k = k!(j-k)!, is one
+    exact integer ratio, which int true division rounds once, correctly;
+    its square root is the one float operation per entry."""
+    j, n = block.j, block.order
+    scale = 1 << block.shift
+    weights = [
+        scale * e * math.factorial(k) * math.factorial(j - k)
+        for k, e in enumerate(block.orbits)
+    ]
+    out = [[0.0] * n for _ in range(n)]
+    for k, row in enumerate(block.rows):
+        for l in range(k, n):
+            entry = row[l]
+            if entry:
+                ratio = (entry * entry) / (weights[k] * weights[l])
+                val = math.sqrt(ratio) if entry > 0 else -math.sqrt(ratio)
+                out[k][l] = out[l][k] = val
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +175,7 @@ def interlacing_check(j: int) -> InterlacingReport:
         raise OutOfRange("interlacing check applies to odd j >= 7")
     if j > 151:
         raise InvalidParameter("raw entries overflow double precision past j ~ 151")
-    reduced = spectra.centro_decompose(spectra.block_band(j))
+    reduced = spectra.centro_decompose(spectra.build_B_block(j))
     if 1 in reduced.orbits:
         # T covers the pair orbits only: S = T + K needs every orbit a pair
         raise OutOfRange("interlacing check applies to odd j >= 7")

@@ -69,14 +69,14 @@ def test_criterion_01_exact_block_reproduction():
             assert block5[k][l] == (Fraction(3 * rows5[k][l], 8), 0)
     assert exact_values(spectra.build_B_block(0))[0][0] == (0, 0)
 
-    s3 = exact_values(spectra.centro_decompose(spectra.block_band(3)))
+    s3 = exact_values(spectra.centro_decompose(spectra.build_B_block(3)))
     assert all(e == (0, 0) for row in s3 for e in row)
-    s5 = exact_values(spectra.centro_decompose(spectra.block_band(5)))
+    s5 = exact_values(spectra.centro_decompose(spectra.build_B_block(5)))
     rows_s5 = [[25, -15, 5], [-15, 9, -3], [5, -3, 1]]
     for k in range(3):
         for l in range(3):
             assert s5[k][l] == (Fraction(3 * rows_s5[k][l], 4), 0)
-    s4 = exact_values(spectra.centro_decompose(spectra.block_band(4)))
+    s4 = exact_values(spectra.centro_decompose(spectra.build_B_block(4)))
     c = Fraction(3, 4)
     expect_s4 = [
         [(2 * c, 0), (-2 * c, 0), (0, c)],
@@ -95,10 +95,10 @@ def test_criterion_02_null_vector_certificate():
     t0 = time.time()
     checked = 0
     for j in list(range(7, 202, 2)) + list(range(6, 201, 2)):
-        reduced = spectra.centro_decompose(spectra.block_band(j))
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
         v, w = spectra.null_vectors(j)
-        assert all(not e for e in spectra.mat_vec(reduced.rows, v)), j
-        assert all(not e for e in spectra.mat_vec(reduced.rows, w)), j
+        assert all(not e for e in spectra.mat_vec(reduced, v)), j
+        assert all(not e for e in spectra.mat_vec(reduced, w)), j
         checked += 1
     elapsed = time.time() - t0
     assert elapsed < 120.0
@@ -109,7 +109,7 @@ def test_criterion_03_positivity():
     t0 = time.time()
     worst = 0.0
     for j in range(0, 201):
-        reduced = spectra.centro_decompose(spectra.block_band(j))
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
         eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
         norm = max(abs(eigs[0]), abs(eigs[-1]))
         if norm > 0:

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism, round trips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -121,6 +122,38 @@ class TestBlockMatchesOracle:
                     assert out == oracle.block_stdout(j, decoupled, reduced, fmt), argv
 
 
+class TestStdoutGoldens:
+    """sha256 of the UTF-8 stdout, captured before the blocks were kept as
+    their bands: the band arithmetic must print the same bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["certify", "--max-j", "300", "--exact-max-j", "300"],
+                "9951b93f5d5f33c5ec70e38d0578ff79ef32eb9d653b69cd9683e129541cf433",
+            ),
+            (
+                ["block", "--j", "60", "--reduced"],
+                "fca5e791fb87ea4702479631029db7a73a4bcabbaba21c65692ea44e51cab46e",
+            ),
+            (
+                ["block", "--j", "61", "--E", "--reduced"],
+                "82a27db25ea09c39e89ab26a743a1d5423b0d17dd142a28bf16a46a072ec8319",
+            ),
+            (
+                ["block", "--j", "60"],
+                "4cf2548417dca6f7ad0668576d4b12f23070706576c30a2944495de42d689aa9",
+            ),
+        ],
+        ids=["certify-300-exact", "block-60-reduced", "block-61-E-reduced", "block-60"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestCertifyBandMutation:
     """One band entry changed at one block fails that block's certificate:
     a palindromic change through the kernel check, any other through the
@@ -147,19 +180,19 @@ class TestCertifyBandMutation:
     def test_one_changed_entry_fails(
         self, capsys, monkeypatch, j, field, k, mirrored, reason
     ):
-        band_of = spectra.block_band
+        build = spectra.build_B_block
 
-        def mutated_band(index, **kwargs):
-            band = band_of(index, **kwargs)
+        def mutated_block(index, **kwargs):
+            block = build(index, **kwargs)
             if index != j:
-                return band
-            entries = list(getattr(band, field))
+                return block
+            entries = list(getattr(block, field))
             entries[k] += 1
             if mirrored:
                 entries[len(entries) - 1 - k] += 1
-            return dataclasses.replace(band, **{field: tuple(entries)})
+            return dataclasses.replace(block, **{field: tuple(entries)})
 
-        monkeypatch.setattr(spectra, "block_band", mutated_band)
+        monkeypatch.setattr(spectra, "build_B_block", mutated_block)
         code, out, err = run_capture(capsys, ["certify", "--max-j", "12"])
         assert (code, err) == (2, "")
         lines = out.splitlines()
@@ -886,7 +919,7 @@ class TestErrorPaths:
             raise AssertionError("block certified past the cap")
 
         monkeypatch.setattr(sturm, "positivity_certificate", no_certificate)
-        monkeypatch.setattr(spectra, "block_band", no_certificate)
+        monkeypatch.setattr(spectra, "build_B_block", no_certificate)
         start = time.perf_counter()
         code, out, err = run_capture(capsys, ["certify", "--max-j", str(max_j)])
         assert time.perf_counter() - start < 1.0
@@ -894,6 +927,21 @@ class TestErrorPaths:
         assert err == (
             f"error: --max-j must be at most 600, got {max_j}: one Sturm "
             "certificate takes about a second at j = 600, and more above\n"
+        )
+
+    @pytest.mark.parametrize("exact_max_j", [-1, -5])
+    def test_negative_exact_range_is_usage_error(self, capsys, monkeypatch, exact_max_j):
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("block certified with a negative exact range")
+
+        monkeypatch.setattr(sturm, "positivity_certificate", no_certificate)
+        monkeypatch.setattr(spectra, "build_B_block", no_certificate)
+        argv = ["certify", "--max-j", "8", "--exact-max-j", str(exact_max_j)]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --exact-max-j must be at least 0, got {exact_max_j}: 0 runs "
+            "the Sturm certificate alone\n"
         )
 
     def test_certify_range_at_the_cap_is_swept(self, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from fockmin.spectra import BlockKind
 import rt2_spectra as oracle
 from certificate_oracles import (
     block_quadratic_value,
+    entrywise_scaled_block,
     exact_values,
     interlacing_check,
     rank_one_split,
@@ -125,11 +126,11 @@ PRINTED_S = {
 class TestCentroDecomposition:
     @pytest.mark.parametrize("j", sorted(PRINTED_S))
     def test_printed_reduced_blocks(self, j):
-        reduced = spectra.centro_decompose(spectra.block_band(j))
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
         assert as_fractions(reduced) == PRINTED_S[j]
 
     def test_printed_reduced_block_even(self):
-        reduced = spectra.centro_decompose(spectra.block_band(4))
+        reduced = spectra.centro_decompose(spectra.build_B_block(4))
         c = Fraction(3, 4)
         expect = (
             (Rt2(2 * c), Rt2(-2 * c), Rt2(0, c)),
@@ -142,7 +143,7 @@ class TestCentroDecomposition:
         # the reduced block is the oracle's S, whose pieces rebuild the block
         for j in range(1, 16):
             block = spectra.build_B_block(j)
-            reduced = spectra.centro_decompose(spectra.block_band(j))
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
             decomp = oracle.centro_decompose(oracle.build_B_block(j))
             assert as_rt2(block) == oracle.reassemble(decomp)
             assert as_rt2(reduced) == decomp.S.entries
@@ -152,7 +153,7 @@ class TestCentroDecomposition:
             block = spectra.build_B_block(j)
             decomp = oracle.centro_decompose(oracle.build_B_block(j))
             full = spectra.symmetric_eigenvalues(spectra.scaled_block(block))
-            reduced = spectra.centro_decompose(spectra.block_band(j))
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
             s_scaled = spectra.scaled_block(reduced)
             # scale the skew sector with the same leading weights
             m = len(decomp.skew)
@@ -175,25 +176,25 @@ class TestCentroDecomposition:
             assert np.max(np.abs(parts - full)) <= 1e-9 * norm
 
     def test_rejects_non_centrosymmetric(self):
-        band = spectra.block_band(5)
-        bad = dataclasses.replace(band, diagonal=(1, *band.diagonal[1:]))
+        block = spectra.build_B_block(5)
+        bad = dataclasses.replace(block, diagonal=(1, *block.diagonal[1:]))
         with pytest.raises(NotCentrosymmetric):
             spectra.centro_decompose(bad)
-        # the reduction folds a band: a dense block, full or reduced, is
-        # not one, and the error names where a band comes from
-        reduced = spectra.centro_decompose(band)
-        for block in (spectra.build_B_block(5), reduced, reduced.rows):
-            with pytest.raises(InvalidParameter, match="from block_band"):
-                spectra.centro_decompose(block)
+        # the reduction folds a full block: a reduced block or bare rows
+        # are not one, and the error names where a full block comes from
+        reduced = spectra.centro_decompose(block)
+        for other in (reduced, reduced.rows):
+            with pytest.raises(InvalidParameter, match="from build_B_block"):
+                spectra.centro_decompose(other)
 
 
-def expand(band):
+def expand(block):
     """The dense rows of a band: `base` everywhere, plus the band."""
-    n = band.j + 1
-    rows = [[band.base] * n for _ in range(n)]
-    for k, entry in enumerate(band.diagonal):
+    n = block.j + 1
+    rows = [[block.base] * n for _ in range(n)]
+    for k, entry in enumerate(block.diagonal):
         rows[k][k] += entry
-    for k, entry in enumerate(band.off_diagonal):
+    for k, entry in enumerate(block.off_diagonal):
         rows[k][k + 1] += entry
         rows[k + 1][k] += entry
     return rows
@@ -214,9 +215,9 @@ class TestSymmetryChecks:
         return None
 
     @staticmethod
-    def reduce_message(band):
+    def reduce_message(block):
         try:
-            spectra.centro_decompose(band)
+            spectra.centro_decompose(block)
         except NotCentrosymmetric as exc:
             return str(exc)
         return None
@@ -227,16 +228,16 @@ class TestSymmetryChecks:
         # a diagonal entry changed is one entry of the dense block, an
         # off-diagonal entry changed is an entry with its transpose; either
         # breaks centrosymmetry alone, unless it is its own mirror
-        band = spectra.block_band(j)
+        block = spectra.build_B_block(j)
         field, name, step = ("off_diagonal", "off-diagonal", 1) if mirrored else (
             "diagonal", "diagonal", 0
         )
-        entries = getattr(band, field)
+        entries = getattr(block, field)
         last = len(entries) - 1
         for k in range(last + 1):
             changed = list(entries)
             changed[k] += 1
-            broken = dataclasses.replace(band, **{field: tuple(changed)})
+            broken = dataclasses.replace(block, **{field: tuple(changed)})
             walk = self.walk_message(expand(broken))
             got = self.reduce_message(broken)
             if k == last - k:
@@ -250,34 +251,34 @@ class TestSymmetryChecks:
 
     @pytest.mark.parametrize("j", [9, 10, 31])
     def test_named_first_failures(self, j):
-        band = spectra.block_band(j)
+        block = spectra.build_B_block(j)
         # of two broken mirror pairs, the one nearer the ends is named
-        diagonal = list(band.diagonal)
+        diagonal = list(block.diagonal)
         diagonal[2] += 1
         diagonal[j - 1] -= 1
-        broken = dataclasses.replace(band, diagonal=tuple(diagonal))
+        broken = dataclasses.replace(block, diagonal=tuple(diagonal))
         assert self.reduce_message(broken) == (
             f"diagonal entry 1 of block {j} differs from its mirror {j - 1}"
         )
         # the diagonal is read before the off-diagonal
-        off_diagonal = list(band.off_diagonal)
+        off_diagonal = list(block.off_diagonal)
         off_diagonal[0] += 1
-        diagonal = list(band.diagonal)
+        diagonal = list(block.diagonal)
         diagonal[3] += 1
         broken = dataclasses.replace(
-            band, diagonal=tuple(diagonal), off_diagonal=tuple(off_diagonal)
+            block, diagonal=tuple(diagonal), off_diagonal=tuple(off_diagonal)
         )
         assert self.reduce_message(broken) == (
             f"diagonal entry 3 of block {j} differs from its mirror {j - 3}"
         )
-        broken = dataclasses.replace(band, off_diagonal=tuple(off_diagonal))
+        broken = dataclasses.replace(block, off_diagonal=tuple(off_diagonal))
         assert self.reduce_message(broken) == (
             f"off-diagonal entry 0 of block {j} differs from its mirror {j - 1}"
         )
 
     @staticmethod
     def scaled_with_defect(scale):
-        arr = spectra.scaled_block(spectra.centro_decompose(spectra.block_band(31)))
+        arr = spectra.scaled_block(spectra.centro_decompose(spectra.build_B_block(31)))
         off = np.abs(arr - np.diag(np.diag(arr)))
         k, l = np.unravel_index(np.argmax(off), arr.shape)
         arr[k, l] = scale(arr[k, l])
@@ -309,7 +310,7 @@ class TestSymmetryChecks:
 
 class TestRankOneSplit:
     def test_even_reassembly_printed(self):
-        reduced = spectra.centro_decompose(spectra.block_band(4))
+        reduced = spectra.centro_decompose(spectra.build_B_block(4))
         t, kappa, delta = rank_one_split(reduced)
         assert t.rows[0][0] == 0
         assert kappa == Fraction(3, 2)
@@ -318,14 +319,14 @@ class TestRankOneSplit:
     def test_odd_trace_is_delta(self):
         # remaining eigenvalue of the rank-one part is its trace
         for j in (7, 9, 15, 21):
-            reduced = spectra.centro_decompose(spectra.block_band(j))
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
             t, kappa, delta = rank_one_split(reduced)
             p = (j + 1) // 2
             assert t.order == p
             assert p * kappa == delta
 
     def test_delta_value_j7(self):
-        reduced = spectra.centro_decompose(spectra.block_band(7))
+        reduced = spectra.centro_decompose(spectra.build_B_block(7))
         _, _, delta = rank_one_split(reduced)
         assert delta == Fraction(315, 2)
 
@@ -333,7 +334,7 @@ class TestRankOneSplit:
         # T is banded by a check inside rank_one_split, and it matches the
         # oracle's closed-form T, which the oracle checks against its S
         for j in range(4, 40):
-            reduced = spectra.centro_decompose(spectra.block_band(j))
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
             t, kappa, _ = rank_one_split(reduced)
             decomp = oracle.centro_decompose(oracle.build_B_block(j))
             t_oracle, k_oracle, _ = oracle.rank_one_split(decomp)
@@ -348,17 +349,17 @@ class TestNullVectors:
         v, w = spectra.null_vectors(5)
         assert v == (1, 5, 10)
         assert w == (0, 20, 60)
-        reduced = spectra.centro_decompose(spectra.block_band(5))
-        assert all(not e for e in spectra.mat_vec(reduced.rows, v))
-        assert all(not e for e in spectra.mat_vec(reduced.rows, w))
+        reduced = spectra.centro_decompose(spectra.build_B_block(5))
+        assert all(not e for e in spectra.mat_vec(reduced, v))
+        assert all(not e for e in spectra.mat_vec(reduced, w))
 
     def test_j6_vectors_annihilated(self):
-        reduced = spectra.centro_decompose(spectra.block_band(6))
+        reduced = spectra.centro_decompose(spectra.build_B_block(6))
         assert spectra.kernel_annihilated(reduced)
 
     def test_sample_range_exact(self):
         for j in (4, 5, 8, 11, 20, 33, 47):
-            reduced = spectra.centro_decompose(spectra.block_band(j))
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
             assert spectra.kernel_annihilated(reduced)
 
     def test_out_of_range(self):
@@ -372,7 +373,7 @@ class TestIntegerReduction:
 
     @pytest.mark.parametrize("j", [*range(81), 97, 150, 200])
     def test_matches_rt2_oracle(self, j):
-        reduction = spectra.centro_decompose(spectra.block_band(j))
+        reduction = spectra.centro_decompose(spectra.build_B_block(j))
         decomp = oracle.centro_decompose(oracle.build_B_block(j))
         assert as_rt2(reduction) == decomp.S.entries
         if j >= 4:
@@ -407,24 +408,44 @@ class TestIntegerReduction:
     @pytest.mark.parametrize("j", [4, 9, 30, 31])
     @pytest.mark.parametrize("keeps_v", [False, True])
     def test_perturbed_row_breaks_kernel(self, j, keeps_v):
-        reduction = spectra.centro_decompose(spectra.block_band(j))
-        rows = [list(row) for row in reduction.rows]
+        reduction = spectra.centro_decompose(spectra.build_B_block(j))
+        diagonal = list(reduction.diagonal)
+        off_diagonal = list(reduction.off_diagonal)
         if keeps_v:
-            # (C(j,1), -C(j,0)) on the first two entries of row 0 is
-            # orthogonal to v = C(j,i) but not to w = i(j-i)C(j,i)
-            rows[0][0] += j
-            rows[0][1] -= 1
+            # u u^T on the first two orbits, u = (C(j,1), -C(j,0)): the
+            # folded off-diagonal pair (0,1), (1,0) changes by -j with the
+            # diagonal, and u is orthogonal to v = C(j,i) but not to
+            # w = i(j-i)C(j,i)
+            diagonal[0] += j * j
+            diagonal[1] += 1
+            off_diagonal[0] -= j
         else:
-            rows[0][0] += 1
-        broken = dataclasses.replace(reduction, rows=tuple(map(tuple, rows)))
+            # a changed folded diagonal entry: w_0 = 0, so only v is lost
+            diagonal[0] += 1
+        broken = dataclasses.replace(
+            reduction, diagonal=tuple(diagonal), off_diagonal=tuple(off_diagonal)
+        )
+        kept = [not any(spectra.mat_vec(broken, x)) for x in spectra.null_vectors(j)]
+        assert kept == [keeps_v, not keeps_v]
         assert spectra.kernel_annihilated(reduction)
         assert not spectra.kernel_annihilated(broken)
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["B", "E"])
+    def test_mat_vec_is_the_dense_product(self, decoupled):
+        # the O(j) product, on full and reduced blocks, against the rows
+        rng = np.random.default_rng(31)
+        for j in range(201):
+            full = spectra.build_B_block(j, decoupled=decoupled)
+            for block in (full, spectra.centro_decompose(full)):
+                x = [int(v) for v in rng.integers(-(10**9), 10**9, size=block.order)]
+                dense = tuple(sum(map(operator.mul, row, x)) for row in block.rows)
+                assert spectra.mat_vec(block, x) == dense, (j, block.kind)
 
     def test_even_border_is_rational_after_congruence(self):
         # j = 4: S = (3/4)[[2, -2, r], [-2, 2, -r], [r, -r, 1]], r = sqrt2,
         # so M = E^1/2 S E^1/2 with e = (2, 2, 1) is
         # (3/4)[[4, -4, 2], [-4, 4, -2], [2, -2, 1]]
-        reduction = spectra.centro_decompose(spectra.block_band(4))
+        reduction = spectra.centro_decompose(spectra.build_B_block(4))
         scale = Fraction(1, 2**reduction.shift)
         got = [[Fraction(e) * scale for e in row] for row in reduction.rows]
         c = Fraction(3, 4)
@@ -464,11 +485,11 @@ class TestBandFold:
         for j in range(201):
             p = self.embedding(j)
             pt = [list(col) for col in zip(*p)]
-            b = spectra.build_B_block(j, decoupled=decoupled).rows
+            block = spectra.build_B_block(j, decoupled=decoupled)
+            b = block.rows
             bp = [list(col) for col in zip(*self.product(pt, list(zip(*b))))]
             expect = self.product(pt, bp)
-            band = spectra.block_band(j, decoupled=decoupled)
-            folded = spectra.centro_decompose(band)
+            folded = spectra.centro_decompose(block)
             assert folded.rows == tuple(map(tuple, expect)), j
             assert folded.kind is BlockKind.REDUCED_S
             assert folded.order == j // 2 + 1
@@ -482,9 +503,9 @@ class TestBandFold:
         rng = np.random.default_rng(29)
         for j in range(201):
             p = self.embedding(j)
-            b = spectra.build_B_block(j, decoupled=decoupled).rows
-            band = spectra.block_band(j, decoupled=decoupled)
-            folded = spectra.centro_decompose(band)
+            block = spectra.build_B_block(j, decoupled=decoupled)
+            b = block.rows
+            folded = spectra.centro_decompose(block)
             for _ in range(3):
                 x = [int(v) for v in rng.integers(-(10**6), 10**6, size=len(p[0]))]
                 px = [sum(c * v for c, v in zip(row, x)) for row in p]
@@ -499,7 +520,7 @@ class TestBandFold:
         # each band below is made of palindromes, so only its lengths tell
         # it from a block's; the short one, cut at both ends, used to fold
         # to a block of the wrong order
-        band = spectra.block_band(j)
+        block = spectra.build_B_block(j)
 
         def widened(entries):
             centre = len(entries) // 2
@@ -507,12 +528,12 @@ class TestBandFold:
 
         if shape == "short":
             broken = dataclasses.replace(
-                band, diagonal=band.diagonal[1:-1], off_diagonal=band.off_diagonal[1:-1]
+                block, diagonal=block.diagonal[1:-1], off_diagonal=block.off_diagonal[1:-1]
             )
         elif shape == "long-diagonal":
-            broken = dataclasses.replace(band, diagonal=widened(band.diagonal))
+            broken = dataclasses.replace(block, diagonal=widened(block.diagonal))
         else:
-            broken = dataclasses.replace(band, off_diagonal=widened(band.off_diagonal))
+            broken = dataclasses.replace(block, off_diagonal=widened(block.off_diagonal))
         for entries in (broken.diagonal, broken.off_diagonal):
             assert entries == entries[::-1]
         sizes = len(broken.diagonal), len(broken.off_diagonal)
@@ -527,30 +548,30 @@ class TestBandFold:
     @pytest.mark.parametrize("j", [0, 1, 2, 9, 10])
     def test_band_is_the_dense_block(self, j):
         # every entry off the band is base; the band adds to it
-        band = spectra.block_band(j)
-        rows = spectra.build_B_block(j).rows
+        block = spectra.build_B_block(j)
+        rows = block.rows
         for k in range(j + 1):
             for l in range(j + 1):
                 extra = 0
                 if k == l:
-                    extra = band.diagonal[k]
+                    extra = block.diagonal[k]
                 elif abs(k - l) == 1:
-                    extra = band.off_diagonal[min(k, l)]
-                assert rows[k][l] == band.base + extra, (k, l)
-        assert any(band.off_diagonal) == (j > 0)
-        assert not any(spectra.block_band(j, decoupled=True).off_diagonal)
+                    extra = block.off_diagonal[min(k, l)]
+                assert rows[k][l] == block.base + extra, (k, l)
+        assert any(block.off_diagonal) == (j > 0)
+        assert not any(spectra.build_B_block(j, decoupled=True).off_diagonal)
 
     @pytest.mark.parametrize("j", [9, 10, 31, 40])
     @pytest.mark.parametrize("field", ["diagonal", "off_diagonal"])
     def test_broken_palindrome_named(self, j, field):
-        band = spectra.block_band(j)
-        entries = getattr(band, field)
+        block = spectra.build_B_block(j)
+        entries = getattr(block, field)
         last = len(entries) - 1
         name = "diagonal" if field == "diagonal" else "off-diagonal"
         for k in range(last + 1):
             broken = list(entries)
             broken[k] += 1
-            mutated = dataclasses.replace(band, **{field: tuple(broken)})
+            mutated = dataclasses.replace(block, **{field: tuple(broken)})
             if k == last - k:
                 # the centre is its own mirror: the fold runs, on a block
                 # whose kernel is gone
@@ -591,7 +612,7 @@ class TestScaledBlocks:
     def test_reduced_rank_one_structure_j5(self):
         # rows of the reduced block at j = 5 are proportional to (5, -3, 1),
         # so the scaled spectrum is {0, 0, t} with t > 0
-        reduced = spectra.centro_decompose(spectra.block_band(5))
+        reduced = spectra.centro_decompose(spectra.build_B_block(5))
         rows = as_fractions(reduced)
         base = rows[2]
         for i, factor in ((0, 5), (1, -3)):
@@ -603,12 +624,41 @@ class TestScaledBlocks:
         # the two exact kernel vectors, then the smallest positive
         # eigenvalue, exactly 1/2 for every j >= 4
         for j in range(6, 81):
-            reduced = spectra.centro_decompose(spectra.block_band(j))
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
             eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
             norm = max(abs(eigs[0]), abs(eigs[-1]))
             assert abs(eigs[0]) <= 1e-12 * norm, j
             assert abs(eigs[1]) <= 1e-12 * norm, j
             assert abs(eigs[2] - 0.5) <= 1e-12, j
+
+    @staticmethod
+    def assert_same_bits(got, expect):
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(got, expect)
+        assert got.tobytes() == expect.tobytes()
+
+    def test_reduced_entries_are_the_entrywise_ratios(self):
+        for j in range(6, 201):
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            self.assert_same_bits(
+                spectra.scaled_block(reduced), entrywise_scaled_block(reduced)
+            )
+
+    @pytest.mark.parametrize("j", [509, 510, 511, 512, 516, 600])
+    def test_reduced_entries_past_the_normal_range(self, j):
+        # from j = 511 on 4^(j+1) passes 2^1022, so the smallest squares
+        # can be subnormal, and from j = 516 on the largest products of a
+        # reduced block pass 2^1024
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
+        self.assert_same_bits(
+            spectra.scaled_block(reduced), entrywise_scaled_block(reduced)
+        )
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["B", "E"])
+    def test_full_entries_are_the_entrywise_ratios(self, decoupled):
+        for j in range(61):
+            block = spectra.build_B_block(j, decoupled=decoupled)
+            self.assert_same_bits(spectra.scaled_block(block), entrywise_scaled_block(block))
 
     def test_eigenvalues_sorted_diagonal(self):
         eigs = spectra.symmetric_eigenvalues(np.diag([3.0, 1.0, 2.0]))
@@ -644,7 +694,7 @@ class TestQuadraticFormConsistency:
 
     def test_psd_on_reduced_blocks_sample(self):
         for j in range(2, 40):
-            reduced = spectra.centro_decompose(spectra.block_band(j))
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
             eigs = spectra.symmetric_eigenvalues(spectra.scaled_block(reduced))
             norm = max(abs(eigs[0]), abs(eigs[-1]), 1e-30)
             assert eigs[0] >= -1e-10 * norm

@@ -103,7 +103,7 @@ class TestScalings:
     def test_scaled_integers_reproduce_exact_minors(self, j):
         # independent oracle: the exact minor recurrence on the rational
         # tridiagonal entries
-        reduced = spectra.centro_decompose(spectra.block_band(j))
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
         t_block, _, _ = rank_one_split(reduced)
         order = t_block.order
         # one minor per orbit: the tridiagonal's leading minors of orders
