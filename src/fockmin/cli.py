@@ -29,8 +29,8 @@ EXIT_NUMERICAL = 3
 
 _MAX_SCAN_POINTS = 10**6  # far beyond any scan that can finish
 
-# The top of `certify`'s default exact range: it keeps a `block` dump, about
-# 2 j^3 bytes (see --j's help), near 15 MB and the process below 100 MiB.
+# The top of `block --j`: the dump holds about 2 j^3 bytes (see --j's help),
+# near 15 MB at the cap, which keeps the process below 100 MiB.
 _MAX_BLOCK_J = 200
 
 # The top of `certify --max-j`: one Sturm certificate took 0.84 s at j = 600
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parsing leaves no state on
     it, so every `run` shares it."""
     parser = _Parser(prog="fockmin")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed, >= 0 (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("block", help="dump an exact coefficient block")
@@ -333,7 +333,7 @@ def _result_dict(res: mz.MinimizationResult) -> dict:
         "overlap": res.overlap,
         "b_fit": res.b_fit,
         "n_zeros": res.n_zeros,
-        "zero_radius": res.zero_radius,
+        "zero_radius": mz.DEFAULT_ZERO_RADIUS,
     }
 
 
@@ -395,7 +395,7 @@ def _cmd_mu0(args) -> int:
     interval = mz.estimate_mu0(config, width=args.width)
     print(
         f"mu0 in [{interval.low:.6f}, {interval.high:.6f}] "
-        f"(width {interval.width:.2e}; {interval.caveat})"
+        f"(width {interval.width:.2e}; {mz.MU0_CAVEAT})"
     )
     return EXIT_OK
 

@@ -132,7 +132,7 @@ class EnergyKernel:
     component is ever -0.0.  Never replace these sums with `dot`/`vdot`:
     they add in a different order.
 
-    One call per round: `value_and_gradient(a, mu)` takes a stack, `a` of
+    One call per stack: `value_and_gradient(a, mu)` takes a stack, `a` of
     shape (R, N + 1) with `mu` of shape (R,), and returns an (R,) array of
     energies and a fresh (R, N + 1) array of gradients; a 1-D `a` with a
     scalar `mu` is a one-row view of the same code and returns a float and

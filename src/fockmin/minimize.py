@@ -53,10 +53,13 @@ __all__ = [
     "KAPPA_ZERO",
 ]
 
-KAPPA_INF = 5.0 / 32.0
-KAPPA_ZERO = 0.5
+# The linear-stability thresholds of phi_1 and phi_0: the largest mu at which
+# the eps^2 coefficient of G_mu(normalize(e_b + eps e_n)) vanishes for some n
+KAPPA_INF = 5.0 / 32.0  # b = 1: mu (n - 1) - 1 + (n + 1) 2^(1-n), at n = 5 and 6
+KAPPA_ZERO = 0.5  # b = 0: mu n - 2 + 2^(2-n), at n = 2 and 3
 
 DEFAULT_ZERO_RADIUS = 6.0
+MU0_CAVEAT = "empirical, truncation-dependent"  # what estimate_mu0 rests on
 # The largest trimmed degree `count_zeros` takes: every one of its scaled
 # weights is a normal double up to it (degree 3859 has the first subnormal
 # one), and the companion matrix's roots cost O(degree^3).
@@ -81,7 +84,7 @@ ARMIJO = 1e-4
 LBFGS_MEMORY = 6
 
 # The lock-step descent holds about this many bytes per entry of its
-# rows x (N + 1) stack (tracemalloc read 600-607 at N = 48, 96 and 192:
+# rows x (N + 1) stack (tracemalloc read 600-612 at N = 48, 96 and 192:
 # states, gradients, directions and stored pairs); 1 GiB of them is the cap.
 DESCENT_BYTES_PER_ENTRY = 640
 MAX_DESCENT_ENTRIES = 2**30 // DESCENT_BYTES_PER_ENTRY
@@ -117,6 +120,8 @@ class OptimizerConfig:
             )
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise InvalidParameter("gradient tolerance must be positive and finite")
+        if self.seed < 0:  # numpy's generators take non-negative seeds only
+            raise InvalidParameter(f"the seed must be non-negative, got {self.seed}")
 
 
 class MinimizerClass(Enum):
@@ -149,7 +154,6 @@ class MinimizationResult:
     overlap: float
     b_fit: float | None
     n_zeros: int
-    zero_radius: float = DEFAULT_ZERO_RADIUS
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +263,7 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
     tangent / metric, projected, while no pair is stored or when the
     L-BFGS slope Re<tangent, direction> is not positive.  The first trial
     step is 1 once a pair is stored (STEP_INIT before), and a nonmonotone
-    Armijo test on the slope accepts it or backtracks.
+    Armijo test on the slope accepts it or halves it.
 
     Each round advances every live row by one iteration with stacked numpy
     calls; a row leaves the stack at the top of the round after its last
@@ -268,12 +272,11 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
     with the bits of a descent run on its own, whatever its stack mates.
     A row that skips a pair keeps its own pairs at their ages, with `_PAD`
     at the ages it has none for, so one two-loop covers every row that
-    holds a pair; `has_pair` marks those rows.  The first trials of a
-    round, accepted in nearly every iteration, take their values and
-    gradients in one stacked `value_and_gradient` call, as the starts do;
-    the kernel convolves row by row inside it and gives each row the bits
-    of a one-row call.  A row whose first trial fails backtracks alone:
-    each trial calls `value`, and the accepted one `value_and_gradient`.
+    holds a pair; `has_pair` marks those rows.  Each trial point, first or
+    halved, is evaluated once, with its gradient, in one stacked
+    `value_and_gradient` call on the rows still searching, which gives each
+    row the bits of a one-row call; a row whose step falls to 1e-18 stalls
+    and keeps its point.
     """
     if not len(starts):
         return []
@@ -347,22 +350,19 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
         cand /= _norms(cand)
         cand_value, cand_grad = kern.value_and_gradient(cand, mus)
         reference = recent.max(axis=1)[:, None]
-        accepted = cand_value[:, None] <= reference - ARMIJO * trial * slope
-        for r in np.flatnonzero(~accepted):  # backtrack this row alone
-            t, mu = float(trial[r, 0]), float(mus[r])
-            while True:
-                t *= BACKTRACK
-                if not t > 1e-18:  # Armijo backtracking at float resolution
-                    stalled[r] = True
-                    cand[r], cand_value[r], cand_grad[r] = a[r], value[r], grad[r]
-                    break
-                c = a[r] - t * direction[r]
-                c /= _norms(c[None])[0, 0]
-                v = kern.value(c, mu)
-                if v <= reference[r, 0] - ARMIJO * t * slope[r, 0]:
-                    cand[r], cand_value[r] = c, v
-                    _, cand_grad[r] = kern.value_and_gradient(c, mu)
-                    break
+        search = np.flatnonzero(~(cand_value[:, None] <= reference - ARMIJO * trial * slope))
+        while len(search):  # the rows whose last trial failed
+            trial[search] *= BACKTRACK
+            stalled[search] = ~(trial[search, 0] > 1e-18)  # Armijo at float resolution
+            keep = search[stalled[search]]  # a stalled row keeps its point
+            cand[keep], cand_value[keep], cand_grad[keep] = a[keep], value[keep], grad[keep]
+            search = search[~stalled[search]]
+            if len(search):
+                c = a[search] - trial[search] * direction[search]
+                cand[search] = c = c / _norms(c)
+                cand_value[search], cand_grad[search] = kern.value_and_gradient(c, mus[search])
+                bound = reference[search] - ARMIJO * trial[search] * slope[search]
+                search = search[~(cand_value[search] <= bound[:, 0])]
         prev_a, prev_tangent = a, tangent
         a, value, grad = cand, cand_value, cand_grad
         recent[:, step % NONMONOTONE_MEMORY] = value
@@ -675,7 +675,6 @@ def scan_to_csv(results) -> str:
 class Mu0Interval:
     low: float
     high: float
-    caveat: str = "empirical, truncation-dependent"
 
     @property
     def width(self) -> float:

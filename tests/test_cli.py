@@ -490,6 +490,25 @@ class TestErrorPaths:
         args = cli.build_parser().parse_args(["minimize", "--mu", token])
         assert math.isnan(args.mu) if "nan" in token else args.mu == float(token)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimize", "--mu", "0.1"],
+            ["minimize", "--mu", "0.1", "--restarts", "5"],  # draws no random start
+            ["scan", "--from", "0.1", "--to", "0.7", "--step", "0.3"],
+            ["mu0"],
+        ],
+        ids=["minimize", "minimize-named-starts", "scan", "mu0"],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("descent reached with a negative seed")
+
+        monkeypatch.setattr(minimize, "_descend", no_solve)
+        code, out, err = run_capture(capsys, ["--seed", "-1", *argv])
+        assert (code, out) == (1, "")
+        assert err == "error: the seed must be non-negative, got -1\n"
+
     def test_negative_iteration_budget_is_usage_error(self, capsys):
         argv = ["minimize", "--mu", "0.5", "--trunc", "16", "--max-iters", "-5"]
         code, out, err = run_capture(capsys, argv)

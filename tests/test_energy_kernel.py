@@ -8,6 +8,7 @@ for bit, on a 1-D state and on every row of a stack, and the CLI must
 print the same bytes with either kernel in place.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -325,14 +326,10 @@ def test_cli_stdout_matches_oracle(monkeypatch, capsys, argv):
 
 
 def test_descent_convolves_once_per_trial(monkeypatch):
-    # every trial convolves once, and an accepted backtracked trial once
-    # more for its gradient, which is formed at the state of the `value`
-    # call just before it
-    counts = dict.fromkeys(
-        ("convolution", "energy_rows", "value", "stacks", "stacked_rows", "accepted"),
-        0,
-    )
-    valued = []
+    # every trial point, first or backtracked, convolves exactly once, as a
+    # row of one stacked `value_and_gradient` call that also gives its
+    # gradient; the descent never calls `value`
+    counts = dict.fromkeys(("convolution", "energy_rows", "value", "stacks", "stacked_rows"), 0)
     convolution, energies, value = (
         getattr(fock.EnergyKernel, name) for name in ("convolution", "_energies", "value")
     )
@@ -348,19 +345,18 @@ def test_descent_convolves_once_per_trial(monkeypatch):
 
     def counted_value(self, a, mu):
         counts["value"] += 1
-        valued.append(a.tobytes())
         return value(self, a, mu)
 
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
     def counted_gradient(self, a, mu):
-        if a.ndim == 2:
-            counts["stacks"] += 1
-            counts["stacked_rows"] += len(a)
-        else:  # an accepted backtracked trial, one row alone
-            assert valued and a.tobytes() == valued[-1]
-            counts["accepted"] += 1
-        return value_and_gradient(self, a, mu)
+        assert a.ndim == 2
+        before = counts["convolution"]
+        out = value_and_gradient(self, a, mu)
+        assert counts["convolution"] - before == len(a)
+        counts["stacks"] += 1
+        counts["stacked_rows"] += len(a)
+        return out
 
     monkeypatch.setattr(fock.EnergyKernel, "convolution", counted_convolution)
     monkeypatch.setattr(fock.EnergyKernel, "_energies", counted_energies)
@@ -376,19 +372,14 @@ def test_descent_convolves_once_per_trial(monkeypatch):
         rows = minimize._descend(list(starts), [mu] * 4, config)
         iters = [row[3] for row in rows]
         assert {row[4] for row in rows} == {"tolerance"} and min(iters) > 10
-        # one stacked call for the starts and one per round for the live
-        # rows' first trials; a round's rows are those still descending
-        assert counts["stacks"] == max(iters) + 1
-        assert counts["stacked_rows"] == sum(iters) + len(rows)
-        # a backtracked trial calls `value`; no row stalled, so each row
-        # whose first trial failed accepted one backtracked trial
-        trials = counts["stacked_rows"] - len(rows) + counts["value"]
-        assert (counts["value"] > 0) is backtracks
-        assert (counts["accepted"] > 0) is backtracks
-        assert counts["accepted"] <= counts["value"]
-        # one convolution per row for the starts, then one per trial point
-        # and one more per accepted backtracked trial
-        assert counts["convolution"] == len(rows) + trials + counts["accepted"]
+        assert counts["value"] == 0
+        # one stacked call for the starts, one per round for the live rows'
+        # first trials, and one per backtracking pass of a round
+        first_trials = sum(iters)
+        assert (counts["stacks"] > max(iters) + 1) is backtracks
+        assert (counts["stacked_rows"] - len(rows) > first_trials) is backtracks
+        # one convolution per start and per trial point, each with its energy
+        assert counts["convolution"] == counts["stacked_rows"]
         assert counts["energy_rows"] == counts["convolution"]
 
 
@@ -445,6 +436,29 @@ def test_readme_scan_stdout_golden(capsys):
     assert labels == ["unclassified"] * 3 + ["phi1"] * 6 + ["phi0"] * 11
 
 
+# sha256 of the UTF-8 stdout, captured while a backtracked trial still
+# called `value` on its row alone: the scan backtracks 1,820 trials, and the
+# descents at mu = 0.05 backtrack 36
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["scan", "--from", "0.02", "--to", "0.7", "--step", "0.01"],
+            "68773969b97eee0efd3d17e662cd437aa57332565bc175a622a56a35d6a2f14c",
+        ),
+        (
+            ["minimize", "--mu", "0.05", "--format", "json"],
+            "49c352ddb57f509a6ef62ef6655c96f4e14fef63c866dcf164216e11c1eb6f56",
+        ),
+    ],
+    ids=["scan-0.02-0.7", "minimize-0.05-json"],
+)
+def test_backtracking_stdout_digest(capsys, argv, digest):
+    code, out = _cli_stdout(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # Seeds 1-3 printed SCAN_GOLDEN byte for byte as well when captured at
 # bd22cfb, before the first line-search trial took its gradient with its
 # value: the seed moves the random restarts, and none of them wins here.
@@ -456,18 +470,30 @@ def test_scan_stdout_golden_other_seeds(capsys, seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_first_trial_gradient_has_the_bits_of_value_then_gradient(monkeypatch, seed):
-    # the descent with every first trial split into `value` plus a 1-D
-    # gradient, one row at a time, the one path a trial took before they
-    # were fused and stacked
+    # the descent with every trial, first or backtracked, split into `value`
+    # plus a 1-D gradient, one row at a time: the path a first trial took
+    # before value and gradient were fused and stacked, and the one a
+    # backtracked trial took before it joined the stacked calls
     config = minimize.OptimizerConfig(truncation=48, restarts=1)
     rng = np.random.default_rng(seed)
     starts = list(rng.standard_normal((3, 49)) + 1j * rng.standard_normal((3, 49)))
-    mus = [0.05, 0.1, 0.3]
-    fused = minimize._descend(starts, mus, config)
+    # the first start again, at a coupling where it backtracks at every seed
+    starts.append(starts[0])
+    mus = [0.05, 0.1, 0.3, 0.02]
+    stacks = []
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
+    def counted(self, a, mu):
+        stacks.append(len(a))
+        return value_and_gradient(self, a, mu)
+
+    monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", counted)
+    fused = minimize._descend(starts, mus, config)
+    # more stacked calls than rounds: some of them held backtracked trials
+    assert len(stacks) > max(row[3] for row in fused) + 1
+
     def split(self, a, mu):
-        if a.ndim == 2:  # a round's first trials, one row at a time
+        if a.ndim == 2:  # a stack of trials, one row at a time
             rows = [split(self, row, m) for row, m in zip(a, mu.tolist())]
             return np.array([e for e, _ in rows]), np.array([g for _, g in rows])
         return self.value(a, mu), value_and_gradient(self, a, mu)[1]

@@ -134,6 +134,9 @@ class TestMinimize:
             mz.OptimizerConfig(grad_tol=0.0)
         with pytest.raises(InvalidParameter):
             mz.OptimizerConfig(grad_tol=math.nan)
+        with pytest.raises(InvalidParameter, match="seed"):
+            mz.OptimizerConfig(seed=-1)
+        assert mz.OptimizerConfig(seed=2**70).seed == 2**70
 
     def test_rejects_negative_iteration_budget(self):
         with pytest.raises(InvalidParameter, match="iteration budget"):
@@ -646,7 +649,7 @@ class TestTransitionBracket:
         interval = mz.estimate_mu0(config)
         assert interval.width <= 1e-3
         assert 5.0 / 32.0 <= interval.low < interval.high < 0.5
-        assert "empirical" in interval.caveat
+        assert "empirical" in mz.MU0_CAVEAT
 
     def test_vortex_probe_below_admissible_interval(self):
         # just below 5/32 every minimizer carries several vortices
@@ -655,6 +658,52 @@ class TestTransitionBracket:
         )
         assert mz.count_zeros(res.u, 6.0).count > 3
         assert res.label is mz.MinimizerClass.UNCLASSIFIED
+
+
+class TestStabilityThresholds:
+    """KAPPA_INF and KAPPA_ZERO are the linear-stability thresholds of phi_1
+    and phi_0 along the modes e_n: the second-order coefficients of G_mu
+    along normalize(e_1 + eps e_n) and normalize(e_0 + eps e_n)."""
+
+    @staticmethod
+    def phi1_bracket(mu, n):
+        return mu * (n - 1) - 1 + Fraction(n + 1, 2 ** (n - 1))
+
+    @staticmethod
+    def phi0_bracket(mu, n):
+        return mu * n - 2 + Fraction(4, 2**n)
+
+    @pytest.mark.parametrize("eps", [1e-3, 5e-4])
+    @pytest.mark.parametrize("mu", [0.1, 5.0 / 32.0, 0.3, 0.5, 0.8])
+    def test_second_order_coefficients_of_the_energy(self, eps, mu):
+        truncation = 24
+        for base, first, bracket, g0 in (
+            (1, 3, self.phi1_bracket, 0.5 + mu),
+            (0, 2, self.phi0_bracket, 1.0),
+        ):
+            for n in range(first, 10):
+                a = np.zeros(truncation + 1, dtype=complex)
+                a[base], a[n] = 1.0, eps
+                u = fock.FockCoefficients(truncation, a / np.linalg.norm(a))
+                curvature = (fock.functionals(u, mu).G - g0) / eps**2
+                # G is even in eps (a rotation maps eps e_n to -eps e_n), so
+                # the remainder is O(eps^2): at most 4.8 eps^2 on this grid
+                assert curvature == pytest.approx(
+                    float(bracket(mu, n)), abs=6 * eps**2
+                ), (base, n)
+
+    def test_thresholds_peak_at_the_constants(self):
+        # the coupling at which each bracket vanishes, exactly, for n < 200
+        phi1 = {n: Fraction(1 - Fraction(n + 1, 2 ** (n - 1)), n - 1) for n in range(3, 200)}
+        phi0 = {n: Fraction(2 - Fraction(4, 2**n), n) for n in range(2, 200)}
+        for thresholds, bracket, constant, peaks in (
+            (phi1, self.phi1_bracket, mz.KAPPA_INF, {5, 6}),
+            (phi0, self.phi0_bracket, mz.KAPPA_ZERO, {2, 3}),
+        ):
+            top = max(thresholds.values())
+            assert top == Fraction(constant)
+            assert {n for n, mu in thresholds.items() if mu == top} == peaks
+            assert all(bracket(mu, n) == 0 for n, mu in thresholds.items())
 
 
 class TestEnergyLowerBound:

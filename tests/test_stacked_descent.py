@@ -117,6 +117,55 @@ class TestOneStackCoversEveryPath:
         stepping = sum(iters > 0 for *_, iters, _ in rows)
         assert events["serial metric directions"] > stepping + events["fallbacks"]
 
+    def test_backtracking_stacks_with_the_serial_bits(self, monkeypatch):
+        # the serial descents tag each trial point they evaluate with its
+        # number of backtracks (an accepted backtracked trial convolves again
+        # there, at the point of its `value` call); the stack evaluates the
+        # same points, each once, in stacked calls, and a call of backtracked
+        # trials holds two rows or more, a row backtracks twice or more in
+        # one iteration, and a row stalls
+        starts, mus = self.rows()
+        value, value_and_gradient = (
+            getattr(fock.EnergyKernel, name) for name in ("value", "value_and_gradient")
+        )
+        points, backtracks, last = collections.Counter(), {}, [None, 0]
+
+        def tag(point, count):
+            last[:] = point, count
+            points[point] += 1
+            backtracks[point] = count
+
+        def tagged_value(self, a, mu):
+            tag((mu, a.tobytes()), last[1] + 1)
+            return value(self, a, mu)
+
+        def tagged(self, a, mu):
+            if (mu, a.tobytes()) != last[0]:  # a start or a first trial
+                tag((mu, a.tobytes()), 0)
+            return value_and_gradient(self, a, mu)
+
+        monkeypatch.setattr(fock.EnergyKernel, "value", tagged_value)
+        monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", tagged)
+        expected = serial(starts, mus, self.CONFIG)
+        calls = []
+
+        def recorded(self, a, mu):
+            assert a.ndim == 2
+            calls.append([(m, row.tobytes()) for row, m in zip(a, mu.tolist())])
+            return value_and_gradient(self, a, mu)
+
+        monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", recorded)
+        monkeypatch.setattr(fock.EnergyKernel, "value", None)
+        rows = mz._descend(starts, mus, self.CONFIG)
+        assert_same_rows(rows, expected)
+        assert collections.Counter(p for call in calls for p in call) == points
+        tags = [[backtracks[p] for p in call] for call in calls]
+        backtracking = [t for t in tags if min(t) > 0]
+        assert len(backtracking) + sum(min(t) == max(t) == 0 for t in tags) == len(tags)
+        assert max(map(len, backtracking)) >= 2
+        assert max(map(max, backtracking)) >= 2
+        assert "stall" in {stop for *_, stop in rows}
+
     def test_no_budget(self):
         config = mz.OptimizerConfig(truncation=16, grad_tol=1e-15, max_iters=0)
         starts, mus = self.rows()
@@ -288,10 +337,11 @@ def test_minimize_G_descends_its_restarts_as_one_stack(monkeypatch):
 
 
 def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
-    # the O(N^2) convolution runs on 1-D rows; `value_and_gradient` takes
-    # each round's live rows as one stack, and one 1-D row only for an
-    # accepted backtracked trial, after that trial's `value`
-    convolved, stacks, rows, valued = set(), [], set(), set()
+    # the O(N^2) convolution runs on 1-D rows; the descent calls the kernel
+    # only through `value_and_gradient` on stacks: each round's live rows
+    # for their first trials, then the rows still searching for their
+    # backtracked trials, and never `value` or a 1-D row
+    convolved, stacks, valued = set(), [], []
     convolution = fock.EnergyKernel.convolution
     value = fock.EnergyKernel.value
     value_and_gradient = fock.EnergyKernel.value_and_gradient
@@ -301,25 +351,27 @@ def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
         return convolution(self, a, out)
 
     def recorded_value(self, a, mu):
-        valued.add(a.shape)
+        valued.append(a.shape)
         return value(self, a, mu)
 
     def recorded(self, a, mu):
-        (stacks.append if a.ndim == 2 else rows.add)(a.shape)
+        stacks.append(a.shape)
         return value_and_gradient(self, a, mu)
 
     monkeypatch.setattr(fock.EnergyKernel, "convolution", recorded_convolution)
     monkeypatch.setattr(fock.EnergyKernel, "value", recorded_value)
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", recorded)
     config = mz.OptimizerConfig(truncation=24, restarts=4, seed=0)
-    mz.scan_mu([0.1, 0.6], config)
+    starts, mus = restart_grid(config, (0.1, 0.6))
+    mz._descend(starts, mus, config)
     assert convolved == {(25,)}
+    assert valued == []
     assert stacks[0] == (8, 25)
     assert all(len(shape) == 2 and shape[1] == 25 for shape in stacks)
-    # rows only leave the stack
+    # a backtracking stack is narrower than the round's next first trials
     widths = [shape[0] for shape in stacks]
-    assert widths == sorted(widths, reverse=True) and widths[-1] < 8
-    assert rows == valued == {(25,)}
+    assert any(w < after for w, after in zip(widths, widths[1:]))
+    assert max(widths) == 8 and widths[-1] < 8
 
 
 def test_no_pair_whose_inverse_overflows(monkeypatch):
