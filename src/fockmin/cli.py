@@ -50,9 +50,10 @@ _RESTARTS_HELP = (
 )
 
 _TRUNC_HELP = (
-    f"truncation N (default %(default)s), at most {fock.MAX_KERNEL_TRUNCATION}: "
-    f"the energy kernel holds about {fock.KERNEL_BYTES_PER_ENTRY} bytes per "
-    "(N + 1)^2 entry, 4 GiB at the cap"
+    "truncation N (default %(default)s), at least 8 (12 with more than 2 "
+    "restarts: restart 2 starts from psi_b at b = 1) and at most "
+    f"{fock.MAX_KERNEL_TRUNCATION}: the energy kernel holds about "
+    f"{fock.KERNEL_BYTES_PER_ENTRY} bytes per (N + 1)^2 entry, 4 GiB at the cap"
 )
 
 # Every token that float() reads with a leading minus sign: argparse's own
@@ -381,6 +382,11 @@ def _cmd_scan(args) -> int:
     while mu <= limit:
         grid.append(round(mu, 12))
         mu += args.step
+    if not (grid[0] > 0 and all(lo < hi for lo, hi in zip(grid, grid[1:]))):
+        raise InvalidParameter(
+            f"--from {args.start} or --step {args.step} is finer than the scan "
+            "grid's 1e-12 resolution: its couplings would repeat or round to 0"
+        )
     config = mz.OptimizerConfig(
         truncation=args.trunc, restarts=args.restarts, seed=args.seed
     )

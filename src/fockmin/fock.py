@@ -61,20 +61,15 @@ MAX_KERNEL_TRUNCATION = math.isqrt(2**32 // KERNEL_BYTES_PER_ENTRY) - 1
 
 @dataclass(frozen=True)
 class FockCoefficients:
-    """Finite complex coefficient sequence (a_0 .. a_N)."""
+    """Finite complex coefficient sequence (a_0 .. a_N) at truncation N."""
 
-    truncation: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.truncation < 0:
+        arr = np.array(self.coeffs, dtype=complex)
+        if arr.ndim != 1 or not len(arr):
             raise InvalidParameter(
-                f"truncation must be non-negative, got {self.truncation}"
-            )
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.shape[0] != self.truncation + 1:
-            raise InvalidParameter(
-                f"expected {self.truncation + 1} coefficients, got shape {arr.shape}"
+                f"a state is a non-empty 1-D coefficient vector, got shape {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise InvalidParameter("coefficients must be finite")
@@ -87,13 +82,16 @@ class FockCoefficients:
         # P <= N M, |Q|^2 <= (P + M) M and 8 pi H <= M^2, so every term of
         # B and E stays finite while (N + 1) M^2 does
         m = float(total)
-        if not math.isfinite((self.truncation + 1) * m * m):
+        if not math.isfinite(len(arr) * m * m):
             raise InvalidParameter(
                 f"mass {m:.3e} is too large: (N + 1) M^2 overflows double precision"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coeffs) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +130,30 @@ class EnergyKernel:
     component is ever -0.0.  Never replace these sums with `dot`/`vdot`:
     they add in a different order.
 
-    One call per stack: `value_and_gradient(a, mu)` takes a stack, `a` of
-    shape (R, N + 1) with `mu` of shape (R,), and returns an (R,) array of
-    energies and a fresh (R, N + 1) array of gradients; a 1-D `a` with a
-    scalar `mu` is a one-row view of the same code and returns a float and
-    a 1-D gradient.  The O(N^2) work runs row by row on the (n, 2n) and
-    (n, n) scratch: the convolution reduces into row r of an (R, 2N + 1)
-    ct array, and the Hankel product into row r of the gradient.  The O(N)
-    tails, sum_j |ct_j|^2, P = sum_k k |a_k|^2, the energy and the mode
-    term 2 mu k a_k, run once per call on the whole stack.  A stacked
+    The kernel takes stacks only: `value(a, mu)` and
+    `value_and_gradient(a, mu)` take `a` of shape (R, N + 1) with `mu` of
+    shape (R,), and return an (R,) array of energies, the second with a
+    fresh (R, N + 1) array of gradients; one state is the one-row stack
+    `a[None]`.  Both run one convolution loop, `_convolve`, row by row on
+    the (n, 2n) and (n, n) scratch into row r of an (R, 2N + 1) ct array,
+    and the gradient's Hankel product fills its row r the same way.  The
+    O(N) tails, sum_j |ct_j|^2, P = sum_k k |a_k|^2, the energy and the
+    mode term 2 mu k a_k, run once per call on the whole stack.  A stacked
     reduction along a contiguous last axis runs each row's pairwise sum,
     so every row has the bits of a one-row call, whatever its stack mates.
-    There is no (R, n, n) scratch: stacking the O(N^2) products would
-    multiply the kernel's largest arrays by R for no fewer operations, so
-    memory grows only by the O(R N) ct rows.
+    There is no (R, n, n) scratch: it would multiply the largest arrays by
+    R for no fewer operations, so memory grows only by the ct rows and
+    their Hankel views, to the widest stack seen.
 
     Memory: `weights_sq` (8 bytes per (N + 1)^2 entry), W and 4W as complex
     tables (16 each, so no product casts them per call; both are exact),
     the (n, 2n) shear buffer (32) and one (n, n) complex square (16): 88
     bytes per entry (`tracemalloc`: 88.1 at N = 384), and the build peaks
     no higher.  The square serves the convolution, as the outer product,
-    and then the gradient, as its terms.  The ct rows and their Hankel
-    views grow to the widest stack seen.  Reductions call `np.add.reduce`,
+    and then the gradient, as its terms.  Reductions call `np.add.reduce`,
     `sum` without its Python wrapper.  Every call overwrites the scratch,
     so one kernel (and thus the `energy_kernel` cache) must not be shared
-    across threads.  Only the returned energies and gradient are fresh.
+    across threads.  Only the returned energies and gradients are fresh.
     """
 
     def __init__(self, truncation: int):
@@ -187,28 +184,24 @@ class EnergyKernel:
         self._sheared = self._rows.reshape(-1)[: n * (2 * n - 1)].reshape(n, 2 * n - 1)
         self._square = np.empty((n, n), dtype=complex)
         self._ct = np.empty((0, 2 * n - 1), dtype=complex)
-        self._ct_rows(1)
 
-    def _ct_rows(self, rows: int) -> np.ndarray:
-        """The first `rows` rows of the ct scratch, each of length 2N + 1,
-        grown to `rows` rows if it holds fewer; `_hankel[r]` is row r read
-        as the Hankel matrix H[l, k] = ct_{k+l}."""
-        if rows > len(self._ct):
-            n = self.truncation + 1
-            self._ct = np.empty((rows, 2 * n - 1), dtype=complex)
+    def _convolve(self, a: np.ndarray) -> np.ndarray:
+        """The weighted self-convolutions ct_j of the rows of a, one row of
+        the ct scratch each, grown to len(a) rows if it holds fewer;
+        `_hankel[r]` reads row r as the Hankel matrix H[l, k] = ct_{k+l}."""
+        if len(a) > len(self._ct):
+            self._ct = np.empty((len(a), self._ct.shape[1]), dtype=complex)
             row, step = self._ct.strides
             self._hankel = np.lib.stride_tricks.as_strided(
-                self._ct, shape=(rows, n, n), strides=(row, step, step),
+                self._ct, shape=(len(a), *self._square.shape), strides=(row, step, step),
                 writeable=False,
             )
-        return self._ct[:rows]
-
-    def convolution(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The weighted self-convolution ct_j for all j of one state,
-        written to `out` when given."""
-        outer = np.multiply.outer(a, a, out=self._square)
-        np.multiply(self._weights_c, outer, out=self._products)
-        return np.add.reduce(self._sheared, axis=0, initial=0.0, out=out)
+        cts = self._ct[: len(a)]
+        for r, row in enumerate(a):
+            outer = np.multiply.outer(row, row, out=self._square)
+            np.multiply(self._weights_c, outer, out=self._products)
+            np.add.reduce(self._sheared, axis=0, initial=0.0, out=cts[r])
+        return cts
 
     def _energies(self, ct: np.ndarray, a: np.ndarray, mu) -> np.ndarray:
         """G_mu = sum_j |ct_j|^2 + mu sum_k k |a_k|^2 along the last axis."""
@@ -219,28 +212,22 @@ class EnergyKernel:
         sq *= self.mode_index
         return np.add.reduce(quartic, axis=-1) + mu * np.add.reduce(sq, axis=-1)
 
-    def value(self, a: np.ndarray, mu: float) -> float:
-        """G_mu at one state a."""
-        return float(self._energies(self.convolution(a, self._ct[0]), a, mu))
+    def value(self, a: np.ndarray, mu) -> np.ndarray:
+        """Energies G_mu, shape (R,), at a stack of states a, shape
+        (R, N + 1), with couplings mu, shape (R,) or one for every row."""
+        return self._energies(self._convolve(a), a, mu)
 
     def value_and_gradient(self, a: np.ndarray, mu):
-        """Energies and Wirtinger gradients d/dRe + i d/dIm at a stack of
-        states a, shape (R, N + 1), with couplings mu, shape (R,); a 1-D
-        state with a scalar mu gives a float and a 1-D gradient."""
-        stack = a.reshape(-1, a.shape[-1])
-        cts = self._ct_rows(len(stack))
-        conj = np.conjugate(stack)[:, :, None]
-        grad = np.empty(stack.shape, dtype=complex)
-        for r, row in enumerate(stack):
-            self.convolution(row, cts[r])
+        """`value`'s energies and the Wirtinger gradients d/dRe + i d/dIm."""
+        cts = self._convolve(a)
+        conj = np.conjugate(a)[:, :, None]
+        grad = np.empty(a.shape, dtype=complex)
+        for r in range(len(a)):
             terms = np.multiply(self._weights4_c, self._hankel[r], out=self._square)
             terms *= conj[r]
             np.add.reduce(terms, axis=0, initial=0.0, out=grad[r])
-        energy = self._energies(cts, stack, mu)
-        grad += np.multiply.outer(2.0 * mu, self.mode_index) * stack
-        if a.ndim == 1:
-            return float(energy[0]), grad[0]
-        return energy, grad
+        grad += np.multiply.outer(2.0 * mu, self.mode_index) * a
+        return self._energies(cts, a, mu), grad
 
 
 @lru_cache(maxsize=1)
@@ -270,8 +257,6 @@ def angular_momentum(u: FockCoefficients) -> float:
 
 def magnetic_momentum(u: FockCoefficients) -> complex:
     a = u.coeffs
-    if a.shape[0] < 2:
-        return 0j
     n = np.arange(a.shape[0] - 1, dtype=float)
     return complex(np.sum(np.sqrt(n + 1.0) * a[:-1] * np.conj(a[1:])))
 
@@ -279,7 +264,8 @@ def magnetic_momentum(u: FockCoefficients) -> complex:
 def hamiltonian(u: FockCoefficients) -> float:
     """Quartic interaction energy H = (1/4) integral |u|^4."""
     # mu = 0 adds 0.0 * P = +0.0 to a sum of squares, which leaves it exact
-    return energy_kernel(u.truncation).value(u.coeffs, 0.0) / (8.0 * math.pi)
+    [energy] = energy_kernel(u.truncation).value(u.coeffs[None], 0.0)
+    return float(energy) / (8.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -402,7 +388,7 @@ def apply_translation(
             f"translation by {alpha} loses mass {escaped:.3e} "
             f"(tolerance {tail_tol:.1e}); pad the input first"
         )
-    return FockCoefficients(u.truncation, out)
+    return FockCoefficients(out)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +481,7 @@ def catalog_coefficients(spec: WaveSpec, truncation: int) -> FockCoefficients:
             raise TruncationTooSmall(f"phi_{spec.n} needs truncation >= {spec.n}")
         out = np.zeros(truncation + 1, dtype=complex)
         out[spec.n] = 1.0
-        return FockCoefficients(truncation, out)
+        return FockCoefficients(out)
     if isinstance(spec, SemiclassicalPhi):
         if spec.k not in (0, 1):
             raise InvalidParameter("semiclassical index must be 0 or 1")
@@ -510,7 +496,7 @@ def catalog_coefficients(spec: WaveSpec, truncation: int) -> FockCoefficients:
                 f"translated phi_{spec.n} tail mass {defect:.3e} exceeds "
                 f"{CATALOG_TAIL_TOL:.1e} at truncation {truncation}"
             )
-        return FockCoefficients(truncation, out)
+        return FockCoefficients(out)
     if isinstance(spec, PsiB):
         if spec.b < 0:
             raise InvalidParameter("the zero-offset parameter b must be >= 0")
@@ -521,7 +507,7 @@ def catalog_coefficients(spec: WaveSpec, truncation: int) -> FockCoefficients:
                 f"psi_b tail mass {defect:.3e} exceeds {CATALOG_TAIL_TOL:.1e} "
                 f"at truncation {truncation}"
             )
-        return FockCoefficients(truncation, out)
+        return FockCoefficients(out)
     if isinstance(spec, EqualityFamily):
         probe = _equality_family_coefficients(
             spec.a0, spec.a1, spec.c, truncation + 16
@@ -536,7 +522,7 @@ def catalog_coefficients(spec: WaveSpec, truncation: int) -> FockCoefficients:
                 f"equality-family tail mass {tail / total:.3e} exceeds "
                 f"{CATALOG_TAIL_TOL:.1e} at truncation {truncation}"
             )
-        return FockCoefficients(truncation, probe[: truncation + 1])
+        return FockCoefficients(probe[: truncation + 1])
     raise InvalidParameter(f"unknown wave spec {spec!r}")
 
 
@@ -571,9 +557,9 @@ def load_coefficients(path) -> FockCoefficients:
     try:
         truncation = payload["truncation"]
         # bool is an int subclass, and int() would floor a float silently
-        if isinstance(truncation, bool) or not isinstance(truncation, int):
+        if type(truncation) is not int or truncation < 0:
             raise InvalidParameter(
-                f"truncation must be an integer, got {truncation!r}"
+                f"truncation must be a non-negative integer, got {truncation!r}"
             )
         pairs = payload["coeffs"]
         if len(pairs) != truncation + 1:
@@ -584,4 +570,4 @@ def load_coefficients(path) -> FockCoefficients:
         coeffs = np.array([complex(re, im) for re, im in pairs])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed coefficient file: {exc}") from exc
-    return FockCoefficients(truncation, coeffs)
+    return FockCoefficients(coeffs)

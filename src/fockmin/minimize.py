@@ -13,6 +13,7 @@ translation.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import sys
@@ -375,17 +376,29 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
 _NAMED_STARTS = (PhiN(0), PhiN(1), PsiB(1.0), PsiB(0.5), PsiB(2.0))
 
 
+def _truncation_floor(spec) -> int:
+    """The smallest truncation that holds the catalog wave `spec`."""
+    for truncation in itertools.count():
+        with contextlib.suppress(TruncationTooSmall):
+            catalog_coefficients(spec, truncation)
+            return truncation
+
+
 def _starting_points(config: OptimizerConfig, rng: np.random.Generator):
     n = config.truncation
     # only the starts that run are expanded: a wide psi_b start that does
     # not fit a small truncation must not fail a run that never uses it
-    points = [
-        catalog_coefficients(spec, n).coeffs
-        for spec in _NAMED_STARTS[: config.restarts]
-    ]
+    points = []
+    for index, spec in enumerate(_NAMED_STARTS[: config.restarts]):
+        try:
+            points.append(catalog_coefficients(spec, n).coeffs)
+        except TruncationTooSmall:
+            raise InvalidParameter(
+                f"restart {index} starts from {spec}, which needs truncation >= "
+                f"{_truncation_floor(spec)}, got {n}; --restarts {index} fits"
+            ) from None
     while len(points) < config.restarts:
-        vec = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        points.append(vec)
+        points.append(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
     return points
 
 
@@ -440,7 +453,7 @@ def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
             if value < best - TIE_MARGIN * max(1.0, abs(best)):
                 idx = j
         a, _, residual, iters, stop = mine[idx]
-        u = FockCoefficients(config.truncation, a)
+        u = FockCoefficients(a)
         rep = fock.functionals(u, mu)
         cls = classify(u)
         zeros = count_zeros(u, DEFAULT_ZERO_RADIUS)
@@ -471,10 +484,10 @@ def minimize_G(mu: float, config: OptimizerConfig | None = None) -> Minimization
 
     Raises MuNonPositive for mu <= 0, where no global minimizer exists,
     NonFiniteParameter for a NaN or infinite mu, and InvalidParameter for
-    a mu whose (2 mu N)^2 overflows or for restarts x (N + 1) above
-    MAX_DESCENT_ENTRIES.  A result whose descent stopped short
-    of the tolerance (Armijo stall, plateau or budget) is returned with
-    converged=False.
+    a mu whose (2 mu N)^2 overflows, for restarts x (N + 1) above
+    MAX_DESCENT_ENTRIES or for a catalog start that N cannot hold.  A
+    result whose descent stopped short of the tolerance (Armijo stall,
+    plateau or budget) is returned with converged=False.
     """
     return scan_mu([mu], config)[0]
 
@@ -537,7 +550,7 @@ def classify(u: FockCoefficients) -> Classification:
             pass
         else:
             a = centered.coeffs / np.linalg.norm(centered.coeffs)
-            u = FockCoefficients(u.truncation, a)
+            u = FockCoefficients(a)
     overlap0 = abs(a[0])
     overlap1 = abs(a[1]) if a.shape[0] > 1 else 0.0
     if overlap0 >= CLASSIFY_OVERLAP_THRESHOLD:

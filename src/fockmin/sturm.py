@@ -50,7 +50,13 @@ class SturmCertificate:
     sequence: tuple
     scalings: tuple
     transition_index: int | None
-    root_window: tuple  # (root_minus, root_minus + 1) as floats
+
+    @property
+    def root_window(self) -> tuple:
+        """The sign flip's window (rm, rm + 1], rm = (j - sqrt(j))/2, as floats
+        for messages: the verdict decides in integers (`_window_contains`)."""
+        rm = 0.5 * (self.j - math.sqrt(self.j))
+        return rm, rm + 1.0
 
 
 def _check_index(j: int) -> None:
@@ -93,20 +99,10 @@ def sturm_sequence(j: int) -> SturmCertificate:
     """Exact minor sequence of the tridiagonal part at shift zero.
 
     Returns the certificate skeleton with the j//2 + 1 minors and their
-    scalings populated and no transition located yet.  The sign flip
-    is expected in the window (root_minus, root_minus + 1] with
-    root_minus = (j - sqrt(j))/2.
+    scalings populated and no transition located yet.
     """
     count = j // 2 + 1
-    seq = recurrence_values(j, count)
-    rm = 0.5 * (j - math.sqrt(j))
-    return SturmCertificate(
-        j=j,
-        sequence=seq,
-        scalings=_scalings(j, count),
-        transition_index=None,
-        root_window=(rm, rm + 1.0),
-    )
+    return SturmCertificate(j, recurrence_values(j, count), _scalings(j, count), None)
 
 
 def _effective_signs(seq) -> list:
@@ -145,8 +141,6 @@ def positivity_certificate(j: int) -> SturmCertificate:
         )
     t = next(i for i, val in enumerate(seq) if val < 0)
     if not _window_contains(j, t):
-        rm = base.root_window[0]
-        raise CertificateFailed(
-            f"j={j}: transition index {t} outside ({rm}, {rm + 1}]"
-        )
+        lo, hi = base.root_window
+        raise CertificateFailed(f"j={j}: transition index {t} outside ({lo}, {hi}]")
     return replace(base, transition_index=t)

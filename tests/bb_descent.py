@@ -4,9 +4,11 @@
 diagonal-metric direction; it now takes L-BFGS steps.  `_search_direction`
 and `_descend` below are that earlier code, verbatim except that the
 squared weights come from the energy kernel and the line-search
-constants from the module, where the current descent reads them, and
-that the accepted trial's gradient convolves again, to the bits its
-`value` call had, so the tests can check that both descents reach the same minima.  `_descend` returns
+constants from the module, where the current descent reads them, that
+the accepted trial's gradient convolves again, to the bits its `value`
+call had, and that its kernel calls take its one state as a one-row
+stack (`kernel_rows.one_row`), so the tests can check that both descents
+reach the same minima.  `_descend` returns
 (a, value, residual, iterations, converged).
 """
 
@@ -17,6 +19,7 @@ from collections import deque
 import numpy as np
 
 from fockmin.fock import energy_kernel
+from kernel_rows import one_row
 from fockmin.minimize import (
     ARMIJO,
     BACKTRACK,
@@ -67,7 +70,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     weights_sq = kern.weights_sq
     mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
     a = a0 / _norm(a0)
-    value, grad = kern.value_and_gradient(a, mu)
+    value, grad = one_row(kern.value_and_gradient, a, mu)
     step = STEP_INIT
     recent = deque([value], maxlen=NONMONOTONE_MEMORY)
     prev_a = prev_tangent = None
@@ -97,7 +100,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         while trial > 1e-18:
             cand = a - trial * direction
             cand = cand / _norm(cand)
-            cand_value = kern.value(cand, mu)
+            cand_value = one_row(kern.value, cand, mu)
             if cand_value <= reference - ARMIJO * trial * slope:
                 accepted = True
                 break
@@ -107,7 +110,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         prev_a, prev_tangent = a, tangent
         a, value = cand, cand_value
         recent.append(value)
-        _, grad = kern.value_and_gradient(a, mu)
+        _, grad = one_row(kern.value_and_gradient, a, mu)
         # give up once the value sits at floating-point resolution for a while
         if landmark - value > 1e-14 * max(abs(value), 1.0):
             landmark = value

@@ -19,12 +19,13 @@ import numpy as np
 from scipy.special import eval_genlaguerre
 
 from fockmin import fock
+from kernel_rows import one_row
 
 
 def wirtinger_gradient(u, mu):
     """Gradient of G_mu in the convention dG/dRe(a_k) + i dG/dIm(a_k)
     (twice the derivative in conj(a_k))."""
-    _, grad = fock.energy_kernel(u.truncation).value_and_gradient(u.coeffs, mu)
+    _, grad = one_row(fock.energy_kernel(u.truncation).value_and_gradient, u.coeffs, mu)
     return grad
 
 
@@ -32,23 +33,23 @@ def zero_padded(u, truncation):
     """The state u at `truncation` >= u.truncation, its extra modes zero."""
     out = np.zeros(truncation + 1, dtype=complex)
     out[: u.truncation + 1] = u.coeffs
-    return fock.FockCoefficients(truncation, out)
+    return fock.FockCoefficients(out)
 
 
 def apply_phase(u, gamma):
-    return fock.FockCoefficients(u.truncation, np.exp(1j * gamma) * u.coeffs)
+    return fock.FockCoefficients(np.exp(1j * gamma) * u.coeffs)
 
 
 def apply_rotation(u, theta):
     n = np.arange(u.truncation + 1, dtype=float)
-    return fock.FockCoefficients(u.truncation, np.exp(1j * theta * n) * u.coeffs)
+    return fock.FockCoefficients(np.exp(1j * theta * n) * u.coeffs)
 
 
 def generator_columns(alpha, truncation, count):
     """The first `count` columns of the package's translation by alpha: the
     images of e_0 .. e_{count-1} at `truncation`."""
     images = [
-        fock.apply_translation(fock.FockCoefficients(truncation, e), alpha).coeffs
+        fock.apply_translation(fock.FockCoefficients(e), alpha).coeffs
         for e in np.eye(count, truncation + 1)
     ]
     return np.array(images).T

@@ -5,10 +5,10 @@ now advances a stack of (start, coupling) rows in lock step.  `_descend`
 and its helpers below are that earlier code, verbatim but for what both
 forms share: a curvature pair whose 1 / s^T y overflows is skipped, and
 an accepted backtracked trial convolves again for its gradient, to the
-bits its `value` call had.  The tests check that every row of a stack ends with exactly the
-bits of a descent run on its own.  Its kernel calls are 1-D, one-row views
-of the stacked kernel.  `_descend(a0, mu, config)` returns
-(a, value, residual, iterations, stop).
+bits its `value` call had.  The tests check that every row of a stack ends
+with exactly the bits of a descent run on its own.  Its kernel calls take
+its one state as a one-row stack, through `kernel_rows.one_row`.
+`_descend(a0, mu, config)` returns (a, value, residual, iterations, stop).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections import deque
 import numpy as np
 
 from fockmin.fock import energy_kernel
+from kernel_rows import one_row
 from fockmin.minimize import (
     ARMIJO,
     BACKTRACK,
@@ -140,7 +141,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
     weights_sq = kern.weights_sq
     mode_curvature = 2.0 * mu * np.arange(config.truncation + 1, dtype=float)
     a = a0 / _norm(a0)
-    value, grad = kern.value_and_gradient(a, mu)
+    value, grad = one_row(kern.value_and_gradient, a, mu)
     recent = deque([value], maxlen=NONMONOTONE_MEMORY)
     pairs = deque(maxlen=LBFGS_MEMORY)
     prev_a = prev_tangent = None
@@ -171,9 +172,9 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
             cand = a - trial * direction
             cand /= _norm(cand)
             if first:
-                cand_value, cand_grad = kern.value_and_gradient(cand, mu)
+                cand_value, cand_grad = one_row(kern.value_and_gradient, cand, mu)
             else:
-                cand_value = kern.value(cand, mu)
+                cand_value = one_row(kern.value, cand, mu)
             if cand_value <= reference - ARMIJO * trial * slope:
                 accepted = True
                 break
@@ -188,7 +189,7 @@ def _descend(a0: np.ndarray, mu: float, config: OptimizerConfig):
         if first:
             grad = cand_grad
         else:
-            _, grad = kern.value_and_gradient(a, mu)
+            _, grad = one_row(kern.value_and_gradient, a, mu)
         # give up once the value sits at floating-point resolution for a while
         if landmark - value > 1e-14 * max(abs(value), 1.0):
             landmark = value

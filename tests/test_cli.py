@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from fockmin import cli, fock, minimize, spectra, sturm
+from fockmin.errors import TruncationTooSmall
 
 import rt2_spectra as oracle
 from rt2 import mat_vec
@@ -524,6 +525,52 @@ class TestErrorPaths:
         assert "class = phi0\n" in out
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minimize", "--mu", "0.3", "--trunc", "8"],
+            ["minimize", "--mu", "0.3", "--trunc", "11", "--restarts", "3"],
+            ["scan", "--from", "0.1", "--to", "0.4", "--step", "0.3", "--trunc", "10"],
+            ["mu0", "--trunc", "8"],
+        ],
+        ids=["minimize-8", "minimize-11-3-restarts", "scan-10", "mu0-8"],
+    )
+    def test_named_start_past_the_truncation_is_usage_error(
+        self, capsys, monkeypatch, argv
+    ):
+        # restart 2, psi_b at b = 1, needs N >= 12: the run stops before any
+        # descent with one line that names it and the restarts that fit
+        def no_descent(*args, **kwargs):
+            raise AssertionError("descent reached with a start that does not fit")
+
+        monkeypatch.setattr(minimize, "_descend", no_descent)
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        trunc = argv[argv.index("--trunc") + 1]
+        assert err == (
+            f"error: restart 2 starts from PsiB(b=1.0), which needs truncation "
+            f">= 12, got {trunc}; --restarts 2 fits\n"
+        )
+
+    def test_named_start_floors_are_the_catalog_floors(self):
+        # the smallest truncation of each named start, as the --trunc help
+        # states them for restart 2, and the first truncation that holds it
+        floors = [minimize._truncation_floor(spec) for spec in minimize._NAMED_STARTS]
+        assert floors == [0, 1, 12, 11, 10]
+        for spec, floor in zip(minimize._NAMED_STARTS[2:], floors[2:]):
+            fock.catalog_coefficients(spec, floor)
+            with pytest.raises(TruncationTooSmall):
+                fock.catalog_coefficients(spec, floor - 1)
+        assert "(12 with more than 2 restarts" in cli._TRUNC_HELP
+
+    def test_twelve_modes_hold_every_named_start(self, capsys):
+        argv = ["minimize", "--mu", "0.7", "--trunc", "12", "--restarts", "5"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 0
+        assert "class = phi0\n" in out
+        assert err == ""
+
     def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
         # the kernel build is made to fail as numpy does at this truncation,
         # without allocating
@@ -708,6 +755,31 @@ class TestErrorPaths:
         code, _, _ = run_capture(capsys, argv)
         assert code == 0
         assert seen == [expected]
+
+    @pytest.mark.parametrize(
+        "bounds, step",
+        [
+            pytest.param(("0.1", "0.1000000000003"), "1e-13", id="repeated-couplings"),
+            pytest.param(("1e-13", "3e-13"), "1e-13", id="rounds-to-zero"),
+            pytest.param(("0.1", "0.1000000000011"), "5e-13", id="merged-pair"),
+        ],
+    )
+    def test_scan_finer_than_the_grid_resolution_is_usage_error(
+        self, capsys, monkeypatch, bounds, step
+    ):
+        # the grid rounds each coupling to 12 decimals: a step or a --from
+        # finer than that would repeat couplings or round one to 0, and is
+        # refused before any descent
+        def no_solve(*args, **kwargs):
+            raise AssertionError("scan_mu reached with a grid finer than 1e-12")
+
+        monkeypatch.setattr(minimize, "scan_mu", no_solve)
+        argv = ["scan", "--from", bounds[0], "--to", bounds[1], "--step", step]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1e-12 resolution" in err
 
     @pytest.mark.parametrize("radius", ["nan", "inf", "-1", "-1e-3"])
     def test_zeros_bad_radius_is_usage_error(self, capsys, tmp_path, radius):

@@ -2,10 +2,11 @@
 
 `BincountKernel` is the earlier `fock.EnergyKernel`, kept verbatim as the
 oracle, plus the squared-weight table that the descent reads from the
-kernel and the stacked call signature, which it serves row by row with its
-own 1-D arithmetic: every result of the current kernel must equal it bit
-for bit, on a 1-D state and on every row of a stack, and the CLI must
-print the same bytes with either kernel in place.
+kernel and the stacked call signatures, which it serves row by row with
+its own 1-D arithmetic: every result of the current kernel, which takes
+stacks only, must equal it bit for bit on every row of a stack, one-row
+stacks included, and the CLI must print the same bytes with either
+kernel in place.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from fockmin import cli, fock, minimize
+from kernel_rows import one_row
 
 
 def _comb_table(truncation):
@@ -70,7 +72,12 @@ class BincountKernel:
         ct = self.convolution(a)
         return float(np.sum(ct.real**2 + ct.imag**2))
 
-    def value(self, a: np.ndarray, mu: float) -> float:
+    def value(self, a: np.ndarray, mu):
+        """G_mu at a, or the (R,) energies of a stack a at couplings mu of
+        shape (R,) or one for every row, one row at a time."""
+        if a.ndim == 2:
+            mus = np.broadcast_to(mu, len(a))
+            return np.array([self.value(row, m) for row, m in zip(a, mus)])
         p = float(np.sum(self.mode_index * (a.real**2 + a.imag**2)))
         return self.interaction(a) + mu * p
 
@@ -135,9 +142,9 @@ class TestBitIdentity:
         # the interaction is `value` at mu = 0, which `hamiltonian` reads
         n, new, old = kernels
         for a in _states(n, seed=n):
-            assert _bits(new.convolution(a)) == _bits(old.convolution(a))
-            assert _bits(new.value(a, 0.0)) == _bits(old.interaction(a))
-            h = fock.hamiltonian(fock.FockCoefficients(n, a))
+            assert _bits(new._convolve(a[None])[0]) == _bits(old.convolution(a))
+            assert _bits(new.value(a[None], 0.0)[0]) == _bits(old.interaction(a))
+            h = fock.hamiltonian(fock.FockCoefficients(a))
             assert _bits(h) == _bits(old.interaction(a) / (8.0 * math.pi))
 
     def test_value_and_gradient(self, kernels):
@@ -145,8 +152,8 @@ class TestBitIdentity:
         rng = np.random.default_rng(1000 + n)
         for a in _states(n, seed=2000 + n):
             mu = float(rng.uniform(0.01, 1.0))
-            assert _bits(new.value(a, mu)) == _bits(old.value(a, mu))
-            e_new, g_new = new.value_and_gradient(a, mu)
+            assert _bits(one_row(new.value, a, mu)) == _bits(old.value(a, mu))
+            e_new, g_new = one_row(new.value_and_gradient, a, mu)
             e_old, g_old = old.value_and_gradient(a, mu)
             assert _bits(e_new) == _bits(e_old)
             assert g_new.dtype == g_old.dtype
@@ -160,8 +167,8 @@ class TestBitIdentity:
         big = 1e3 * (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
         small = np.zeros(n + 1, dtype=complex)
         small[n] = 1e-13
-        new.value_and_gradient(big, 0.5)
-        assert _bits(new.convolution(small)) == _bits(old.convolution(small))
+        one_row(new.value_and_gradient, big, 0.5)
+        assert _bits(new._convolve(small[None])[0]) == _bits(old.convolution(small))
 
     def test_interleaved_states_share_nothing(self, kernels):
         n, new, old = kernels
@@ -170,13 +177,13 @@ class TestBitIdentity:
             s * (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
             for s in (1e3, 1e-3)
         )
-        new.value(a, 0.3)
-        new.value(b, 0.7)
-        e_a, g_a = new.value_and_gradient(a, 0.3)
+        one_row(new.value, a, 0.3)
+        one_row(new.value, b, 0.7)
+        e_a, g_a = one_row(new.value_and_gradient, a, 0.3)
         kept = g_a.copy()
-        new.value(b, 0.7)
-        e_b, g_b = new.value_and_gradient(b, 0.7)
-        new.value_and_gradient(a, 0.1)
+        one_row(new.value, b, 0.7)
+        e_b, g_b = one_row(new.value_and_gradient, b, 0.7)
+        one_row(new.value_and_gradient, a, 0.1)
         assert _bits(g_a) == _bits(kept)
         for state, mu, energy, grad in ((a, 0.3, e_a, g_a), (b, 0.7, e_b, g_b)):
             e_old, g_old = old.value_and_gradient(state, mu)
@@ -212,8 +219,9 @@ def _stack(truncation, seed, rows):
 
 
 class TestStackedCalls:
-    """`value_and_gradient` on a stack of R rows: each row has the bits of
-    the oracle's 1-D call, whatever its stack mates and their order."""
+    """`value` and `value_and_gradient` on a stack of R rows: each row has
+    the bits of the oracle's 1-D call, whatever its stack mates and their
+    order."""
 
     @pytest.mark.parametrize("rows", [1, 2, 24])
     def test_every_row_has_the_oracle_bits(self, kernels, rows):
@@ -236,18 +244,19 @@ class TestStackedCalls:
         assert _bits(e_perm) == _bits(energy[order])
         assert _bits(g_perm) == _bits(grad[order])
 
-    def test_one_row_call_is_the_backtrack_path(self, kernels):
-        # a one-row stack, a 1-D call and `value`, which a backtracked
-        # trial calls before its 1-D gradient, all give the same bits
-        n, new, _ = kernels
+    def test_value_rows_have_the_energy_bits(self, kernels):
+        # the rows of `value` on a stack, one row as `hamiltonian` passes
+        # it or many, are the energies of `value_and_gradient` and of the
+        # oracle
+        n, new, old = kernels
         stack, mus = _stack(n, 8000 + n, 24)
-        for a, mu in zip(stack, mus.tolist()):
-            [e_row], [g_row] = new.value_and_gradient(a[None], np.array([mu]))
-            e_flat, g_flat = new.value_and_gradient(a, mu)
-            assert type(e_flat) is float and g_flat.shape == (n + 1,)
-            for energy in (e_flat, new.value(a, mu)):
-                assert _bits(energy) == _bits(e_row)
-            assert _bits(g_flat) == _bits(g_row)
+        for rows in (1, 2, 24):
+            energy = new.value(stack[:rows], mus[:rows])
+            assert energy.shape == (rows,) and energy.dtype == float
+            vg_energy, _ = new.value_and_gradient(stack[:rows], mus[:rows])
+            assert _bits(energy) == _bits(vg_energy)
+            for a, mu, e_new in zip(stack, mus.tolist(), energy):
+                assert _bits(e_new) == _bits(old.value(a, mu))
 
     def test_a_wider_stack_leaves_nothing_behind(self, kernels):
         # the ct rows grow to the widest stack; a narrower call after a
@@ -318,9 +327,9 @@ def _cli_stdout(capsys, argv):
 def test_cli_stdout_matches_oracle(monkeypatch, capsys, argv):
     expected, calls = _patched_run(monkeypatch, capsys, argv)
     # the starts, 6 restarts at each coupling, reached the oracle as one
-    # stack, and backtracked trials called its `value`
+    # stack, and `hamiltonian` called its `value` on a one-row stack
     assert calls[0] == ("value_and_gradient", (6 * (2 if argv[0] == "scan" else 1), 17))
-    assert ("value", (17,)) in calls and len(calls) > 10
+    assert ("value", (1, 17)) in calls and len(calls) > 10
     assert not isinstance(fock.energy_kernel(16), BincountKernel)
     assert _cli_stdout(capsys, argv) == expected
 
@@ -330,17 +339,16 @@ def test_descent_convolves_once_per_trial(monkeypatch):
     # row of one stacked `value_and_gradient` call that also gives its
     # gradient; the descent never calls `value`
     counts = dict.fromkeys(("convolution", "energy_rows", "value", "stacks", "stacked_rows"), 0)
-    convolution, energies, value = (
-        getattr(fock.EnergyKernel, name) for name in ("convolution", "_energies", "value")
+    convolve, energies, value = (
+        getattr(fock.EnergyKernel, name) for name in ("_convolve", "_energies", "value")
     )
 
-    def counted_convolution(self, a, out=None):
-        assert a.ndim == 1  # the O(N^2) work runs row by row
-        counts["convolution"] += 1
-        return convolution(self, a, out)
+    def counted_convolve(self, a):
+        counts["convolution"] += len(a)
+        return convolve(self, a)
 
     def counted_energies(self, ct, a, mu):
-        counts["energy_rows"] += 1 if a.ndim == 1 else len(a)
+        counts["energy_rows"] += len(a)
         return energies(self, ct, a, mu)
 
     def counted_value(self, a, mu):
@@ -358,7 +366,7 @@ def test_descent_convolves_once_per_trial(monkeypatch):
         counts["stacked_rows"] += len(a)
         return out
 
-    monkeypatch.setattr(fock.EnergyKernel, "convolution", counted_convolution)
+    monkeypatch.setattr(fock.EnergyKernel, "_convolve", counted_convolve)
     monkeypatch.setattr(fock.EnergyKernel, "_energies", counted_energies)
     monkeypatch.setattr(fock.EnergyKernel, "value", counted_value)
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", counted_gradient)
@@ -471,7 +479,7 @@ def test_scan_stdout_golden_other_seeds(capsys, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_first_trial_gradient_has_the_bits_of_value_then_gradient(monkeypatch, seed):
     # the descent with every trial, first or backtracked, split into `value`
-    # plus a 1-D gradient, one row at a time: the path a first trial took
+    # plus a gradient call, one row at a time: the path a first trial took
     # before value and gradient were fused and stacked, and the one a
     # backtracked trial took before it joined the stacked calls
     config = minimize.OptimizerConfig(truncation=48, restarts=1)
@@ -493,10 +501,12 @@ def test_first_trial_gradient_has_the_bits_of_value_then_gradient(monkeypatch, s
     assert len(stacks) > max(row[3] for row in fused) + 1
 
     def split(self, a, mu):
-        if a.ndim == 2:  # a stack of trials, one row at a time
-            rows = [split(self, row, m) for row, m in zip(a, mu.tolist())]
-            return np.array([e for e, _ in rows]), np.array([g for _, g in rows])
-        return self.value(a, mu), value_and_gradient(self, a, mu)[1]
+        # a stack of trials, one row at a time, as `value` plus a gradient
+        rows = [
+            (self.value(row, m)[0], value_and_gradient(self, row, m)[1][0])
+            for row, m in zip(a[:, None], mu[:, None])
+        ]
+        return np.array([e for e, _ in rows]), np.array([g for _, g in rows])
 
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", split)
     for (a, *rest), expected in zip(minimize._descend(starts, mus, config), fused):

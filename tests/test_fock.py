@@ -1,5 +1,6 @@
 """Coefficient-space functionals, catalog identities and symmetry actions."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -76,16 +77,16 @@ def random_state(rng, truncation, support=None):
         support + 1
     )
     a /= np.linalg.norm(a)
-    return fock.FockCoefficients(truncation, a)
+    return fock.FockCoefficients(a)
 
 
 class TestConservedQuantities:
     def test_mass_basis_element(self):
-        u = fock.FockCoefficients(2, np.array([1.0, 0.0, 0.0]))
+        u = fock.FockCoefficients(np.array([1.0, 0.0, 0.0]))
         assert fock.mass(u) == 1.0
 
     def test_mass_zero_vector(self):
-        u = fock.FockCoefficients(2, np.zeros(3))
+        u = fock.FockCoefficients(np.zeros(3))
         assert fock.mass(u) == 0.0
 
     def test_momentum_of_phi1(self):
@@ -100,7 +101,7 @@ class TestConservedQuantities:
         # direct evaluation of the momentum sum: sqrt(1) * (1/sqrt2)^2 = 1/2
         a = np.zeros(9, dtype=complex)
         a[0] = a[1] = 1.0 / math.sqrt(2.0)
-        u = fock.FockCoefficients(8, a)
+        u = fock.FockCoefficients(a)
         assert fock.magnetic_momentum(u) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -430,12 +431,28 @@ class TestCoefficientFile:
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidParameter):
-            fock.FockCoefficients(1, np.array([1.0, np.nan]))
+            fock.FockCoefficients(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [np.zeros(0), np.zeros((2, 3)), np.array(1.0)],
+        ids=["empty", "2-D", "scalar"],
+    )
+    def test_empty_or_not_1d_vector_rejected(self, coeffs):
+        with pytest.raises(InvalidParameter, match="non-empty 1-D"):
+            fock.FockCoefficients(coeffs)
+
+    def test_truncation_is_the_vector_length(self):
+        # the vector is the state: its one field fixes the truncation
+        assert [f.name for f in dataclasses.fields(fock.FockCoefficients)] == ["coeffs"]
+        for size in (1, 2, 49):
+            u = fock.FockCoefficients(np.ones(size))
+            assert u.truncation == len(u.coeffs) - 1 == size - 1
 
     def test_strided_coefficients_accepted(self):
         # a column of a matrix is not contiguous, so it has no float view
         column = np.eye(3, dtype=complex)[:, 1]
-        assert fock.FockCoefficients(2, column).coeffs.tolist() == [0, 1, 0]
+        assert fock.FockCoefficients(column).coeffs.tolist() == [0, 1, 0]
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -452,11 +469,11 @@ class TestCoefficientFile:
         # every coefficient is finite; the sum of their squares, or
         # (N + 1) times its square, which bounds B and E, is not
         with pytest.raises(InvalidParameter, match="mass"):
-            fock.FockCoefficients(1, np.array(coeffs))
+            fock.FockCoefficients(np.array(coeffs))
 
     def test_mass_near_float_limit_accepted(self):
         # (N + 1) M^2 = 1.34e308 is still finite, and so is every functional
-        u = fock.FockCoefficients(1, np.array([9e76, 1e76]))
+        u = fock.FockCoefficients(np.array([9e76, 1e76]))
         assert fock.mass(u) == pytest.approx(8.2e153)
         rep = fock.functionals(u, 0.5)
         assert all(math.isfinite(x) for x in (rep.H, rep.B, rep.E, rep.G, rep.F))

@@ -61,7 +61,7 @@ finite = st.floats(min_value=-1e75, max_value=1e75)
 @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=20))
 def test_coefficient_file_round_trip(pairs):
     coeffs = np.array([complex(re, im) for re, im in pairs])
-    u = fock.FockCoefficients(len(pairs) - 1, coeffs)
+    u = fock.FockCoefficients(coeffs)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.json"
         fock.save_coefficients(u, path)
@@ -90,7 +90,7 @@ def _unit_state(pairs):
     a[: len(pairs)] = [complex(re, im) for re, im in pairs]
     norm = np.linalg.norm(a)
     assume(norm > 1e-3)
-    return fock.FockCoefficients(SYMMETRY_N, a / norm)
+    return fock.FockCoefficients(a / norm)
 
 
 def _functionals(u):

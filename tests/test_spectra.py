@@ -687,7 +687,7 @@ class TestQuadraticFormConsistency:
         for _ in range(5):
             a = rng.standard_normal(13) + 1j * rng.standard_normal(13)
             a /= np.linalg.norm(a)
-            u = fock.FockCoefficients(12, a)
+            u = fock.FockCoefficients(a)
             rep = fock.functionals(u, 0.0)
             val = block_quadratic_value(a)
             assert val == pytest.approx(rep.B, rel=1e-10, abs=1e-12)

@@ -136,12 +136,14 @@ class TestOneStackCoversEveryPath:
             backtracks[point] = count
 
         def tagged_value(self, a, mu):
-            tag((mu, a.tobytes()), last[1] + 1)
+            [row], [m] = a, mu.tolist()  # the serial descent's one-row stacks
+            tag((m, row.tobytes()), last[1] + 1)
             return value(self, a, mu)
 
         def tagged(self, a, mu):
-            if (mu, a.tobytes()) != last[0]:  # a start or a first trial
-                tag((mu, a.tobytes()), 0)
+            [row], [m] = a, mu.tolist()
+            if (m, row.tobytes()) != last[0]:  # a start or a first trial
+                tag((m, row.tobytes()), 0)
             return value_and_gradient(self, a, mu)
 
         monkeypatch.setattr(fock.EnergyKernel, "value", tagged_value)
@@ -337,18 +339,19 @@ def test_minimize_G_descends_its_restarts_as_one_stack(monkeypatch):
 
 
 def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
-    # the O(N^2) convolution runs on 1-D rows; the descent calls the kernel
-    # only through `value_and_gradient` on stacks: each round's live rows
-    # for their first trials, then the rows still searching for their
-    # backtracked trials, and never `value` or a 1-D row
-    convolved, stacks, valued = set(), [], []
-    convolution = fock.EnergyKernel.convolution
+    # the convolution loop runs over the rows of the stacks the descent
+    # passes; the descent calls the kernel only through
+    # `value_and_gradient` on stacks: each round's live rows for their
+    # first trials, then the rows still searching for their backtracked
+    # trials, and never `value`
+    convolved, stacks, valued = [], [], []
+    convolve = fock.EnergyKernel._convolve
     value = fock.EnergyKernel.value
     value_and_gradient = fock.EnergyKernel.value_and_gradient
 
-    def recorded_convolution(self, a, out=None):
-        convolved.add(a.shape)
-        return convolution(self, a, out)
+    def recorded_convolution(self, a):
+        convolved.append(a.shape)
+        return convolve(self, a)
 
     def recorded_value(self, a, mu):
         valued.append(a.shape)
@@ -358,13 +361,13 @@ def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
         stacks.append(a.shape)
         return value_and_gradient(self, a, mu)
 
-    monkeypatch.setattr(fock.EnergyKernel, "convolution", recorded_convolution)
+    monkeypatch.setattr(fock.EnergyKernel, "_convolve", recorded_convolution)
     monkeypatch.setattr(fock.EnergyKernel, "value", recorded_value)
     monkeypatch.setattr(fock.EnergyKernel, "value_and_gradient", recorded)
     config = mz.OptimizerConfig(truncation=24, restarts=4, seed=0)
     starts, mus = restart_grid(config, (0.1, 0.6))
     mz._descend(starts, mus, config)
-    assert convolved == {(25,)}
+    assert convolved == stacks
     assert valued == []
     assert stacks[0] == (8, 25)
     assert all(len(shape) == 2 and shape[1] == 25 for shape in stacks)
