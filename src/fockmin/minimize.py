@@ -6,9 +6,10 @@ Riemannian Hessian and with renormalization as the retraction, restarted
 from the closed-form stationary waves and from seeded random states.
 The restarts at one coupling, and every restart at every coupling of a
 scan, are descended in lock step as the rows of one stack, and each row
-ends with the bits of a descent run on its own.  Converged minimizers are
-classified against the catalog after quotienting out phase, rotation and
-translation.
+ends with the bits of a descent run on its own; at mu >= 1/2, where the
+Gaussian phi_0 is the global minimizer, the stack holds phi_0 alone.
+Converged minimizers are classified against the catalog after quotienting
+out phase, rotation and translation.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ __all__ = [
 ]
 
 # The linear-stability thresholds of phi_1 and phi_0: the largest mu at which
-# the eps^2 coefficient of G_mu(normalize(e_b + eps e_n)) vanishes for some n
+# the eps^2 coefficient of G_mu(normalize(e_b + eps e_n)) vanishes for some n.
+# phi_0's linear threshold is also its global one: at every mu >= KAPPA_ZERO
+# phi_0 minimizes G_mu on the whole unit sphere (the paper's first theorem;
+# `certify` proves it exactly up to N = 300), and below it phi_0 is unstable.
 KAPPA_INF = 5.0 / 32.0  # b = 1: mu (n - 1) - 1 + (n + 1) 2^(1-n), at n = 5 and 6
 KAPPA_ZERO = 0.5  # b = 0: mu n - 2 + 2^(2-n), at n = 2 and 3
 
@@ -386,8 +390,10 @@ def _truncation_floor(spec) -> int:
 
 def _starting_points(config: OptimizerConfig, rng: np.random.Generator):
     n = config.truncation
-    # only the starts that run are expanded: a wide psi_b start that does
-    # not fit a small truncation must not fail a run that never uses it
+    # the first `restarts` starts are built whatever the couplings, also
+    # where scan_mu descends restart 0 alone (mu >= KAPPA_ZERO), so an input
+    # is a usage error or not at every mu; a wide psi_b start past
+    # --restarts is not built and cannot fail a run
     points = []
     for index, spec in enumerate(_NAMED_STARTS[: config.restarts]):
         try:
@@ -422,8 +428,18 @@ def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
     mu.
 
     The whole grid is validated, with the errors `minimize_G` documents,
-    before the first descent.  Every restart at every coupling is descended
+    before the first descent.  The restarts of every coupling are descended
     as one stack, and each coupling keeps its best restart.
+
+    At a coupling mu >= KAPPA_ZERO the stack holds restart 0 (phi_0)
+    alone: there every block of the energy's quadratic form is positive
+    semi-definite, so G_mu >= 1 = G_mu(phi_0) on the unit sphere and phi_0
+    is a global minimizer.  `certify` proves this in exact arithmetic for
+    every truncation N <= 300 (`certify --max-j 600 --exact-max-j 600`),
+    and the paper proves it for all N.  A random restart there can only
+    tie phi_0, and ties go to restart 0.  The starts are drawn once for the
+    whole grid, so a coupling below KAPPA_ZERO descends the same starts
+    whatever else the grid holds.
     """
     config = config or OptimizerConfig()
     mus = [float(m) for m in grid]
@@ -439,14 +455,17 @@ def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
         _check_coupling(mu, config.truncation)
     mus.sort()
     starts = _starting_points(config, np.random.default_rng(config.seed))
-    rows = _descend(
-        [start for _ in mus for start in starts],
-        [mu for mu in mus for _ in starts],
-        config,
+    stacks = [starts[:1] if mu >= KAPPA_ZERO else starts for mu in mus]
+    rows = iter(
+        _descend(
+            [start for stack in stacks for start in stack],
+            [mu for mu, stack in zip(mus, stacks) for _ in stack],
+            config,
+        )
     )
     results = []
-    for i, mu in enumerate(mus):
-        mine = rows[i * len(starts) : (i + 1) * len(starts)]
+    for mu, stack in zip(mus, stacks):
+        mine = list(itertools.islice(rows, len(stack)))
         idx = 0
         for j, (_, value, *_) in enumerate(mine):
             best = mine[idx][1]
@@ -480,7 +499,11 @@ def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
 
 def minimize_G(mu: float, config: OptimizerConfig | None = None) -> MinimizationResult:
     """Best sphere-constrained minimizer of G_mu across restarts, which are
-    descended as one stack.
+    descended as one stack, `scan_mu` at one coupling.
+
+    At mu >= KAPPA_ZERO only restart 0 (phi_0) is descended: phi_0 is a
+    global minimizer there, proved exactly by `certify` for N <= 300 and
+    by the paper for all N, and it stops at its start with iterations 0.
 
     Raises MuNonPositive for mu <= 0, where no global minimizer exists,
     NonFiniteParameter for a NaN or infinite mu, and InvalidParameter for

@@ -326,9 +326,10 @@ def _cli_stdout(capsys, argv):
 )
 def test_cli_stdout_matches_oracle(monkeypatch, capsys, argv):
     expected, calls = _patched_run(monkeypatch, capsys, argv)
-    # the starts, 6 restarts at each coupling, reached the oracle as one
-    # stack, and `hamiltonian` called its `value` on a one-row stack
-    assert calls[0] == ("value_and_gradient", (6 * (2 if argv[0] == "scan" else 1), 17))
+    # the starts reached the oracle as one stack: the 6 restarts at
+    # mu = 0.4, or at 0.3 and phi_0 alone at 0.6, above KAPPA_ZERO; and
+    # `hamiltonian` called its `value` on a one-row stack
+    assert calls[0] == ("value_and_gradient", (7 if argv[0] == "scan" else 6, 17))
     assert ("value", (1, 17)) in calls and len(calls) > 10
     assert not isinstance(fock.energy_kernel(16), BincountKernel)
     assert _cli_stdout(capsys, argv) == expected

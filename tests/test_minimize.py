@@ -424,7 +424,8 @@ class TestLbfgsDescent:
                 ]
 
             monkeypatch.setattr(mz, "_descend", fixed)
-            return mz.minimize_G(0.7, config).restart_index
+            # below KAPPA_ZERO, where every restart is descended
+            return mz.minimize_G(0.3, config).restart_index
 
         one_ulp_below = math.nextafter(1.0, 0.0)
         assert run([1.0, 1.2, 1.1, 1.3, 1.4, one_ulp_below]) == 0

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fockmin import fock, spectra
+from fockmin import fock, spectra, sturm
 from fockmin.errors import InvalidParameter, NotCentrosymmetric, OutOfRange
 from fockmin.spectra import BlockKind
 
@@ -366,6 +366,43 @@ class TestNullVectors:
         for j in (0, 1, 2, 3):
             with pytest.raises(OutOfRange):
                 spectra.null_vectors(j)
+
+
+def exact_pivots(rows):
+    """The pivots of symmetric Gaussian elimination in Fractions, without
+    row exchanges.  A zero pivot must head a zero row, as it does in a
+    positive semi-definite matrix, and is then skipped; all pivots >= 0
+    then prove the matrix positive semi-definite, and the nonzero ones
+    count its rank."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for k, row in enumerate(a):
+        pivot = row[k]
+        pivots.append(pivot)
+        if not pivot:
+            assert not any(row[k:]), k
+            continue
+        for below in a[k + 1 :]:
+            factor = below[k] / pivot
+            for l in range(k, len(row)):
+                below[l] -= factor * row[l]
+    return pivots
+
+
+class TestBlocksBeforeTheCertificate:
+    """The reduced blocks below j = sturm.FIRST_J, where `certify` starts,
+    are positive semi-definite in exact arithmetic."""
+
+    def test_blocks_up_to_3_are_zero(self):
+        assert sturm.FIRST_J == 6
+        for j in range(4):
+            reduced = spectra.centro_decompose(spectra.build_B_block(j))
+            assert not any(map(any, reduced.rows)), j
+
+    @pytest.mark.parametrize("j, pivot", [(4, 96), (5, 2400)])
+    def test_blocks_4_and_5_are_rank_one(self, j, pivot):
+        reduced = spectra.centro_decompose(spectra.build_B_block(j))
+        assert exact_pivots(reduced.rows) == [pivot] + [0] * (reduced.order - 1)
 
 
 class TestIntegerReduction:

@@ -11,6 +11,7 @@ whatever its stack mates.
 
 import collections
 import dataclasses
+import math
 import time
 import tracemalloc
 import warnings
@@ -335,7 +336,43 @@ def test_minimize_G_descends_its_restarts_as_one_stack(monkeypatch):
     config = mz.OptimizerConfig(truncation=24, restarts=5, seed=0)
     mz.minimize_G(0.3, config)
     mz.scan_mu([0.5, 0.2], config)
-    assert calls == [[0.3] * 5, [0.2] * 5 + [0.5] * 5]
+    # at mu >= KAPPA_ZERO the stack holds restart 0 (phi_0) alone
+    assert calls == [[0.3] * 5, [0.2] * 5 + [0.5]]
+    below = math.nextafter(mz.KAPPA_ZERO, 0.0)
+    mz.scan_mu([mz.KAPPA_ZERO, below], config)
+    assert calls[-1] == [below] * 5 + [mz.KAPPA_ZERO]
+
+
+@pytest.mark.parametrize("truncation", [48, 96])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_phi0_alone_is_the_winner_of_every_restart(monkeypatch, truncation, seed):
+    # the cross-check the phi_0 shortcut takes out of the run: every restart
+    # descended at mu >= KAPPA_ZERO ends at G >= 1 - TIE_MARGIN, so none
+    # displaces restart 0, and the all-restart winner is, bit for bit, the
+    # one-row phi_0 result, which stops at its start
+    config = mz.OptimizerConfig(truncation=truncation, seed=seed)
+    # 0.8 and 0.5 are the couplings that criterion 10 and test_minimize name
+    grid = (0.5, 0.7, 0.8, 1.0, 2.0)
+    shortcut = mz.scan_mu(grid, config)
+    rows = []
+    descend = mz._descend
+
+    def recorded(starts, mus, config):
+        out = descend(starts, mus, config)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setattr(mz, "_descend", recorded)
+    monkeypatch.setattr(mz, "KAPPA_ZERO", math.inf)  # no shortcut
+    every_restart = mz.scan_mu(grid, config)
+    assert len(rows) == len(grid) * config.restarts
+    assert min(value for _, value, *_ in rows) >= 1.0 - mz.TIE_MARGIN
+    for res, ref in zip(shortcut, every_restart):
+        assert (res.restart_index, res.iterations, res.converged) == (0, 0, True)
+        assert res.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+        for field in dataclasses.fields(mz.MinimizationResult):
+            if field.name != "u":
+                assert getattr(res, field.name) == getattr(ref, field.name), field.name
 
 
 def test_stack_rows_of_the_energy_kernel_are_one_dimensional(monkeypatch):
