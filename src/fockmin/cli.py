@@ -45,14 +45,15 @@ _MAX_CERTIFY_J = 600
 _MAX_CATALOG_TRUNC = 250_000
 
 _RESTARTS_HELP = (
-    "restarts per coupling (default %(default)s); couplings x restarts x "
-    f"(trunc + 1) may be at most {mz.MAX_DESCENT_ENTRIES}"
+    "restarts per coupling (default %(default)s), one row each below mu = 1/2 "
+    "(phi_0 alone from 1/2 on); rows x (trunc + 1) may be at most "
+    f"{mz.MAX_DESCENT_ENTRIES}"
 )
 
 _TRUNC_HELP = (
     "truncation N (default %(default)s), at least 8 (12 with more than 2 "
-    "restarts: restart 2 starts from psi_b at b = 1) and at most "
-    f"{fock.MAX_KERNEL_TRUNCATION}: the energy kernel holds about "
+    "restarts below mu = 1/2: restart 2's row starts from psi_b at b = 1) and "
+    f"at most {fock.MAX_KERNEL_TRUNCATION}: the energy kernel holds about "
     f"{fock.KERNEL_BYTES_PER_ENTRY} bytes per (N + 1)^2 entry, 4 GiB at the cap"
 )
 
@@ -82,6 +83,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parsing leaves no state on
     it, so every `run` shares it."""
+    defaults = mz.OptimizerConfig()  # mu0 alone keeps its own --restarts default
     parser = _Parser(prog="fockmin")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed, >= 0 (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -153,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="minimize the energy at one coupling")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--trunc", type=int, default=48, help=_TRUNC_HELP)
-    p.add_argument("--restarts", type=int, default=8, help=_RESTARTS_HELP)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--grad-tol", type=float, default=1e-8)
+    p.add_argument("--trunc", type=int, default=defaults.truncation, help=_TRUNC_HELP)
+    p.add_argument("--restarts", type=int, default=defaults.restarts, help=_RESTARTS_HELP)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--grad-tol", type=float, default=defaults.grad_tol)
     p.add_argument("--format", choices=["json", "pretty"], default="pretty")
     p.add_argument("--out")
 
@@ -164,12 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--trunc", type=int, default=48, help=_TRUNC_HELP)
-    p.add_argument("--restarts", type=int, default=8, help=_RESTARTS_HELP)
+    p.add_argument("--trunc", type=int, default=defaults.truncation, help=_TRUNC_HELP)
+    p.add_argument("--restarts", type=int, default=defaults.restarts, help=_RESTARTS_HELP)
     p.add_argument("--out")
 
     p = sub.add_parser("mu0", help="bracket the lower transition coupling")
-    p.add_argument("--trunc", type=int, default=48, help=_TRUNC_HELP)
+    p.add_argument("--trunc", type=int, default=defaults.truncation, help=_TRUNC_HELP)
     p.add_argument("--restarts", type=int, default=6, help=_RESTARTS_HELP)
     p.add_argument("--width", type=float, default=1e-3)
 

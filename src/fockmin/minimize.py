@@ -19,7 +19,7 @@ import itertools
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -277,17 +277,16 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
     with the bits of a descent run on its own, whatever its stack mates.
     A row that skips a pair keeps its own pairs at their ages, with `_PAD`
     at the ages it has none for, so one two-loop covers every row that
-    holds a pair; `has_pair` marks those rows.  Each trial point, first or
-    halved, is evaluated once, with its gradient, in one stacked
-    `value_and_gradient` call on the rows still searching, which gives each
-    row the bits of a one-row call; a row whose step falls to 1e-18 stalls
-    and keeps its point.
+    holds a pair: those whose newest rho is positive, not `_PAD`'s +0.
+    Each trial point, first or halved, is evaluated once, with its
+    gradient, in one stacked `value_and_gradient` call on the rows still
+    searching, which gives each row the bits of a one-row call; a row whose
+    step falls to 1e-18 stalls and keeps its point.
     """
     if not len(starts):
         return []
     kern = energy_kernel(config.truncation)
     mus = np.array(mus, dtype=float)
-    curvature = (2.0 * mus)[:, None] * kern.mode_index
     a = np.array(starts, dtype=complex)
     a /= _norms(a)
     value, grad = kern.value_and_gradient(a, mus)
@@ -295,7 +294,6 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
     recent = np.full((len(a), NONMONOTONE_MEMORY), -np.inf)
     recent[:, 0] = value
     pairs = deque(maxlen=LBFGS_MEMORY)
-    has_pair = np.zeros(len(a), dtype=bool)
     prev_a = prev_tangent = a  # not read before the first step
     landmark = value.copy()
     last_progress = np.zeros(len(a), dtype=int)
@@ -317,12 +315,11 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
             live = ~stops
             if not live.any():
                 return results
-            (ids, mus, curvature, a, grad, value, lam, tangent, prev_a, prev_tangent,
-             recent, landmark, last_progress, stalled, has_pair) = (
+            (ids, mus, a, grad, value, lam, tangent, prev_a, prev_tangent, recent,
+             landmark, last_progress, stalled) = (
                 x[live]
-                for x in (ids, mus, curvature, a, grad, value, lam, tangent, prev_a,
-                          prev_tangent, recent, landmark, last_progress, stalled,
-                          has_pair)
+                for x in (ids, mus, a, grad, value, lam, tangent, prev_a, prev_tangent,
+                          recent, landmark, last_progress, stalled)
             )
             pairs = deque(
                 ((s[live], y[live], rho[live]) for s, y, rho in pairs),
@@ -331,12 +328,12 @@ def _descend(starts, mus, config: OptimizerConfig) -> list:
         sq = a.real * a.real + a.imag * a.imag
         metric = np.matmul(kern.weights_sq, sq[:, :, None])[:, :, 0]
         metric *= 8.0
-        metric += curvature
+        metric += (2.0 * mus)[:, None] * kern.mode_index
         metric -= lam
         np.maximum(metric, METRIC_FLOOR * lam, out=metric)
         if step > 1:
-            pairs, kept = _remember_pairs(pairs, a - prev_a, tangent - prev_tangent)
-            has_pair |= kept
+            pairs, _ = _remember_pairs(pairs, a - prev_a, tangent - prev_tangent)
+        has_pair = pairs[-1][2][:, 0] > 0 if pairs else np.zeros(len(a), dtype=bool)
         trial = np.where(has_pair, 1.0, STEP_INIT)[:, None]
         direction = np.empty_like(a)
         slope = np.zeros((len(a), 1))  # a row without pairs falls back
@@ -389,11 +386,11 @@ def _truncation_floor(spec) -> int:
 
 
 def _starting_points(config: OptimizerConfig, rng: np.random.Generator):
+    """The starts of restarts 0 .. restarts - 1: the catalog starts in
+    restart order, then random states drawn from `rng`.  A catalog start
+    that the truncation cannot hold raises InvalidParameter naming its
+    restart; one past `restarts` is not built and cannot fail a run."""
     n = config.truncation
-    # the first `restarts` starts are built whatever the couplings, also
-    # where scan_mu descends restart 0 alone (mu >= KAPPA_ZERO), so an input
-    # is a usage error or not at every mu; a wide psi_b start past
-    # --restarts is not built and cannot fail a run
     points = []
     for index, spec in enumerate(_NAMED_STARTS[: config.restarts]):
         try:
@@ -428,44 +425,40 @@ def scan_mu(grid, config: OptimizerConfig | None = None) -> list:
     mu.
 
     The whole grid is validated, with the errors `minimize_G` documents,
-    before the first descent.  The restarts of every coupling are descended
-    as one stack, and each coupling keeps its best restart.
+    before the first descent.  Each coupling stacks one row per restart
+    below KAPPA_ZERO and restart 0's (phi_0) alone from it on.  The cap
+    MAX_DESCENT_ENTRIES reads those counts before any coupling is checked.
+    The starts are built and drawn once, as many as the largest count, so
+    a coupling below KAPPA_ZERO descends the same starts whatever else the
+    grid holds.  All rows are descended as one stack, and each coupling
+    keeps its best row, ties going to the lower restart index.
 
-    At a coupling mu >= KAPPA_ZERO the stack holds restart 0 (phi_0)
-    alone: there every block of the energy's quadratic form is positive
-    semi-definite, so G_mu >= 1 = G_mu(phi_0) on the unit sphere and phi_0
-    is a global minimizer.  `certify` proves this in exact arithmetic for
-    every truncation N <= 300 (`certify --max-j 600 --exact-max-j 600`),
-    and the paper proves it for all N.  A random restart there can only
-    tie phi_0, and ties go to restart 0.  The starts are drawn once for the
-    whole grid, so a coupling below KAPPA_ZERO descends the same starts
-    whatever else the grid holds.
+    At mu >= KAPPA_ZERO every block of the energy's quadratic form is
+    positive semi-definite, so G_mu >= 1 = G_mu(phi_0) on the unit sphere
+    and phi_0 is a global minimizer: `certify` proves it in exact
+    arithmetic for every N <= 300 (`certify --max-j 600 --exact-max-j
+    600`), and the paper for all N.  A random restart could only tie it.
     """
     config = config or OptimizerConfig()
-    mus = [float(m) for m in grid]
-    entries = len(mus) * config.restarts * (config.truncation + 1)
+    mus = sorted(float(m) for m in grid)
+    counts = [1 if mu >= KAPPA_ZERO else config.restarts for mu in mus]
+    entries = sum(counts) * (config.truncation + 1)
     if entries > MAX_DESCENT_ENTRIES:
         raise InvalidParameter(
-            f"{len(mus)} coupling(s) x {config.restarts} restart(s) x "
-            f"{config.truncation + 1} modes is {entries} descent entries, above "
-            f"the cap of {MAX_DESCENT_ENTRIES} (about "
-            f"{DESCENT_BYTES_PER_ENTRY} bytes each)"
+            f"{sum(counts)} descent row(s) ({config.restarts} per coupling below "
+            f"mu = {KAPPA_ZERO}, 1 at or above it) x {config.truncation + 1} modes "
+            f"is {entries} descent entries, above the cap of {MAX_DESCENT_ENTRIES} "
+            f"(about {DESCENT_BYTES_PER_ENTRY} bytes each)"
         )
     for mu in mus:
         _check_coupling(mu, config.truncation)
-    mus.sort()
-    starts = _starting_points(config, np.random.default_rng(config.seed))
-    stacks = [starts[:1] if mu >= KAPPA_ZERO else starts for mu in mus]
-    rows = iter(
-        _descend(
-            [start for stack in stacks for start in stack],
-            [mu for mu, stack in zip(mus, stacks) for _ in stack],
-            config,
-        )
-    )
+    widest = replace(config, restarts=max(counts, default=1))
+    starts = _starting_points(widest, np.random.default_rng(config.seed))
+    stack = [start for count in counts for start in starts[:count]]
+    rows = iter(_descend(stack, np.repeat(mus, counts), config))
     results = []
-    for mu, stack in zip(mus, stacks):
-        mine = list(itertools.islice(rows, len(stack)))
+    for mu, count in zip(mus, counts):
+        mine = list(itertools.islice(rows, count))
         idx = 0
         for j, (_, value, *_) in enumerate(mine):
             best = mine[idx][1]
@@ -507,10 +500,11 @@ def minimize_G(mu: float, config: OptimizerConfig | None = None) -> Minimization
 
     Raises MuNonPositive for mu <= 0, where no global minimizer exists,
     NonFiniteParameter for a NaN or infinite mu, and InvalidParameter for
-    a mu whose (2 mu N)^2 overflows, for restarts x (N + 1) above
-    MAX_DESCENT_ENTRIES or for a catalog start that N cannot hold.  A
-    result whose descent stopped short of the tolerance (Armijo stall,
-    plateau or budget) is returned with converged=False.
+    a mu whose (2 mu N)^2 overflows, for rows x (N + 1) above
+    MAX_DESCENT_ENTRIES, where mu >= KAPPA_ZERO stacks one row and a mu
+    below it one per restart, or for a catalog start of those rows that N
+    cannot hold.  A result whose descent stopped short of the tolerance
+    (Armijo stall, plateau or budget) is returned with converged=False.
     """
     return scan_mu([mu], config)[0]
 

@@ -205,6 +205,37 @@ class TestCertifyBandMutation:
                 assert " pass " in line and "kernel=exact" in line
 
 
+class TestCertifyEigenvalueTolerance:
+    """A scaled block whose smallest eigenvalue is -1e-6 times its norm, far
+    above rounding, fails the 1e-10 tolerance; a looser tolerance, such as
+    1e-3, would pass it."""
+
+    @pytest.mark.parametrize("j", [9, 12])
+    def test_slightly_indefinite_block_fails(self, capsys, monkeypatch, j):
+        # the blocks reach the eigenvalue call in order from j = 6
+        eigenvalues = spectra.symmetric_eigenvalues
+        calls = []
+
+        def planted(matrix):
+            eigs = eigenvalues(matrix)
+            calls.append(None)
+            if len(calls) == j - 5:
+                eigs = eigs.copy()
+                eigs[0] = -1e-6 * max(abs(eigs[0]), abs(eigs[-1]))
+            return eigs
+
+        monkeypatch.setattr(cli.spectra, "symmetric_eigenvalues", planted)
+        code, out, err = run_capture(capsys, ["certify", "--max-j", "12"])
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert len(calls) == len(lines) == 7  # j = 6 .. 12
+        for line in lines:
+            if line.startswith(f"j={j} "):
+                assert line == f"j={j} FAIL (scaled reduced block indefinite at j={j}) "
+            else:
+                assert " pass " in line and "min_eig=" in line
+
+
 class TestUnwritableOut:
     """An --out path in a missing directory is a usage error, not a traceback."""
 
@@ -913,17 +944,27 @@ class TestErrorPaths:
         assert expanded == [250000]
 
     @pytest.mark.parametrize(
-        "argv, points, restarts",
+        "argv, rows, restarts",
         [
-            (["scan", "--from", "0.1", "--to", "0.7", "--step", "1e-6"], 600001, 8),
-            (["minimize", "--mu", "0.1", "--restarts", "100000000"], 1, 100000000),
-            (["mu0", "--restarts", "100000000"], 1, 100000000),
-            (["minimize", "--mu", "0.1", "--restarts", str(AT_CAP + 1)], 1, AT_CAP + 1),
+            # the summed step puts coupling 400,001 at 0.499999999993, so
+            # 400,001 couplings stack 8 rows and the 200,000 from 0.5 one
+            (
+                ["scan", "--from", "0.1", "--to", "0.7", "--step", "1e-6"],
+                400001 * 8 + 200000,
+                8,
+            ),
+            (["minimize", "--mu", "0.1", "--restarts", "100000000"], 10**8, 10**8),
+            (["mu0", "--restarts", "100000000"], 10**8, 10**8),
+            (
+                ["minimize", "--mu", "0.1", "--restarts", str(AT_CAP + 1)],
+                AT_CAP + 1,
+                AT_CAP + 1,
+            ),
         ],
         ids=["scan-grid", "minimize-restarts", "mu0-restarts", "one-past-the-cap"],
     )
     def test_descent_above_the_cap_is_usage_error(
-        self, capsys, monkeypatch, argv, points, restarts
+        self, capsys, monkeypatch, argv, rows, restarts
     ):
         def no_expand(*args, **kwargs):
             raise AssertionError("starts expanded past the cap")
@@ -933,12 +974,45 @@ class TestErrorPaths:
         code, out, err = run_capture(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
-        entries = points * restarts * 49
         assert err == (
-            f"error: {points} coupling(s) x {restarts} restart(s) x 49 modes is "
-            f"{entries} descent entries, above the cap of "
-            f"{minimize.MAX_DESCENT_ENTRIES} (about 640 bytes each)\n"
+            f"error: {rows} descent row(s) ({restarts} per coupling below mu = 0.5, "
+            f"1 at or above it) x 49 modes is {rows * 49} descent entries, above "
+            f"the cap of {minimize.MAX_DESCENT_ENTRIES} (about 640 bytes each)\n"
         )
+
+    def test_grid_above_one_half_stacks_one_row_per_coupling(self, capsys):
+        # 5,001 couplings x 8 restarts x 49 modes would be 1,960,392 entries,
+        # above the cap; phi_0's rows alone hold 245,049, and each wins at
+        # its start
+        argv = ["scan", "--from", "0.5", "--to", "2.0", "--step", "0.0003"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()[1:]
+        assert len(lines) == 5001
+        assert all(line.split(",")[1:2] == ["1"] for line in lines)
+        assert all(line.split(",")[5] == "phi0" for line in lines)
+
+    def test_restarts_past_the_cap_run_phi0_alone_at_one_half_and_above(
+        self, capsys, monkeypatch
+    ):
+        # one row is stacked at mu = 0.7, whatever --restarts says: phi_0
+        # is built, and no random start is drawn
+        built = []
+        starting_points = minimize._starting_points
+
+        def recorded(config, rng):
+            state = rng.bit_generator.state
+            points = starting_points(config, rng)
+            built.append((config.restarts, len(points), rng.bit_generator.state == state))
+            return points
+
+        monkeypatch.setattr(minimize, "_starting_points", recorded)
+        argv = ["minimize", "--mu", "0.7", "--restarts", "100000000", "--format", "json"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert (record["restart_index"], record["iterations"]) == (0, 0)
+        assert built == [(1, 1, True)]
 
     @pytest.mark.parametrize(
         "argv",

@@ -91,8 +91,12 @@ class TestMinimize:
         assert res.restart_index == 0
         # a start that runs and does not fit is a usage error before any
         # descent, which names the restart and the floor it needs
+        three = mz.OptimizerConfig(truncation=8, restarts=3)
         with pytest.raises(InvalidParameter, match="restart 2 .* >= 12, got 8"):
-            mz.minimize_G(0.7, mz.OptimizerConfig(truncation=8, restarts=3))
+            mz.minimize_G(0.3, three)
+        # at mu >= KAPPA_ZERO phi_0's row runs alone, so restart 2 is not built
+        res = mz.minimize_G(0.7, three)
+        assert (res.label, res.restart_index) == (mz.MinimizerClass.PHI0, 0)
 
     def test_gaussian_regime(self):
         res = mz.minimize_G(0.8, FAST)

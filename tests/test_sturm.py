@@ -160,6 +160,15 @@ class TestCertificate:
             assert lo < t <= hi + 1e-12
             assert lo == pytest.approx(0.5 * (j - math.sqrt(j)), rel=1e-12)
 
+    @pytest.mark.parametrize("m", range(3, 21))
+    def test_window_is_open_at_a_perfect_square(self, m):
+        # at j = m^2 the window's open end (j - m)/2 is an integer: it lies
+        # outside, and the next integer inside (a `<=` in the strict
+        # comparison would take the end in)
+        j = m * m
+        assert not sturm._window_contains(j, (j - m) // 2)
+        assert sturm._window_contains(j, (j - m) // 2 + 1)
+
     def test_parity_and_half_order_follow_j(self):
         cases = ((6, "even", 3), (7, "odd", 4), (8, "even", 4), (9, "odd", 5))
         for j, expected, half in cases:
